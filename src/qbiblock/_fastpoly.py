@@ -41,10 +41,6 @@ def psub(a: list[int], b: list[int]) -> list[int]:
     return pstrip(out)
 
 
-def pneg(a: list[int]) -> list[int]:
-    return [-c for c in a]
-
-
 def pscale(a: list[int], k: int) -> list[int]:
     if k == 0:
         return []
@@ -92,13 +88,6 @@ def pdiv_exact(a: list[int], b: list[int]) -> list[int]:
     if any(rem[:db]):
         raise ArithmeticError("inexact polynomial division")
     return quot
-
-
-def peval(a: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def int_pair(coeffs) -> tuple[list[int], int]:

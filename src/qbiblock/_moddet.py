@@ -1,117 +1,39 @@
-"""Exact determinants of integer-polynomial matrices by modular evaluation (internal).
+"""Exact determinants of integer-polynomial matrices by Kronecker substitution (internal).
 
-The determinant polynomial is reconstructed from Gaussian eliminations modulo
-61-bit primes at integer points, Newton interpolation per prime, and balanced
-CRT lifting.  The reconstruction is exact, not heuristic, because of two
-a-priori bounds computed from the input matrix:
-
-- degree: deg(det) <= sum over rows of the maximum entry degree;
-- coefficients: every coefficient of det is bounded in absolute value by the
-  product over rows of the sum of entry one-norms (a permanent bound), and the
-  prime product is chosen to exceed twice that bound.
+Every entry is evaluated at ``B = 2^k``, one fraction-free integer Bareiss
+elimination gives ``det(A)(B)``, and the coefficients of ``det(A)`` are read
+back as the balanced base-``B`` digits of that integer.  The readout is exact,
+not heuristic, because of an a-priori bound computed from the input matrix:
+every coefficient of det is bounded in absolute value by the product over rows
+of the sum of entry one-norms (a permanent bound ``C``), and ``k`` is chosen so
+that ``B > 2C``, which makes the balanced digits unique.
 """
 
 from __future__ import annotations
 
-import threading
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_prime_cache: list[int] = []
-_prime_lock = threading.Lock()
-
-
-def _is_prime(n: int) -> bool:
-    for w in _MR_WITNESSES:
-        if n % w == 0:
-            return n == w
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_for_bound(bound: int) -> list[int]:
-    """Smallest prefix of 61-bit primes whose product exceeds ``bound``.
-
-    The shared cache is extended under a lock so concurrent verifications
-    cannot interleave the search (duplicate moduli would corrupt the CRT).
-    """
-    with _prime_lock:
-        candidate = _prime_cache[-1] + 2 if _prime_cache else (1 << 61) + 1
-        product = 1
-        taken = []
-        for p in _prime_cache:
-            taken.append(p)
-            product *= p
-            if product > bound:
-                return taken
-        while product <= bound:
-            while not _is_prime(candidate):
-                candidate += 2
-            _prime_cache.append(candidate)
-            taken.append(candidate)
-            product *= candidate
-            candidate += 2
-        return taken
-
-
-def _det_mod_p(mat: list[list[int]], p: int) -> int:
-    """Determinant of an integer matrix modulo prime p (entries already reduced)."""
+def _det_int(mat: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss (all divisions exact)."""
     n = len(mat)
-    det = 1
-    for k in range(n):
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
         piv = next((i for i in range(k, n) if mat[i][k]), None)
         if piv is None:
             return 0
         if piv != k:
             mat[k], mat[piv] = mat[piv], mat[k]
-            det = p - det
-        pivot = mat[k][k]
-        det = det * pivot % p
-        inv = pow(pivot, p - 2, p)
-        tail = k + 1
-        row_k_tail = mat[k][tail:]
-        for i in range(tail, n):
+            sign = -sign
+        row_k = mat[k]
+        pivot = row_k[k]
+        for i in range(k + 1, n):
             row_i = mat[i]
             f = row_i[k]
-            if f:
-                f = f * inv % p
-                mat[i] = row_i[:tail] + [
-                    (a - f * b) % p for a, b in zip(row_i[tail:], row_k_tail)
-                ]
-    return det % p
-
-
-def _newton_interp_mod(values: list[int], p: int) -> list[int]:
-    """Coefficients of the polynomial through (i, values[i]) for i = 0..len-1, mod p."""
-    m = len(values)
-    coef = list(values)
-    for j in range(1, m):
-        inv_j = pow(j, p - 2, p)
-        for i in range(m - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) * inv_j % p
-    poly = [coef[-1]]
-    for i in range(m - 2, -1, -1):
-        nxt = [0] * (len(poly) + 1)
-        for t, c in enumerate(poly):
-            nxt[t + 1] = (nxt[t + 1] + c) % p
-            nxt[t] = (nxt[t] - c * i) % p
-        nxt[0] = (nxt[0] + coef[i]) % p
-        poly = nxt
-    return poly
+            row_i[k + 1:] = [
+                (a * pivot - f * b) // prev for a, b in zip(row_i[k + 1:], row_k[k + 1:])
+            ]
+        prev = pivot
+    return sign * mat[n - 1][n - 1]
 
 
 def det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
@@ -120,51 +42,23 @@ def det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
     n = len(entries)
     if n == 0 or any(len(row) != n for row in entries):
         raise ValueError("determinant requires a nonempty square matrix")
-    deg_bound = 0
     coeff_bound = 1
     for row in entries:
-        degs = [len(e) - 1 for e in row if e]
-        if not degs:
-            return []
-        deg_bound += max(degs)
         coeff_bound *= sum(sum(abs(c) for c in e) for e in row)
-    primes = _primes_for_bound(2 * coeff_bound)
-    npoints = deg_bound + 1
-    max_deg = max(len(e) for row in entries for e in row)
-    residue_polys = []
-    for p in primes:
-        values = []
-        for x in range(npoints):
-            powers = [1] * max_deg
-            acc = 1
-            for i in range(1, max_deg):
-                acc = acc * x % p
-                powers[i] = acc
-            mat = [
-                [sum(c * powers[i] for i, c in enumerate(e)) % p for e in row]
-                for row in entries
-            ]
-            values.append(_det_mod_p(mat, p))
-        residue_polys.append(_newton_interp_mod(values, p))
-    product = 1
-    for p in primes:
-        product *= p
-    basis = []
-    for p in primes:
-        partial = product // p
-        basis.append(partial * pow(partial % p, p - 2, p))
-    half = product // 2
+    if coeff_bound == 0:
+        return []
+    k = (2 * coeff_bound).bit_length()
+    mat = [[sum(c << (k * i) for i, c in enumerate(e)) for e in row] for row in entries]
+    value = _det_int(mat)
+    base = 1 << k
+    half = base >> 1
     coeffs = []
-    for t in range(npoints):
-        v = 0
-        for rp, b in zip(residue_polys, basis):
-            v += rp[t] * b
-        v %= product
-        if v > half:
-            v -= product
-        if abs(v) > coeff_bound:
-            raise ArithmeticError("modular determinant reconstruction exceeded its bound")
-        coeffs.append(v)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    while value:
+        digit = value & (base - 1)
+        if digit >= half:
+            digit -= base
+        if abs(digit) > coeff_bound:
+            raise ArithmeticError("Kronecker determinant readout exceeded its bound")
+        coeffs.append(digit)
+        value = (value - digit) >> k
     return coeffs

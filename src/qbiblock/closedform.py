@@ -318,32 +318,3 @@ def check_conditions(g: BiBlockGraph, q0: Rational) -> ConditionCheck:
                 )
             )
     return ConditionCheck(q0, tuple(violations))
-
-
-@dataclass(frozen=True)
-class ClosedFormBundle:
-    """Every closed form of one graph, computed symbolically."""
-
-    det: Polynomial
-    cofactor: Polynomial
-    balance: RationalFunction
-    x: list[RationalFunction]
-    y: list[RationalFunction]
-    edge_weights: RingMatrix
-    nonedge_weights: RingMatrix
-    local: RingMatrix
-    inverse: RingMatrix
-
-
-def bundle(g: BiBlockGraph) -> ClosedFormBundle:
-    return ClosedFormBundle(
-        det=graph_det(g),
-        cofactor=graph_cofactor(g),
-        balance=balance_constant(g),
-        x=balance_vector(g),
-        y=diagonal_weight_vector(g),
-        edge_weights=edge_weight_matrix(g),
-        nonedge_weights=nonedge_weight_matrix(g),
-        local=local_matrix(g),
-        inverse=graph_inverse(g),
-    )

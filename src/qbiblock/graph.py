@@ -221,6 +221,11 @@ def graph_to_json(specs) -> dict:
     return {"blocks": blocks}
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def specs_from_json(obj) -> list[BlockSpec]:
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise GraphError("graph JSON must be an object with a 'blocks' array")
@@ -235,14 +240,14 @@ def specs_from_json(obj) -> list[BlockSpec]:
             m, n = raw["m"], raw["n"]
         except KeyError as missing:
             raise GraphError(f"block {i} is missing field {missing}") from None
-        if not isinstance(m, int) or not isinstance(n, int):
+        if not _is_int(m) or not _is_int(n):
             raise GraphError(f"block {i}: 'm' and 'n' must be integers")
         attach = None
         if "attach" in raw:
             raw_attach = raw["attach"]
             if (
                 not isinstance(raw_attach, dict)
-                or not isinstance(raw_attach.get("vertex"), int)
+                or not _is_int(raw_attach.get("vertex"))
                 or raw_attach.get("side") not in SIDES
             ):
                 raise GraphError(f"block {i}: attach must be {{'vertex': int, 'side': 'X'|'Y'}}")

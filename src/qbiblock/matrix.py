@@ -3,8 +3,9 @@
 Matrices are immutable value types generic over the entry ring: entries only
 need the arithmetic the chosen operation uses (``+``, ``-``, ``*``, and for
 eliminations ``is_zero`` plus ``exact_div``).  Determinants use fraction-free
-Bareiss condensation; inverses use Gauss-Jordan elimination over the
-rational-function field.
+Bareiss condensation; a matrix of integer-coefficient polynomials is first
+Kronecker-substituted into one integer matrix (``_moddet``).  Inverses use
+Gauss-Jordan elimination over the rational-function field.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from typing import Callable, Iterable, Sequence
 
 from . import _moddet
 from .exactring import Polynomial, RationalFunction, RF_ONE, RF_ZERO
-
-# Integer-coefficient polynomial matrices at least this large go through the
-# modular evaluation engine; condensation handles everything below.
-_MODULAR_THRESHOLD = 8
 
 
 class DimensionError(ValueError):
@@ -186,16 +183,18 @@ def det_bareiss(m: RingMatrix):
     """Exact determinant of a square matrix over an integral domain.
 
     Fraction-free Bareiss condensation with row-swap pivoting (first
-    structurally nonzero entry); every interior division is exact.  Large
-    integer-coefficient polynomial matrices are dispatched to an equivalent
-    exact modular-evaluation engine for speed.
+    structurally nonzero entry); every interior division is exact.  A matrix
+    whose entries are all integer-coefficient polynomials, of any size, is
+    evaluated at ``B = 2^k`` instead: one integer Bareiss determinant, read
+    back as balanced base-``B`` digits, gives the exact polynomial because
+    ``B`` exceeds twice the permanent bound ``prod_i sum_j ||a_ij||_1`` on
+    every coefficient.
     """
     if not m.is_square:
         raise DimensionError("determinant requires a square matrix")
-    if m.nrows >= _MODULAR_THRESHOLD:
-        int_rows = _integer_rows(m)
-        if int_rows is not None:
-            return Polynomial(_moddet.det_int_poly_matrix(int_rows))
+    int_rows = _integer_rows(m)
+    if int_rows is not None:
+        return Polynomial(_moddet.det_int_poly_matrix(int_rows))
     return _det_bareiss_generic(m)
 
 
@@ -212,13 +211,6 @@ def _integer_rows(m: RingMatrix) -> list[list[list[int]]] | None:
             out_row.append(ic)
         out.append(out_row)
     return out
-
-
-def _det_modular(m: RingMatrix) -> Polynomial:
-    int_rows = _integer_rows(m)
-    if int_rows is None:
-        raise TypeError("modular determinant needs integer polynomial entries")
-    return Polynomial(_moddet.det_int_poly_matrix(int_rows))
 
 
 def _det_bareiss_generic(m: RingMatrix):

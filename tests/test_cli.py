@@ -145,6 +145,13 @@ def test_input_errors(capsys, tmp_path, k11):
     schema_bad.write_text('{"blocks": [{"m": 0, "n": 1}]}', encoding="utf-8")
     code, _, err = run_cli(capsys, "det", str(schema_bad))
     assert code == 2
+    for boolean_field in (
+        '{"blocks": [{"m": true, "n": 2}]}',
+        '{"blocks": [{"m": 1, "n": 1}, {"m": 1, "n": 1, "attach": {"vertex": true, "side": "X"}}]}',
+    ):
+        schema_bad.write_text(boolean_field, encoding="utf-8")
+        code, out, err = run_cli(capsys, "det", str(schema_bad))
+        assert code == 2 and out == "" and err.startswith("error:"), (boolean_field, out, err)
     code, _, err = run_cli(capsys, "det", k11, "--at", "0.5")
     assert code == 2
 

@@ -12,7 +12,6 @@ from qbiblock.matrix import (
     RingMatrix,
     SingularMatrixError,
     _det_bareiss_generic,
-    _det_modular,
     det_bareiss,
     det_cofactor,
     inverse_gauss,
@@ -111,10 +110,15 @@ def test_det_transpose_and_multiplicativity():
 
 def test_modular_engine_matches_generic_condensation():
     rng = random.Random(31337)
-    for n in (3, 5, 8, 10):
+    for n in (1, 2, 3, 5, 8, 10):
         for _ in range(3):
             m = poly_matrix(rng, n, max_deg=2)
-            assert _det_modular(m) == _det_bareiss_generic(m)
+            assert det_bareiss(m) == _det_bareiss_generic(m)
+    rows = [list(r) for r in poly_matrix(rng, 5, max_deg=2).rows]
+    zero_row = RingMatrix(rows[:2] + [[ZERO] * 5] + rows[3:])
+    equal_rows = RingMatrix(rows[:4] + [rows[1]])
+    assert det_bareiss(zero_row) == Polynomial()
+    assert det_bareiss(equal_rows) == Polynomial()
 
 
 def test_inverse_examples():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import pytest
+
 from qbiblock import closedform, oracle
 from qbiblock.closedform import block_cofactor
 from qbiblock.exactring import Polynomial, Q
-from qbiblock.graph import BlockSpec, build, path_tree, random_biblock, star_tree
+from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock, star_tree
 from qbiblock.matrix import rf_matrix
 from qbiblock.oracle import (
     all_trees,
@@ -14,7 +16,7 @@ from qbiblock.oracle import (
     verify_corpus,
     verify_graph,
 )
-from qbiblock.qdist import q_distance_matrix
+from qbiblock.qdist import cofactor_matrix, q_distance_matrix
 
 QP1 = Q + 1
 
@@ -29,6 +31,28 @@ def test_oracle_cofactor_examples():
     assert oracle_cofactor(build([BlockSpec(1, 1)])) == -QP1
     assert oracle_cofactor(build(path_tree(3))) == QP1**2
     assert oracle_cofactor(build([BlockSpec(2, 1)])) == QP1**2
+
+
+def test_oracle_det_and_cofactor_match_sympy_domain_matrix():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    q = sympy.symbols("q")
+    ring = sympy.ZZ[q]
+
+    def to_ring(p: Polynomial):
+        return ring.from_sympy(sum(c * q**i for i, c in enumerate(p.coeffs)))
+
+    def sympy_det(m):
+        rows = [[to_ring(e) for e in row] for row in m.rows]
+        return DomainMatrix(rows, (m.nrows, m.ncols), ring).det()
+
+    corpus = dict(default_corpus())
+    for name in ("tree_8v_30", "K_5_5", "random_000", "random_001", "random_002", "random_004"):
+        g = build(corpus[name])
+        qmat = q_distance_matrix(g)
+        assert to_ring(oracle_det(g)) == sympy_det(qmat), name
+        assert to_ring(oracle_cofactor(g)) == sympy_det(cofactor_matrix(qmat, distances(g))), name
 
 
 def test_oracle_inverse_examples():
