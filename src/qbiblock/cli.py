@@ -35,9 +35,11 @@ from .closedform import (
     graph_cofactor,
     graph_det,
     graph_inverse,
+    inverse_at,
 )
 from .exactring import PoleError, parse_rational, rational_to_json
 from .graph import (
+    MAX_VERTICES,
     GraphError,
     build,
     graph_to_json,
@@ -212,23 +214,25 @@ def cmd_vectors(args) -> int:
 
 def cmd_inverse(args) -> int:
     g = _build_graph(args.graph)
-    inv = graph_inverse(g)
     if args.at is None:
+        # graph_inverse shares one object among equal entries: render each once
+        render = (lambda e: e.to_json()) if args.format == "json" else str
+        rendered: dict[int, object] = {}
+        rows = []
+        for row in graph_inverse(g).rows:
+            for e in row:
+                if id(e) not in rendered:
+                    rendered[id(e)] = render(e)
+            rows.append([rendered[id(e)] for e in row])
         if args.format == "json":
-            _emit_json(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "command": "inverse",
-                    "value": [[inv[i, j].to_json() for j in range(g.n)] for i in range(g.n)],
-                }
-            )
+            _emit_json({"schema": SCHEMA_VERSION, "command": "inverse", "value": rows})
         else:
-            for i in range(g.n):
-                print("\t".join(str(inv[i, j]) for j in range(g.n)))
+            for row in rows:
+                print("\t".join(row))
         return EXIT_OK
     q0 = _parse_at(args.at)
     check = _gate(g, q0, refuse=("C1", "C2"))
-    values = [[inv[i, j].eval_at(q0) for j in range(g.n)] for i in range(g.n)]
+    values = inverse_at(g, q0)
     if args.format == "json":
         _emit_json(
             {
@@ -303,12 +307,18 @@ def cmd_gen(args) -> int:
     if args.kind == "tree":
         if args.n is None or args.n < 2:
             raise _InputError("gen --kind tree needs --n of at least 2")
+        if args.n > MAX_VERTICES:
+            raise _InputError(f"gen --kind tree: --n exceeds {MAX_VERTICES} vertices")
         specs = path_tree(args.n)
     else:
         if args.blocks is None or args.blocks < 1:
             raise _InputError("gen --kind random needs --blocks of at least 1")
         if args.part_max is None or args.part_max < 1:
             raise _InputError("gen --kind random needs --part-max of at least 1")
+        if 1 + args.blocks * (2 * args.part_max - 1) > MAX_VERTICES:
+            raise _InputError(
+                f"gen --kind random: --blocks and --part-max allow more than {MAX_VERTICES} vertices"
+            )
         specs = random_biblock(args.seed, args.blocks, args.part_max)
     print(json.dumps(graph_to_json(specs), sort_keys=True, separators=(",", ":")))
     return EXIT_OK

@@ -23,11 +23,13 @@ whole verification corpus; see README for the documented sign variant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import _fastpoly
-from .exactring import ONE, Polynomial, Q, Rational, RationalFunction, RF_ZERO
-from .graph import BiBlockGraph
+from .exactring import ONE, PoleError, Polynomial, Q, Rational, RationalFunction, RF_ZERO, _demote
+from .graph import BiBlockGraph, Block
 from .matrix import RingMatrix
 
 _QP1 = Q + 1
@@ -100,19 +102,14 @@ def graph_det(g: BiBlockGraph) -> Polynomial:
     """Determinant of the q-distance matrix of a bi-block graph.
 
     Product rule over blocks: sum over blocks of the block determinant times
-    the cofactors of all other blocks.
+    the cofactors of all other blocks, accumulated in one pass so that every
+    multiplication has one block-sized factor.
     """
-    cofs = [block_cofactor(b.m, b.n) for b in g.blocks]
-    r = len(cofs)
-    prefix = [ONE]
-    for c in cofs:
-        prefix.append(prefix[-1] * c)
-    suffix = [ONE]
-    for c in reversed(cofs):
-        suffix.append(suffix[-1] * c)
-    total = Polynomial()
-    for i, b in enumerate(g.blocks):
-        total = total + block_det(b.m, b.n) * prefix[i] * suffix[r - 1 - i]
+    total, cof = Polynomial(), ONE
+    for b in g.blocks:
+        cof_b = block_cofactor(b.m, b.n)
+        total = total * cof_b + block_det(b.m, b.n) * cof
+        cof = cof * cof_b
     return total
 
 
@@ -161,11 +158,22 @@ def diagonal_weight_vector(g: BiBlockGraph) -> list[RationalFunction]:
     return out
 
 
+def _block_weights(b: Block) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
+    """Edge, X-side non-edge and Y-side non-edge weight of one block:
+    1, n-1 and m-1 over its cofactor core."""
+    core = cofactor_core(b.m, b.n)
+    return (
+        RationalFunction(ONE, core),
+        RationalFunction(Polynomial((b.n - 1,)), core),
+        RationalFunction(Polynomial((b.m - 1,)), core),
+    )
+
+
 def edge_weight_matrix(g: BiBlockGraph) -> RingMatrix:
     """Weighted adjacency matrix: weight 1 / cofactor_core on every edge of its block."""
     rows = [[RF_ZERO] * g.n for _ in range(g.n)]
     for b in g.blocks:
-        w = RationalFunction(ONE, cofactor_core(b.m, b.n))
+        w = _block_weights(b)[0]
         for u in b.x:
             for v in b.y:
                 rows[u][v] = w
@@ -181,10 +189,8 @@ def nonedge_weight_matrix(g: BiBlockGraph) -> RingMatrix:
     """
     rows = [[RF_ZERO] * g.n for _ in range(g.n)]
     for b in g.blocks:
-        core = cofactor_core(b.m, b.n)
-        for side, weight in (("X", b.n - 1), ("Y", b.m - 1)):
-            vertices = b.x if side == "X" else b.y
-            w = RationalFunction(Polynomial((weight,)), core)
+        _, x_weight, y_weight = _block_weights(b)
+        for vertices, w in ((b.x, x_weight), (b.y, y_weight)):
             for u in vertices:
                 for v in vertices:
                     if u != v:
@@ -201,25 +207,42 @@ def balance_constant(g: BiBlockGraph) -> RationalFunction:
     return acc
 
 
+def _local_entries(g: BiBlockGraph) -> dict[tuple[int, int], RationalFunction]:
+    """The nonzero entries of local_matrix(g), keyed by (row, column).
+
+    Off the diagonal only pairs inside a common block are nonzero: q/(q+1)
+    times the edge weight across the block, -q^2/(q+1) times the side's
+    non-edge weight within one side.  Two vertices share at most one block,
+    so no pair is written twice.  The diagonal is 1/(q+1) - q^2/(q+1) * y.
+    """
+    qq = RationalFunction(Q, _QP1)
+    qq2 = RationalFunction(Q**2, _QP1)
+    entries: dict[tuple[int, int], RationalFunction] = {}
+    for b in g.blocks:
+        edge, x_weight, y_weight = _block_weights(b)
+        w = edge * qq
+        for u in b.x:
+            for v in b.y:
+                entries[u, v] = entries[v, u] = w
+        for vertices, weight in ((b.x, x_weight), (b.y, y_weight)):
+            if weight.is_zero:
+                continue
+            w = -(weight * qq2)
+            for u in vertices:
+                for v in vertices:
+                    if u != v:
+                        entries[u, v] = w
+    inv_qp1 = RationalFunction(ONE, _QP1)
+    for v, y in enumerate(diagonal_weight_vector(g)):
+        entries[v, v] = inv_qp1 - y * qq2
+    return entries
+
+
 def local_matrix(g: BiBlockGraph) -> RingMatrix:
     """The block-local matrix: q/(q+1) * edge weights - q^2/(q+1) * non-edge
     weights - q^2/(q+1) * diag(y) + 1/(q+1) * identity."""
-    a = edge_weight_matrix(g)
-    b = nonedge_weight_matrix(g)
-    y = diagonal_weight_vector(g)
-    qq = RationalFunction(Q, _QP1)
-    qq2 = RationalFunction(Q**2, _QP1)
-    inv_qp1 = RationalFunction(ONE, _QP1)
-    rows = []
-    for i in range(g.n):
-        row = []
-        for j in range(g.n):
-            e = a[i, j] * qq - b[i, j] * qq2
-            if i == j:
-                e = e - y[i] * qq2 + inv_qp1
-            row.append(e)
-        rows.append(row)
-    return RingMatrix(rows)
+    entries = _local_entries(g)
+    return RingMatrix([[entries.get((i, j), RF_ZERO) for j in range(g.n)] for i in range(g.n)])
 
 
 def clearing_poly(g: BiBlockGraph) -> Polynomial:
@@ -237,33 +260,80 @@ def _cleared(rf: RationalFunction, scale_int: list[int]) -> list[int]:
     return _fastpoly.cleared(rf.num.coeffs, rf.den.coeffs, scale_int)
 
 
+def _inverse_rows(g: BiBlockGraph, x: list, entry) -> list[list]:
+    """Rows of -local_matrix + outer(x, x) / balance_constant, entry by entry.
+
+    Entry (i, j) depends only on x_i, x_j and the local entry L_ij, and both x
+    and the local matrix repeat few distinct values.  So entry(x_a, x_b, L)
+    is called once per distinct key (class of x_i, class of x_j, L_ij or None),
+    with a <= b, and shared by every pair with that key; the result is
+    symmetric, so only j >= i is looked up.
+    """
+    classes: dict = {}
+    ids = [classes.setdefault(e, len(classes)) for e in x]
+    reps = list(classes)
+    local = _local_entries(g)
+    memo: dict = {}
+    rows: list[list] = [[None] * g.n for _ in range(g.n)]
+    for i in range(g.n):
+        row_i = rows[i]
+        for j in range(i, g.n):
+            a, b = ids[i], ids[j]
+            key = (a, b, local.get((i, j))) if a <= b else (b, a, local.get((i, j)))
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = entry(reps[key[0]], reps[key[1]], key[2])
+            row_i[j] = rows[j][i] = value
+    return rows
+
+
 def graph_inverse(g: BiBlockGraph) -> RingMatrix:
     """Inverse of the q-distance matrix: negated local matrix plus the
     rank-one balance correction outer(x, x) / balance_constant.
 
     Entries are assembled over the structural common denominator
     clearing_poly(g) * (cleared balance constant), which keeps all
-    intermediate arithmetic on integer coefficients.
+    intermediate arithmetic on integer coefficients; each distinct entry is
+    built and canonicalised once.
     """
     lam = balance_constant(g)
     if lam.is_zero:
         raise ArithmeticError("balance constant is identically zero; inverse form undefined")
     delta_int = clearing_poly(g).integer_coeffs()
     lam_int = _cleared(lam, delta_int)
-    x_int = [_cleared(e, delta_int) for e in balance_vector(g)]
-    loc = local_matrix(g)
     den = Polynomial(_fastpoly.pmul(delta_int, lam_int))
-    rows = []
-    for i in range(g.n):
-        loc_row = [_cleared(loc[i, j], delta_int) for j in range(g.n)]
-        row = []
-        for j in range(g.n):
-            num = _fastpoly.psub(
-                _fastpoly.pmul(x_int[i], x_int[j]), _fastpoly.pmul(loc_row[j], lam_int)
-            )
-            row.append(RationalFunction(Polynomial(num), den))
-        rows.append(row)
-    return RingMatrix(rows)
+    cleared = functools.cache(lambda value: _cleared(value, delta_int))
+
+    def entry(xa: RationalFunction, xb: RationalFunction, loc: RationalFunction | None):
+        num = _fastpoly.pmul(cleared(xa), cleared(xb))
+        if loc is not None:
+            num = _fastpoly.psub(num, _fastpoly.pmul(cleared(loc), lam_int))
+        return RationalFunction(Polynomial(num), den)
+
+    return RingMatrix(_inverse_rows(g, balance_vector(g), entry))
+
+
+def inverse_at(g: BiBlockGraph, q0: Rational) -> list[list[Rational]]:
+    """graph_inverse(g) evaluated exactly at q0, without building it.
+
+    The balance constant, the distinct balance-vector values and the local
+    entries are evaluated first; the entries are then assembled with
+    rationals.  Raises PoleError when the balance constant vanishes at q0:
+    where every cofactor core is nonzero (condition C1) that happens exactly
+    where the determinant vanishes.
+    """
+    lam = balance_constant(g).eval_at(q0)
+    if lam == 0:
+        raise PoleError(f"the balance constant vanishes at q = {q0}; the inverse has a pole there")
+    at = functools.cache(lambda value: Fraction(value.eval_at(q0)))
+
+    def entry(xa: RationalFunction, xb: RationalFunction, loc: RationalFunction | None):
+        value = at(xa) * at(xb) / lam
+        if loc is not None:
+            value -= at(loc)
+        return _demote(value)
+
+    return _inverse_rows(g, balance_vector(g), entry)
 
 
 # -- admissibility of concrete q values ---------------------------------------

@@ -17,6 +17,12 @@ from dataclasses import dataclass
 
 SIDES = ("X", "Y")
 
+# Largest vertex count accepted from a graph file or by `gen`: about 16 times
+# the largest benchmark graph (n = 303).  Without it a one-line file such as
+# {"blocks": [{"m": 1000000, "n": 1}]} allocates a million membership lists
+# and a (q+1)-power of degree one million.
+MAX_VERTICES = 5000
+
 
 class GraphError(ValueError):
     """Raised for invalid block specs, graph files, or vertex references."""
@@ -233,6 +239,7 @@ def specs_from_json(obj) -> list[BlockSpec]:
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise GraphError("'blocks' must be a nonempty array")
     specs = []
+    vertices = 0
     for i, raw in enumerate(raw_blocks):
         if not isinstance(raw, dict):
             raise GraphError(f"block {i} must be an object")
@@ -242,6 +249,10 @@ def specs_from_json(obj) -> list[BlockSpec]:
             raise GraphError(f"block {i} is missing field {missing}") from None
         if not _is_int(m) or not _is_int(n):
             raise GraphError(f"block {i}: 'm' and 'n' must be integers")
+        # every block after the first shares its cut vertex; build() rejects parts below 1
+        vertices += max(m, 1) + max(n, 1) - (1 if i else 0)
+        if vertices > MAX_VERTICES:
+            raise GraphError(f"block {i}: the graph exceeds {MAX_VERTICES} vertices")
         attach = None
         if "attach" in raw:
             raw_attach = raw["attach"]

@@ -151,7 +151,7 @@ def test_criterion_6_identity_suite():
     run_criterion(6, "identity suite", 120.0, body)
 
 
-def test_criterion_7_condition_gating(tmp_path):
+def test_criterion_7_condition_gating(tmp_path, checkout_env):
     def body():
         from qbiblock.graph import graph_to_json
 
@@ -168,6 +168,7 @@ def test_criterion_7_condition_gating(tmp_path):
             [sys.executable, "-m", "qbiblock.cli", "det", str(k22), "--at", "1", "--format", "json"],
             capture_output=True,
             text=True,
+            env=checkout_env,
         )
         assert result.returncode == 0
         payload = json.loads(result.stdout)
@@ -178,6 +179,7 @@ def test_criterion_7_condition_gating(tmp_path):
             [sys.executable, "-m", "qbiblock.cli", "det", str(k22), "--at=-1"],
             capture_output=True,
             text=True,
+            env=checkout_env,
         )
         assert result.returncode == 3
 
@@ -186,6 +188,7 @@ def test_criterion_7_condition_gating(tmp_path):
                 [sys.executable, "-m", "qbiblock.cli", command, str(k11), "--at", "1"],
                 capture_output=True,
                 text=True,
+                env=checkout_env,
             )
             assert result.returncode == 0, (command, result.stderr)
         assert check_conditions(build([BlockSpec(1, 1)]), 1).ok
@@ -193,7 +196,7 @@ def test_criterion_7_condition_gating(tmp_path):
     run_criterion(7, "condition gating", 10.0, body)
 
 
-def test_criterion_8_verify_is_byte_deterministic():
+def test_criterion_8_verify_is_byte_deterministic(checkout_env):
     def body():
         outputs = []
         for jobs in ("1", "2"):
@@ -210,6 +213,7 @@ def test_criterion_8_verify_is_byte_deterministic():
                     jobs,
                 ],
                 capture_output=True,
+                env=checkout_env,
             )
             assert result.returncode == 0
             outputs.append(result.stdout)

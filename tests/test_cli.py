@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
 import shlex
 import subprocess
 import sys
@@ -10,18 +9,12 @@ from pathlib import Path
 import pytest
 
 from qbiblock import cli
-from qbiblock.graph import BlockSpec, graph_to_json, path_tree
+from qbiblock.graph import Attachment, BlockSpec, graph_to_json, path_tree
 from qbiblock.oracle import CheckResult, VerificationReport
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PYTHON = shlex.quote(sys.executable)
 
-
-def checkout_env() -> dict[str, str]:
-    # child interpreters import the checkout's own src/, wherever pytest was started
-    inherited = os.environ.get("PYTHONPATH")
-    src = str(REPO_ROOT / "src")
-    return {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{inherited}" if inherited else src}
 
 
 def write_graph(tmp_path: Path, name: str, specs) -> str:
@@ -134,6 +127,17 @@ def test_inverse_at_value(capsys, k11):
     assert out.splitlines() == ["0\t1", "1\t0"]
 
 
+def test_inverse_at_singular_point_without_block_violation(capsys, tmp_path):
+    # random_059 of the default corpus: at q = -5/3 no block violates C1 or C2,
+    # but the balance constant and the determinant are zero
+    path = write_graph(tmp_path, "random_059.json", [BlockSpec(1, 2), BlockSpec(2, 2, Attachment(0, "Y"))])
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "inverse", path, "--at=-5/3", "--format", fmt)
+        assert code == 3 and out == "" and err.startswith("error:"), (fmt, out, err)
+    code, out, _ = run_cli(capsys, "det", path, "--at=-5/3")
+    assert code == 0 and out == "0\n"
+
+
 def test_input_errors(capsys, tmp_path, k11):
     code, _, err = run_cli(capsys, "det", str(tmp_path / "missing.json"))
     assert code == 2 and "missing.json" in err
@@ -154,6 +158,20 @@ def test_input_errors(capsys, tmp_path, k11):
         assert code == 2 and out == "" and err.startswith("error:"), (boolean_field, out, err)
     code, _, err = run_cli(capsys, "det", k11, "--at", "0.5")
     assert code == 2
+    # past the vertex cap: refused while parsing, before any graph is allocated
+    for oversized in (
+        '{"blocks": [{"m": 1000000, "n": 1}]}',
+        '{"blocks": [{"m": 2500, "n": 2500}, {"m": 1, "n": 2, "attach": {"vertex": 0, "side": "X"}}]}',
+    ):
+        schema_bad.write_text(oversized, encoding="utf-8")
+        code, out, err = run_cli(capsys, "det", str(schema_bad))
+        assert code == 2 and out == "" and "5000" in err, (oversized, out, err)
+    for gen_argv in (
+        ("--kind", "tree", "--n", "5001"),
+        ("--kind", "random", "--blocks", "715", "--part-max", "4"),
+    ):
+        code, out, err = run_cli(capsys, "gen", *gen_argv)
+        assert code == 2 and out == "" and err.startswith("error:"), (gen_argv, out, err)
 
 
 def test_gen_tree(capsys):
@@ -180,7 +198,7 @@ def test_gen_parameter_errors(capsys):
     assert code == 2
 
 
-def test_gen_pipes_into_det():
+def test_gen_pipes_into_det(checkout_env):
     command = (
         f"{PYTHON} -m qbiblock.cli gen --kind tree --n 4 | "
         f"{PYTHON} -m qbiblock.cli det -"
@@ -191,20 +209,20 @@ def test_gen_pipes_into_det():
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
-        env=checkout_env(),
+        env=checkout_env,
     )
     assert result.returncode == 0, (command, result.stderr)
     assert result.stdout == "-3 - 6q - 3q^2\n"
 
 
-def test_gen_det_json_pipe_is_byte_stable():
+def test_gen_det_json_pipe_is_byte_stable(checkout_env):
     command = (
         f"{PYTHON} -m qbiblock.cli gen --kind random --blocks 3 --part-max 4 --seed 9 | "
         f"{PYTHON} -m qbiblock.cli det - --format json"
     )
     runs = [
         subprocess.run(
-            command, shell=True, capture_output=True, cwd=REPO_ROOT, env=checkout_env()
+            command, shell=True, capture_output=True, cwd=REPO_ROOT, env=checkout_env
         )
         for _ in range(2)
     ]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,10 +17,20 @@ from qbiblock.closedform import (
     graph_cofactor,
     graph_det,
     graph_inverse,
+    inverse_at,
     local_matrix,
     nonedge_weight_matrix,
 )
-from qbiblock.exactring import ONE, Polynomial, Q, RF_ONE, RF_ZERO, RationalFunction, ZERO
+from qbiblock.exactring import (
+    ONE,
+    PoleError,
+    Polynomial,
+    Q,
+    RF_ONE,
+    RF_ZERO,
+    RationalFunction,
+    ZERO,
+)
 from qbiblock.graph import (
     BlockSpec,
     build,
@@ -30,6 +41,7 @@ from qbiblock.graph import (
     star_tree,
 )
 from qbiblock.matrix import RingMatrix, det_bareiss, inverse_gauss, rf_matrix
+from qbiblock.oracle import default_corpus
 from qbiblock.qdist import q_distance_matrix
 
 QP1 = Q + 1
@@ -212,6 +224,101 @@ def test_graph_inverse_product_identity_on_a_three_block_graph():
     d = rf_matrix(q_distance_matrix(g))
     eye = RingMatrix.identity(g.n, RF_ZERO, RF_ONE)
     assert d @ graph_inverse(g) == eye
+
+
+# -- structured assembly: sparse local matrix, evaluate-first inverse ---------
+
+AT_POINTS = (Fraction(2, 7), Fraction(-3, 5), 3)
+
+
+def corpus_sample():
+    """Every sixth graph of the default corpus: 29 graphs, K_{s,t}, trees and
+    random bi-block graphs alike."""
+    return [build(specs) for _, specs in default_corpus(7)[::6]]
+
+
+def evaluated_inverse(g, q0):
+    inv = graph_inverse(g)
+    return [[inv[i, j].eval_at(q0) for j in range(g.n)] for i in range(g.n)]
+
+
+def assert_inverse_at_matches_symbolic(g, q0):
+    try:
+        expected = evaluated_inverse(g, q0)
+    except PoleError:
+        with pytest.raises(PoleError):
+            inverse_at(g, q0)
+        return
+    got = inverse_at(g, q0)
+    # equal values with equal types (int or Fraction) print the same bytes
+    assert repr(got) == repr(expected), (g, q0)
+
+
+def test_local_matrix_matches_dense_reference():
+    qq = RationalFunction(Q, QP1)
+    qq2 = RationalFunction(Q**2, QP1)
+    inv_qp1 = RationalFunction(ONE, QP1)
+    for g in corpus_sample():
+        a = edge_weight_matrix(g)
+        b = nonedge_weight_matrix(g)
+        y = diagonal_weight_vector(g)
+        loc = local_matrix(g)
+        for i in range(g.n):
+            for j in range(g.n):
+                expected = a[i, j] * qq - b[i, j] * qq2
+                if i == j:
+                    expected = expected - y[i] * qq2 + inv_qp1
+                assert loc[i, j] == expected, (g, i, j)
+
+
+def test_inverse_at_matches_evaluated_graph_inverse_on_corpus():
+    checked = 0
+    for g in corpus_sample():
+        for q0 in AT_POINTS:
+            if check_conditions(g, q0).ok:
+                assert_inverse_at_matches_symbolic(g, q0)
+                checked += 1
+    assert checked > 60
+
+
+def test_inverse_at_pole_where_only_the_balance_constant_vanishes():
+    # K_{1,2} with K_{2,2} glued on: at q = -5/3 no block condition fails,
+    # yet the balance constant and the determinant are both zero
+    g = build([BlockSpec(1, 2), BlockSpec(2, 2, graph_attach(0, "Y"))])
+    q0 = Fraction(-5, 3)
+    assert check_conditions(g, q0).ok
+    assert balance_constant(g).eval_at(q0) == 0 == graph_det(g).eval_at(q0)
+    with pytest.raises(PoleError):
+        evaluated_inverse(g, q0)
+    with pytest.raises(PoleError):
+        inverse_at(g, q0)
+
+
+def test_inverse_at_property_on_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 10**6),
+        r_max=st.integers(1, 6),
+        part_max=st.integers(1, 4),
+        q0=st.fractions(min_value=-4, max_value=4, max_denominator=9),
+    )
+    def prop(seed, r_max, part_max, q0):
+        g = build(random_biblock(seed, r_max, part_max))
+        hypothesis.assume(check_conditions(g, q0).ok)
+        assert_inverse_at_matches_symbolic(g, q0)
+        if balance_constant(g).eval_at(q0) == 0:
+            return
+        # D(q0) @ inverse_at(g, q0) = I, with D(q0) evaluated from distances alone
+        d = [[e.eval_at(q0) for e in row] for row in q_distance_matrix(g).rows]
+        inv = inverse_at(g, q0)
+        for i in range(g.n):
+            for j in range(g.n):
+                assert sum(d[i][k] * inv[k][j] for k in range(g.n)) == (i == j)
+
+    prop()
 
 
 # -- identity suite on small graphs, straight rational-function route ---------
