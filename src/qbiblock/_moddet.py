@@ -1,39 +1,97 @@
-"""Exact determinants of integer-polynomial matrices by Kronecker substitution (internal).
+"""Exact integer-polynomial matrix arithmetic by Kronecker substitution (internal).
 
-Every entry is evaluated at ``B = 2^k``, one fraction-free integer Bareiss
-elimination gives ``det(A)(B)``, and the coefficients of ``det(A)`` are read
-back as the balanced base-``B`` digits of that integer.  The readout is exact,
-not heuristic, because of an a-priori bound computed from the input matrix:
-every coefficient of det is bounded in absolute value by the product over rows
-of the sum of entry one-norms (a permanent bound ``C``), and ``k`` is chosen so
-that ``B > 2C``, which makes the balanced digits unique.
+A polynomial is an ascending list of ints.  Every engine packs each entry into
+one integer by evaluating it at ``B = 2^k`` (``pack``), works on plain
+integers, and reads each result back as balanced base-``B`` digits
+(``unpack``).  The readout is exact: ``k`` is chosen so that ``B > 2C`` for
+an a-priori bound ``C`` on every result coefficient, which makes the digits
+unique, and ``unpack`` raises ``ArithmeticError`` on a digit past ``C``.
+
+* ``det_int_poly_matrix``: one fraction-free Bareiss determinant,
+  ``C = ∏ᵢ Σⱼ ‖aᵢⱼ‖₁`` (a permanent bound).
+* ``matmul``: one integer dot product per entry,
+  ``C = maxᵢ Σₖ ‖aᵢₖ‖₁ · maxₖⱼ ‖bₖⱼ‖₁ ≥ Σₖ ‖aᵢₖ‖₁·‖bₖⱼ‖₁``.
+* ``adjugate``: one fraction-free Gauss-Jordan elimination of ``[A | I]``
+  gives ``det(A)`` and ``adj(A)``; the permanent bound covers every
+  (n-1)-minor when no row is zero.
 """
 
 from __future__ import annotations
 
+from math import prod
+from operator import mul
 
-def _det_int(mat: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss (all divisions exact)."""
+
+class SingularError(ValueError):
+    """Elimination found no usable pivot."""
+
+
+def _norm(e: list[int]) -> int:
+    return sum(map(abs, e))
+
+
+def _row_norms(entries: list[list[list[int]]]) -> list[int]:
+    return [sum(map(_norm, row)) for row in entries]
+
+
+def _digit_bits(bound: int) -> int:
+    """k with 2^k > 2 * bound: balanced base-2^k digits up to bound are unique."""
+    return (2 * bound).bit_length()
+
+
+def pack(e: list[int], k: int) -> int:
+    """The polynomial e evaluated at 2^k."""
+    value = 0
+    for c in reversed(e):
+        value = (value << k) + c
+    return value
+
+
+def unpack(value: int, k: int, bound: int) -> list[int]:
+    """Coefficients of the polynomial whose value at 2^k is value, read as balanced
+    base-2^k digits; raises ArithmeticError when a digit is past bound."""
+    base = 1 << k
+    half = base >> 1
+    coeffs = []
+    while value:
+        digit = value & (base - 1)
+        if digit >= half:
+            digit -= base
+        if abs(digit) > bound:
+            raise ArithmeticError("Kronecker readout exceeded its coefficient bound")
+        coeffs.append(digit)
+        value = (value - digit) >> k
+    return coeffs
+
+
+def _eliminate(mat: list[list[int]], jordan: bool) -> tuple[int, int]:
+    """Fraction-free elimination of the leading square block of an integer
+    matrix, in place: Bareiss (rows below each pivot) or Gauss-Jordan (every
+    other row).  Each update (pivot * entry - multiplier * pivot_row_entry) is
+    exactly divisible by the previous pivot.  Returns the sign of the row
+    swaps and the last pivot, whose product is the block's determinant;
+    raises SingularError."""
     n = len(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    sign = prev = 1
+    for k in range(n):
         piv = next((i for i in range(k, n) if mat[i][k]), None)
         if piv is None:
-            return 0
+            raise SingularError(f"matrix is singular (no pivot at elimination step {k})")
         if piv != k:
             mat[k], mat[piv] = mat[piv], mat[k]
             sign = -sign
         row_k = mat[k]
         pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = mat[i]
-            f = row_i[k]
-            row_i[k + 1:] = [
-                (a * pivot - f * b) // prev for a, b in zip(row_i[k + 1:], row_k[k + 1:])
-            ]
+        tail = row_k[k + 1:]
+        for i in range(0 if jordan else k + 1, n):
+            if i != k:
+                row_i = mat[i]
+                f = row_i[k]
+                row_i[k + 1:] = [
+                    (a * pivot - f * b) // prev for a, b in zip(row_i[k + 1:], tail)
+                ]
         prev = pivot
-    return sign * mat[n - 1][n - 1]
+    return sign, prev
 
 
 def det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
@@ -42,23 +100,45 @@ def det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
     n = len(entries)
     if n == 0 or any(len(row) != n for row in entries):
         raise ValueError("determinant requires a nonempty square matrix")
-    coeff_bound = 1
-    for row in entries:
-        coeff_bound *= sum(sum(abs(c) for c in e) for e in row)
-    if coeff_bound == 0:
+    bound = prod(_row_norms(entries))
+    k = _digit_bits(bound)
+    try:
+        sign, pivot = _eliminate([[pack(e, k) for e in row] for row in entries], jordan=False)
+    except SingularError:
         return []
-    k = (2 * coeff_bound).bit_length()
-    mat = [[sum(c << (k * i) for i, c in enumerate(e)) for e in row] for row in entries]
-    value = _det_int(mat)
-    base = 1 << k
-    half = base >> 1
-    coeffs = []
-    while value:
-        digit = value & (base - 1)
-        if digit >= half:
-            digit -= base
-        if abs(digit) > coeff_bound:
-            raise ArithmeticError("Kronecker determinant readout exceeded its bound")
-        coeffs.append(digit)
-        value = (value - digit) >> k
-    return coeffs
+    return unpack(sign * pivot, k, bound)
+
+
+def matmul(a: list[list[list[int]]], b: list[list[list[int]]]) -> list[list[list[int]]]:
+    """Product of two matrices of integer polynomial lists."""
+    bound = max(_row_norms(a)) * max(_norm(e) for row in b for e in row)
+    k = _digit_bits(bound)
+    columns = list(zip(*([pack(e, k) for e in row] for row in b)))
+    return [
+        [unpack(sum(map(mul, row, col)), k, bound) for col in columns]
+        for row in ([pack(e, k) for e in row] for row in a)
+    ]
+
+
+def adjugate(entries: list[list[list[int]]]) -> tuple[list[int], list[list[list[int]]]]:
+    """(det(A), adj(A)) of a square matrix of integer polynomial lists, so that
+    adj(A) / det(A) is its inverse over the rational-function field.
+
+    Gauss-Jordan on [A | I] ends at [d I | d A^-1] with d = det(P A), for the
+    row permutation P of the pivot swaps.  Raises SingularError for a singular
+    matrix, a zero row included.
+    """
+    n = len(entries)
+    if n == 0 or any(len(row) != n for row in entries):
+        raise ValueError("adjugate requires a nonempty square matrix")
+    norms = _row_norms(entries)
+    if 0 in norms:
+        raise SingularError(f"matrix is singular (row {norms.index(0)} is zero)")
+    # every row norm is at least 1, so every minor is within the bound
+    bound = prod(norms)
+    k = _digit_bits(bound)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    aug = [[pack(e, k) for e in row] + unit for row, unit in zip(entries, identity)]
+    sign, pivot = _eliminate(aug, jordan=True)
+    adj = [[unpack(sign * v, k, bound) for v in row[n:]] for row in aug]
+    return unpack(sign * pivot, k, bound), adj

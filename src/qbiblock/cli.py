@@ -23,8 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .closedform import (
     ConditionCheck,
@@ -47,7 +45,7 @@ from .graph import (
     random_biblock,
     specs_from_json,
 )
-from .oracle import default_corpus, verify_graph
+from .oracle import default_corpus, verify_corpus
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -258,17 +256,7 @@ def cmd_verify(args) -> int:
         for path in args.corpus:
             corpus.append((path, _load_specs(path)))
 
-    def timed(item):
-        name, specs = item
-        started = time.perf_counter()
-        report = verify_graph(specs, name)
-        return report, (time.perf_counter() - started) * 1000.0
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(timed, corpus))
-    else:
-        results = [timed(item) for item in corpus]
+    results = verify_corpus(corpus, args.jobs)
 
     total_checks = sum(len(r.checks) for r, _ in results)
     failures = [
@@ -353,7 +341,9 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--seed", type=int, default=7, help="seed for the default corpus")
     verify.add_argument("--json", action="store_true", help="emit a JSON report stream")
-    verify.add_argument("--jobs", type=int, default=1, help="worker threads (report order is fixed)")
+    verify.add_argument(
+        "--jobs", type=int, default=1, help="worker processes (report order is fixed)"
+    )
     verify.set_defaults(handler=cmd_verify)
 
     gen = sub.add_parser("gen", help="emit a graph JSON to stdout")

@@ -121,6 +121,21 @@ def _side_term_num(block, side: str) -> int:
     return (block.n if side == "X" else block.m) - 1
 
 
+def _membership_sums(g: BiBlockGraph, term) -> list[RationalFunction]:
+    """Entry at v: 1 - (block degree of v) plus, in membership order, the term
+    of each (block, side) containing v; term(block, opposite - 1) is built
+    once per block and side."""
+    terms = {
+        (index, side): term(b, _side_term_num(b, side))
+        for index, b in enumerate(g.blocks)
+        for side in "XY"
+    }
+    return [
+        sum((terms[key] for key in entries), RationalFunction(1 - len(entries)))
+        for entries in g.membership
+    ]
+
+
 def balance_vector(g: BiBlockGraph) -> list[RationalFunction]:
     """The vector x with q_distance_matrix(g) @ x = balance_constant(g) * ones.
 
@@ -128,16 +143,9 @@ def balance_vector(g: BiBlockGraph) -> list[RationalFunction]:
     (q * (opposite - 1) - 1) / ((q+1) * cofactor_core), then subtracts
     (block degree - 1).
     """
-    out = []
-    for v in range(g.n):
-        entries = g.membership[v]
-        acc = RationalFunction(1 - len(entries))
-        for block_index, side in entries:
-            b = g.blocks[block_index]
-            opposite = _side_term_num(b, side)
-            acc = acc + RationalFunction(Q * opposite - 1, _QP1 * cofactor_core(b.m, b.n))
-        out.append(acc)
-    return out
+    return _membership_sums(
+        g, lambda b, t: RationalFunction(Q * t - 1, _QP1 * cofactor_core(b.m, b.n))
+    )
 
 
 def diagonal_weight_vector(g: BiBlockGraph) -> list[RationalFunction]:
@@ -146,16 +154,9 @@ def diagonal_weight_vector(g: BiBlockGraph) -> list[RationalFunction]:
     Entry at v sums (opposite - 1) / cofactor_core over the blocks containing
     v, then subtracts (block degree - 1).
     """
-    out = []
-    for v in range(g.n):
-        entries = g.membership[v]
-        acc = RationalFunction(1 - len(entries))
-        for block_index, side in entries:
-            b = g.blocks[block_index]
-            opposite = _side_term_num(b, side)
-            acc = acc + RationalFunction(Polynomial((opposite,)), cofactor_core(b.m, b.n))
-        out.append(acc)
-    return out
+    return _membership_sums(
+        g, lambda b, t: RationalFunction(Polynomial((t,)), cofactor_core(b.m, b.n))
+    )
 
 
 def _block_weights(b: Block) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
@@ -256,10 +257,6 @@ def clearing_poly(g: BiBlockGraph) -> Polynomial:
     return delta
 
 
-def _cleared(rf: RationalFunction, scale_int: list[int]) -> list[int]:
-    return _fastpoly.cleared(rf.num.coeffs, rf.den.coeffs, scale_int)
-
-
 def _inverse_rows(g: BiBlockGraph, x: list, entry) -> list[list]:
     """Rows of -local_matrix + outer(x, x) / balance_constant, entry by entry.
 
@@ -300,9 +297,9 @@ def graph_inverse(g: BiBlockGraph) -> RingMatrix:
     if lam.is_zero:
         raise ArithmeticError("balance constant is identically zero; inverse form undefined")
     delta_int = clearing_poly(g).integer_coeffs()
-    lam_int = _cleared(lam, delta_int)
+    lam_int = _fastpoly.cleared(lam, delta_int)
     den = Polynomial(_fastpoly.pmul(delta_int, lam_int))
-    cleared = functools.cache(lambda value: _cleared(value, delta_int))
+    cleared = functools.cache(lambda value: _fastpoly.cleared(value, delta_int))
 
     def entry(xa: RationalFunction, xb: RationalFunction, loc: RationalFunction | None):
         num = _fastpoly.pmul(cleared(xa), cleared(xb))

@@ -9,18 +9,25 @@ verify_graph runs a fixed list of identity checks per graph.  The matrix
 identities are verified over a cleared structural common denominator
 (q+1) * prod(cofactor cores), which turns every rational-function identity
 into an equivalent integer-polynomial identity; the straight rational-function
-route is exercised on small graphs by the test suite.
+route is exercised on small graphs by the test suite.  The matrix products
+and the elimination inverse of those checks run on Kronecker-packed integers
+(_moddet.matmul, _moddet.adjugate), and each distinct entry object of the
+local matrix and of the inverse is cleared once.
+
+verify_corpus fans the graphs out over a process pool when asked for more
+than one job; reports come back in corpus order with per-graph wall times.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import os
 import random
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass
 
-from . import _fastpoly
+from . import _fastpoly, _moddet
 from .closedform import (
     balance_constant,
     balance_vector,
@@ -30,7 +37,7 @@ from .closedform import (
     graph_inverse,
     local_matrix,
 )
-from .exactring import Polynomial, RationalFunction
+from .exactring import Polynomial
 from .graph import (
     Attachment,
     BiBlockGraph,
@@ -119,9 +126,31 @@ def _witness_pair(where: str, lhs, rhs) -> str:
     return f"{where}: {_clip(str(lhs))} != {_clip(str(rhs))}"
 
 
-def _scaled_int_coeffs(rf: RationalFunction, scale_int: list[int]) -> list[int]:
-    """Integer coefficient list of rf * scale; the scale must clear the denominator."""
-    return _fastpoly.cleared(rf.num.coeffs, rf.den.coeffs, scale_int)
+def _mismatch(where: str, got: list[int], want: list[int]) -> str | None:
+    """Witness when two coefficient lists differ, else None."""
+    return None if got == want else _witness_pair(where, Polynomial(got), Polynomial(want))
+
+
+def _first_mismatch(rows: list[list[list[int]]], expected) -> str | None:
+    """Witness for the first entry (i, j) of rows that differs from expected(i, j)."""
+    cells = (
+        _mismatch(f"entry ({i},{j})", got, expected(i, j))
+        for i, row in enumerate(rows)
+        for j, got in enumerate(row)
+    )
+    return next(filter(None, cells), None)
+
+
+def _per_entry_object(matrix: RingMatrix, fn) -> list[list]:
+    """fn of every entry, once per distinct entry object: the closed forms share
+    one object among equal entries.  The memo keeps each object alive, so no
+    id is reused while it lives."""
+    memo: dict[int, tuple] = {}
+    for row in matrix.rows:
+        for e in row:
+            if id(e) not in memo:
+                memo[id(e)] = (e, fn(e))
+    return [[memo[id(e)][1] for e in row] for row in matrix.rows]
 
 
 def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
@@ -160,22 +189,12 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
         )
 
     # structural common denominator for the rational-function identities;
-    # shared by every check below
-    needs_scaled = wanted & {
-        "balance_constant_nonzero",
-        "matrix_times_balance_is_constant",
-        "balance_vector_sum",
-        "anchor_weighted_sum",
-        "anchor_affine_sum",
-        "local_matrix_product",
-        "inverse_product",
-    }
-    if needs_scaled:
-        delta = clearing_poly(g)
-        delta_int = delta.integer_coeffs()
-        lam = balance_constant(g)
-        lam_scaled = _scaled_int_coeffs(lam, delta_int)
-        x_scaled = [_scaled_int_coeffs(e, delta_int) for e in balance_vector(g)]
+    # shared by every check below but the elimination comparison
+    if wanted - {"det_vs_oracle", "cofactor_vs_oracle", "inverse_vs_elimination"}:
+        delta_int = clearing_poly(g).integer_coeffs()
+        lam_scaled = _fastpoly.cleared(balance_constant(g), delta_int)
+        x_scaled = [_fastpoly.cleared(e, delta_int) for e in balance_vector(g)]
+        x_column = [[e] for e in x_scaled]
 
     if "balance_constant_nonzero" in wanted:
         record(
@@ -184,120 +203,74 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
         )
 
     if "matrix_times_balance_is_constant" in wanted:
-        witness = None
-        for i in range(n):
-            acc: list[int] = []
-            row = d_int[i]
-            for j in range(n):
-                if row[j] and x_scaled[j]:
-                    acc = _fastpoly.padd(acc, _fastpoly.pmul(row[j], x_scaled[j]))
-            if acc != lam_scaled:
-                witness = _witness_pair(f"row {i}", Polynomial(acc), Polynomial(lam_scaled))
-                break
-        record("matrix_times_balance_is_constant", witness)
+        rows = _moddet.matmul(d_int, x_column)
+        cells = (_mismatch(f"row {i}", r, lam_scaled) for i, (r,) in enumerate(rows))
+        record("matrix_times_balance_is_constant", next(filter(None, cells), None))
 
     if "balance_vector_sum" in wanted:
         total: list[int] = []
         for e in x_scaled:
             total = _fastpoly.padd(total, e)
         expected = _fastpoly.psub(delta_int, _fastpoly.pmul([-1, 1], lam_scaled))
-        record(
-            "balance_vector_sum",
-            None
-            if total == expected
-            else _witness_pair("sum", Polynomial(total), Polynomial(expected)),
-        )
+        record("balance_vector_sum", _mismatch("sum", total, expected))
 
     if wanted & {"anchor_weighted_sum", "anchor_affine_sum"}:
-        anchor = n - 1
-        weighted: list[int] = []
-        affine: list[int] = []
-        for i in range(n):
-            d_ia = d_int[i][anchor]
-            w_coeff = _fastpoly.padd([1, 1], _fastpoly.pmul([-1, 0, 1], d_ia))
-            a_coeff = _fastpoly.padd([1], _fastpoly.pmul([-1, 1], d_ia))
-            weighted = _fastpoly.padd(weighted, _fastpoly.pmul(w_coeff, x_scaled[i]))
-            affine = _fastpoly.padd(affine, _fastpoly.pmul(a_coeff, x_scaled[i]))
+        # sum_i w_i x_i and sum_i a_i x_i, with d_i = q^dist(i, anchor),
+        # w_i = 1 + q + (q^2 - 1) d_i and a_i = 1 + (q - 1) d_i
+        anchor_d = [row[n - 1] for row in d_int]
+        weights = [
+            [_fastpoly.padd([1, 1], _fastpoly.pmul([-1, 0, 1], d)) for d in anchor_d],
+            [_fastpoly.padd([1], _fastpoly.pmul([-1, 1], d)) for d in anchor_d],
+        ]
+        (weighted,), (affine,) = _moddet.matmul(weights, x_column)
         if "anchor_weighted_sum" in wanted:
-            expected_weighted = _fastpoly.pmul([1, 1], delta_int)
-            record(
-                "anchor_weighted_sum",
-                None
-                if weighted == expected_weighted
-                else _witness_pair(
-                    "anchor sum", Polynomial(weighted), Polynomial(expected_weighted)
-                ),
-            )
+            expected = _fastpoly.pmul([1, 1], delta_int)
+            record("anchor_weighted_sum", _mismatch("anchor sum", weighted, expected))
         if "anchor_affine_sum" in wanted:
-            record(
-                "anchor_affine_sum",
-                None
-                if affine == delta_int
-                else _witness_pair("anchor sum", Polynomial(affine), Polynomial(delta_int)),
-            )
+            record("anchor_affine_sum", _mismatch("anchor sum", affine, delta_int))
 
     if "local_matrix_product" in wanted:
-        loc = local_matrix(g)
-        loc_scaled = [[_scaled_int_coeffs(loc[i, j], delta_int) for j in range(n)] for i in range(n)]
-        product = _fastpoly.matmul(d_int, loc_scaled)
-        witness = None
+        loc_scaled = _per_entry_object(local_matrix(g), lambda e: _fastpoly.cleared(e, delta_int))
+        product = _moddet.matmul(d_int, loc_scaled)
         for i in range(n):
-            for j in range(n):
-                lhs = _fastpoly.padd(product[i][j], delta_int) if i == j else product[i][j]
-                if lhs != x_scaled[j]:
-                    witness = _witness_pair(
-                        f"entry ({i},{j})", Polynomial(lhs), Polynomial(x_scaled[j])
-                    )
-                    break
-            if witness:
-                break
-        record("local_matrix_product", witness)
+            product[i][i] = _fastpoly.padd(product[i][i], delta_int)
+        record("local_matrix_product", _first_mismatch(product, lambda i, j: x_scaled[j]))
 
     if wanted & {"inverse_product", "inverse_vs_elimination"}:
         inverse = graph_inverse(g)
 
     if "inverse_product" in wanted:
         delta2_int = _fastpoly.pmul(delta_int, lam_scaled)
-        inv_scaled = [
-            [_scaled_int_coeffs(inverse[i, j], delta2_int) for j in range(n)] for i in range(n)
-        ]
-        product = _fastpoly.matmul(d_int, inv_scaled)
-        witness = None
-        for i in range(n):
-            for j in range(n):
-                expected_entry = delta2_int if i == j else []
-                if product[i][j] != expected_entry:
-                    witness = _witness_pair(
-                        f"entry ({i},{j})", Polynomial(product[i][j]), Polynomial(expected_entry)
-                    )
-                    break
-            if witness:
-                break
-        record("inverse_product", witness)
+        inv_scaled = _per_entry_object(inverse, lambda e: _fastpoly.cleared(e, delta2_int))
+        product = _moddet.matmul(d_int, inv_scaled)
+        record(
+            "inverse_product",
+            _first_mismatch(product, lambda i, j: delta2_int if i == j else []),
+        )
 
     if "inverse_vs_elimination" in wanted and n <= _ELIMINATION_COMPARE_MAX:
-        witness = None
         try:
-            elim_scaled, elim_dens = _fastpoly.ffgj_inverse(d_int)
-        except _fastpoly.SingularError as exc:
+            elim_det, elim_adj = _moddet.adjugate(d_int)
+        except _moddet.SingularError as exc:
             witness = f"elimination failed: {exc}"
-        if witness is None:
-            for i in range(n):
-                den_i = elim_dens[i]
-                for j in range(n):
-                    wnum, wa = _fastpoly.int_pair(inverse[i, j].num.coeffs)
-                    wden, wb = _fastpoly.int_pair(inverse[i, j].den.coeffs)
-                    lhs = _fastpoly.pscale(_fastpoly.pmul(wnum, den_i), wb)
-                    rhs = _fastpoly.pscale(_fastpoly.pmul(wden, elim_scaled[i][j]), wa)
-                    if lhs != rhs:
-                        witness = _witness_pair(
-                            f"entry ({i},{j})",
-                            inverse[i, j],
-                            f"({Polynomial(elim_scaled[i][j])})/({Polynomial(den_i)})",
-                        )
-                        break
-                if witness:
-                    break
+        else:
+            pairs = _per_entry_object(
+                inverse,
+                lambda e: (_fastpoly.int_pair(e.num.coeffs), _fastpoly.int_pair(e.den.coeffs)),
+            )
+
+            def differs(i: int, j: int) -> str | None:
+                # (wnum / wa) / (wden / wb) == adj / det, cross-multiplied
+                (wnum, wa), (wden, wb) = pairs[i][j]
+                lhs = _fastpoly.pscale(_fastpoly.pmul(wnum, elim_det), wb)
+                rhs = _fastpoly.pscale(_fastpoly.pmul(wden, elim_adj[i][j]), wa)
+                if lhs == rhs:
+                    return None
+                adj_entry = f"({Polynomial(elim_adj[i][j])})/({Polynomial(elim_det)})"
+                return _witness_pair(f"entry ({i},{j})", inverse[i, j], adj_entry)
+
+            cells = (differs(i, j) for i in range(n) for j in range(n))
+            witness = next(filter(None, cells), None)
         record("inverse_vs_elimination", witness)
 
     return VerificationReport(name, tuple(specs), n, tuple(checks))
@@ -375,9 +348,30 @@ def default_corpus(seed: int = 7) -> list[tuple[str, list[BlockSpec]]]:
     return corpus
 
 
-def verify_corpus(corpus, jobs: int = 1) -> list[VerificationReport]:
-    """Verify every (name, specs) pair; report order always follows corpus order."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda item: verify_graph(item[1], item[0]), corpus))
-    return [verify_graph(specs, name) for name, specs in corpus]
+def _verify_timed(item) -> tuple[VerificationReport, float]:
+    """verify_graph of one (name, specs) pair, with its wall time in milliseconds."""
+    name, specs = item
+    started = time.perf_counter()
+    report = verify_graph(specs, name)
+    return report, (time.perf_counter() - started) * 1000.0
+
+
+def verify_corpus(corpus, jobs: int = 1) -> list[tuple[VerificationReport, float]]:
+    """Verify every (name, specs) pair; returns (report, milliseconds) pairs in
+    corpus order.
+
+    With jobs > 1 the graphs go one at a time to a pool of worker processes,
+    at most one per core, since the checks are pure Python and threads would
+    share one interpreter lock.
+    """
+    corpus = list(corpus)
+    workers = min(jobs, len(corpus), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here, so that a run with one job does not load multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            return list(pool.map(_verify_timed, corpus))
+    return [_verify_timed(item) for item in corpus]

@@ -217,7 +217,7 @@ def test_criterion_8_verify_is_byte_deterministic(checkout_env):
             )
             assert result.returncode == 0
             outputs.append(result.stdout)
-        # byte-identical across consecutive runs, sequential vs threaded
+        # byte-identical across consecutive runs, sequential vs pooled
         assert outputs[0] == outputs[1]
         last = json.loads(outputs[0].decode().strip().splitlines()[-1])
         assert last["summary"]["failures"] == 0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qbiblock import cli
+from qbiblock import cli, oracle
 from qbiblock.graph import Attachment, BlockSpec, graph_to_json, path_tree
 from qbiblock.oracle import CheckResult, VerificationReport
 
@@ -340,7 +340,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch, k11):
             name, tuple(specs), 2, (CheckResult("det_vs_oracle", False, "entry (0,0): 1 != 2"),)
         )
 
-    monkeypatch.setattr(cli, "verify_graph", fake_verify)
+    monkeypatch.setattr(oracle, "verify_graph", fake_verify)
     code, out, _ = run_cli(capsys, "verify", "--corpus", k11)
     assert code == 1
     assert "FAIL" in out

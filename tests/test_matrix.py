@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qbiblock import _fastpoly
+from qbiblock import _fastpoly, _moddet
 from qbiblock.exactring import ONE, Q, ZERO, Polynomial, RationalFunction, RF_ONE, RF_ZERO
 from qbiblock.matrix import (
     DimensionError,
@@ -195,19 +195,71 @@ def test_block_operator_identities():
             assert RingMatrix.ones(t, mdim, ONE) @ e_mm == e2.transpose()
 
 
-def test_fraction_free_gauss_jordan_matches_inverse_gauss():
+def int_rows(m: RingMatrix) -> list[list[list[int]]]:
+    return [[e.integer_coeffs() for e in row] for row in m.rows]
+
+
+def test_packed_matmul_matches_schoolbook_product():
+    rng = random.Random(2718)
+    for rows, inner, cols in ((1, 1, 1), (2, 5, 3), (4, 3, 6), (6, 6, 6), (7, 2, 1)):
+        a = int_rows(RingMatrix(
+            [[rand_poly(rng, max_deg=3, bound=9) for _ in range(inner)] for _ in range(rows)]
+        ))
+        b = int_rows(RingMatrix(
+            [[rand_poly(rng, max_deg=4, bound=9) for _ in range(cols)] for _ in range(inner)]
+        ))
+        a[0][0] = []
+        b[-1][-1] = [-9, 0, 0, -9]
+        expected = []
+        for i in range(rows):
+            expected_row = []
+            for j in range(cols):
+                acc: list[int] = []
+                for k in range(inner):
+                    acc = _fastpoly.padd(acc, _fastpoly.pmul(a[i][k], b[k][j]))
+                expected_row.append(acc)
+            expected.append(expected_row)
+        assert _moddet.matmul(a, b) == expected
+
+
+def test_unpack_reads_balanced_digits_and_refuses_digits_past_the_bound():
+    coeffs = [3, -5, 0, 7, -1]
+    k = 5
+    value = _moddet.pack(coeffs, k)
+    assert value == 3 - 5 * 2**5 + 7 * 2**15 - 2**20
+    assert _moddet.unpack(value, k, 7) == coeffs
+    assert _moddet.unpack(0, k, 7) == []
+    with pytest.raises(ArithmeticError):
+        _moddet.unpack(value, k, 6)
+    with pytest.raises(ArithmeticError):
+        _moddet.unpack(_moddet.pack([1, 12], k), k, 7)
+
+
+def test_adjugate_matches_inverse_gauss():
     rng = random.Random(4242)
-    produced = 0
-    while produced < 6:
-        n = rng.randint(1, 5)
-        m = poly_matrix(rng, n, max_deg=1)
-        if det_bareiss(m).is_zero:
-            continue
-        produced += 1
-        int_rows = [[e.integer_coeffs() for e in row] for row in m.rows]
-        scaled, dens = _fastpoly.ffgj_inverse(int_rows)
+    # a zero leading entry forces a row swap in the first elimination step
+    cases = [RingMatrix([[ZERO, Q + 1, ONE], [Q - 2, Q, ZERO], [ONE, -Q, Q * Q]])]
+    while len(cases) < 7:
+        m = poly_matrix(rng, rng.randint(1, 5), max_deg=1)
+        if not det_bareiss(m).is_zero:
+            cases.append(m)
+    for m in cases:
+        n = m.nrows
+        det, adj = _moddet.adjugate(int_rows(m))
+        assert Polynomial(det) == det_bareiss(m)
         ref = inverse_gauss(rf_matrix(m))
         for i in range(n):
-            den = Polynomial(dens[i])
             for j in range(n):
-                assert RationalFunction(Polynomial(scaled[i][j]), den) == ref[i, j]
+                # adj / det == num / den, cross-multiplied
+                num, den = ref[i, j].num, ref[i, j].den
+                assert Polynomial(adj[i][j]) * den == num * Polynomial(det)
+
+
+def test_adjugate_of_a_singular_matrix_raises():
+    rng = random.Random(77)
+    rows = [list(r) for r in poly_matrix(rng, 4, max_deg=2).rows]
+    equal_rows = RingMatrix(rows[:3] + [rows[0]])
+    zero_row = RingMatrix(rows[:1] + [[ZERO] * 4] + rows[2:])
+    for m in (equal_rows, zero_row):
+        with pytest.raises(_moddet.SingularError):
+            _moddet.adjugate(int_rows(m))
