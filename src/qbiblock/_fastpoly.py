@@ -11,7 +11,7 @@ exact; inexact divisions raise instead of truncating.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def pstrip(c: list[int]) -> list[int]:
@@ -91,16 +91,10 @@ def int_pair(coeffs) -> tuple[list[int], int]:
     return [int(c * den) for c in coeffs], den
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def content(coeffs: list[int]) -> int:
     g = 0
     for c in coeffs:
-        g = _gcd(g, c)
+        g = gcd(g, c)
         if g == 1:
             break
     return g or 1

@@ -7,18 +7,22 @@ integers, and reads each result back as balanced base-``B`` digits
 an a-priori bound ``C`` on every result coefficient, which makes the digits
 unique, and ``unpack`` raises ``ArithmeticError`` on a digit past ``C``.
 
-* ``det_int_poly_matrix``: one fraction-free Bareiss determinant,
-  ``C = ∏ᵢ Σⱼ ‖aᵢⱼ‖₁`` (a permanent bound).
+* ``det_int_poly_matrix``: one fraction-free Bareiss determinant, with the
+  Hadamard bound ``C = ⌈(∏ᵢ Σⱼ ‖aᵢⱼ‖₁²)^½⌉``.  A coefficient of ``det A(q)``
+  is a Fourier coefficient of ``det A`` on the unit circle, so it is at most
+  ``max |det A(z)|`` there, which Hadamard's inequality bounds by the
+  product of the row 2-norms, and ``|aᵢⱼ(z)| ≤ ‖aᵢⱼ‖₁``.  ``C`` is never
+  larger than the permanent bound ``∏ᵢ Σⱼ ‖aᵢⱼ‖₁``.
 * ``matmul``: one integer dot product per entry,
   ``C = maxᵢ Σₖ ‖aᵢₖ‖₁ · maxₖⱼ ‖bₖⱼ‖₁ ≥ Σₖ ‖aᵢₖ‖₁·‖bₖⱼ‖₁``.
 * ``adjugate``: one fraction-free Gauss-Jordan elimination of ``[A | I]``
-  gives ``det(A)`` and ``adj(A)``; the permanent bound covers every
-  (n-1)-minor when no row is zero.
+  gives ``det(A)`` and ``adj(A)``; the Hadamard bound of ``A`` covers every
+  (n-1)-minor when no row is zero, since each row factor is then at least 1.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import isqrt, prod
 from operator import mul
 
 
@@ -32,6 +36,13 @@ def _norm(e: list[int]) -> int:
 
 def _row_norms(entries: list[list[list[int]]]) -> list[int]:
     return [sum(map(_norm, row)) for row in entries]
+
+
+def hadamard_bound(entries: list[list[list[int]]]) -> int:
+    """⌈(∏ᵢ Σⱼ ‖aᵢⱼ‖₁²)^½⌉: bounds every coefficient of the determinant of a
+    square matrix of integer polynomial lists; 0 when a row is zero."""
+    squares = prod(sum(_norm(e) ** 2 for e in row) for row in entries)
+    return isqrt(squares - 1) + 1 if squares else 0
 
 
 def _digit_bits(bound: int) -> int:
@@ -100,7 +111,7 @@ def det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
     n = len(entries)
     if n == 0 or any(len(row) != n for row in entries):
         raise ValueError("determinant requires a nonempty square matrix")
-    bound = prod(_row_norms(entries))
+    bound = hadamard_bound(entries)
     k = _digit_bits(bound)
     try:
         sign, pivot = _eliminate([[pack(e, k) for e in row] for row in entries], jordan=False)
@@ -134,8 +145,8 @@ def adjugate(entries: list[list[list[int]]]) -> tuple[list[int], list[list[list[
     norms = _row_norms(entries)
     if 0 in norms:
         raise SingularError(f"matrix is singular (row {norms.index(0)} is zero)")
-    # every row norm is at least 1, so every minor is within the bound
-    bound = prod(norms)
+    # every row factor is at least 1, so every minor is within the bound
+    bound = hadamard_bound(entries)
     k = _digit_bits(bound)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     aug = [[pack(e, k) for e in row] + unit for row, unit in zip(entries, identity)]

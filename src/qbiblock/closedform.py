@@ -242,8 +242,12 @@ def _local_entries(g: BiBlockGraph) -> dict[tuple[int, int], RationalFunction]:
 def local_matrix(g: BiBlockGraph) -> RingMatrix:
     """The block-local matrix: q/(q+1) * edge weights - q^2/(q+1) * non-edge
     weights - q^2/(q+1) * diag(y) + 1/(q+1) * identity."""
-    entries = _local_entries(g)
-    return RingMatrix([[entries.get((i, j), RF_ZERO) for j in range(g.n)] for i in range(g.n)])
+    return _dense(_local_entries(g), g.n)
+
+
+def _dense(entries: dict[tuple[int, int], RationalFunction], n: int) -> RingMatrix:
+    """The n x n matrix with the given (row, column) entries and zeros elsewhere."""
+    return RingMatrix([[entries.get((i, j), RF_ZERO) for j in range(n)] for i in range(n)])
 
 
 def clearing_poly(g: BiBlockGraph) -> Polynomial:
@@ -257,7 +261,7 @@ def clearing_poly(g: BiBlockGraph) -> Polynomial:
     return delta
 
 
-def _inverse_rows(g: BiBlockGraph, x: list, entry) -> list[list]:
+def _inverse_rows(g: BiBlockGraph, x: list, local: dict, entry) -> list[list]:
     """Rows of -local_matrix + outer(x, x) / balance_constant, entry by entry.
 
     Entry (i, j) depends only on x_i, x_j and the local entry L_ij, and both x
@@ -269,7 +273,6 @@ def _inverse_rows(g: BiBlockGraph, x: list, entry) -> list[list]:
     classes: dict = {}
     ids = [classes.setdefault(e, len(classes)) for e in x]
     reps = list(classes)
-    local = _local_entries(g)
     memo: dict = {}
     rows: list[list] = [[None] * g.n for _ in range(g.n)]
     for i in range(g.n):
@@ -293,6 +296,12 @@ def graph_inverse(g: BiBlockGraph) -> RingMatrix:
     intermediate arithmetic on integer coefficients; each distinct entry is
     built and canonicalised once.
     """
+    return _graph_inverse(g, balance_vector(g), _local_entries(g))
+
+
+def _graph_inverse(g: BiBlockGraph, x: list, local: dict) -> RingMatrix:
+    """graph_inverse(g) from its balance vector x and _local_entries(g), for
+    callers that already hold both."""
     lam = balance_constant(g)
     if lam.is_zero:
         raise ArithmeticError("balance constant is identically zero; inverse form undefined")
@@ -307,7 +316,7 @@ def graph_inverse(g: BiBlockGraph) -> RingMatrix:
             num = _fastpoly.psub(num, _fastpoly.pmul(cleared(loc), lam_int))
         return RationalFunction(Polynomial(num), den)
 
-    return RingMatrix(_inverse_rows(g, balance_vector(g), entry))
+    return RingMatrix(_inverse_rows(g, x, local, entry))
 
 
 def inverse_at(g: BiBlockGraph, q0: Rational) -> list[list[Rational]]:
@@ -330,7 +339,7 @@ def inverse_at(g: BiBlockGraph, q0: Rational) -> list[list[Rational]]:
             value -= at(loc)
         return _demote(value)
 
-    return _inverse_rows(g, balance_vector(g), entry)
+    return _inverse_rows(g, balance_vector(g), _local_entries(g), entry)
 
 
 # -- admissibility of concrete q values ---------------------------------------

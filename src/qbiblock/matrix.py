@@ -187,8 +187,8 @@ def det_bareiss(m: RingMatrix):
     whose entries are all integer-coefficient polynomials, of any size, is
     evaluated at ``B = 2^k`` instead: one integer Bareiss determinant, read
     back as balanced base-``B`` digits, gives the exact polynomial because
-    ``B`` exceeds twice the permanent bound ``prod_i sum_j ||a_ij||_1`` on
-    every coefficient.
+    ``B`` exceeds twice the Hadamard bound
+    ``ceil(sqrt(prod_i sum_j ||a_ij||_1^2))`` on every coefficient.
     """
     if not m.is_square:
         raise DimensionError("determinant requires a square matrix")

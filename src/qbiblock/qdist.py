@@ -3,7 +3,9 @@
 The q-distance matrix replaces each graph distance alpha >= 1 with the
 polynomial 1 + q + ... + q^(alpha-1).  The reduced cofactor of such a matrix
 is the determinant of an (n-1) x (n-1) matrix obtained from a pivot vertex;
-two equivalent constructions are provided and must agree entrywise.
+two equivalent constructions are provided and must agree entrywise.  A
+determinant-preserving row transform (parent_differenced) gives the
+determinant engine matrices of small entries.
 """
 
 from __future__ import annotations
@@ -21,6 +23,40 @@ def q_matrix_from_distances(dist: list[list[int]]) -> RingMatrix:
 def q_distance_matrix(g: BiBlockGraph) -> RingMatrix:
     """The q-distance matrix of a bi-block graph in builder vertex order."""
     return q_matrix_from_distances(distances(g))
+
+
+def bfs_parents(dist: list[list[int]]) -> list[int]:
+    """For each vertex i != 0, a neighbour one step closer to vertex 0 (the
+    first in vertex order); entry 0 is -1, for no parent."""
+    return [-1] + [
+        next(p for p, d in enumerate(row) if d == 1 and dist[0][p] == dist[0][i] - 1)
+        for i, row in enumerate(dist[1:], start=1)
+    ]
+
+
+def parent_differenced(m: RingMatrix, dist: list[list[int]]) -> RingMatrix:
+    """m with the row of each vertex minus the row of its BFS parent, wherever
+    that parent has a row.
+
+    The rows of m belong to the last m.nrows vertices: all of them for the
+    q-distance matrix, all but vertex 0 for the cofactor matrix at pivot 0.
+    Each new row is an original row minus an earlier one in BFS order, so the
+    transform is unit lower triangular and the determinant is unchanged.
+    Neighbours differ in distance to any vertex by at most 1, and
+    [a]_q - [a-1]_q = q^(a-1): a differenced row of the q-distance matrix has
+    entries 0 or +-q^a, one of the cofactor matrix entries of 1-norm at most 2.
+    """
+    n = len(dist)
+    skip = n - m.nrows
+    if not m.is_square or skip not in (0, 1) or any(len(row) != n for row in dist):
+        raise DimensionError("matrix and distance table sizes disagree")
+    rows = m.rows
+    return RingMatrix(
+        [
+            row if p < skip else [a - b for a, b in zip(row, rows[p - skip])]
+            for row, p in zip(rows, bfs_parents(dist)[skip:])
+        ]
+    )
 
 
 def cofactor_matrix(

@@ -87,6 +87,8 @@ def test_gcd_examples():
     assert ZERO.gcd(3 * Q) == Q
     assert ZERO.gcd(ZERO) == ZERO
     assert (Q + 1).gcd(Q + 2) == ONE
+    # a negative content must not flip the positive leading coefficient
+    assert Polynomial((2, -4)).gcd(ZERO) == Polynomial((-1, 2))
 
 
 def test_gcd_of_random_products():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -263,3 +264,21 @@ def test_adjugate_of_a_singular_matrix_raises():
     for m in (equal_rows, zero_row):
         with pytest.raises(_moddet.SingularError):
             _moddet.adjugate(int_rows(m))
+
+
+def test_hadamard_bound_covers_the_determinant_and_undercuts_the_permanent_bound():
+    rng = random.Random(1618)
+    # a Sylvester-Hadamard matrix meets the bound exactly: det = 16 = sqrt(4^4)
+    h4 = RingMatrix([[Polynomial((1 - 2 * (bin(i & j).count("1") % 2),)) for j in range(4)]
+                     for i in range(4)])
+    cases = [RingMatrix([[ONE]]), h4, h4.map(lambda e: e * Q**2)]
+    cases += [poly_matrix(rng, rng.randint(1, 6), max_deg=rng.randint(0, 3)) for _ in range(40)]
+    for m in cases:
+        rows = int_rows(m)
+        bound = _moddet.hadamard_bound(rows)
+        reached = max(map(abs, _det_bareiss_generic(m).integer_coeffs()), default=0)
+        permanent = prod(sum(sum(map(abs, e)) for e in row) for row in rows)
+        assert reached <= bound <= permanent
+    assert _moddet.hadamard_bound(int_rows(h4)) == 16
+    assert det_bareiss(h4) == Polynomial((16,))
+    assert det_bareiss(cases[2]) == Polynomial((16,)) * Q**8

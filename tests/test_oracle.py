@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from qbiblock import closedform, oracle
 from qbiblock.closedform import block_cofactor
 from qbiblock.exactring import Polynomial, Q
 from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock, star_tree
-from qbiblock.matrix import rf_matrix
+from qbiblock.matrix import _det_bareiss_generic, rf_matrix
 from qbiblock.oracle import (
     all_trees,
     default_corpus,
@@ -53,6 +56,46 @@ def test_oracle_det_and_cofactor_match_sympy_domain_matrix():
         qmat = q_distance_matrix(g)
         assert to_ring(oracle_det(g)) == sympy_det(qmat), name
         assert to_ring(oracle_cofactor(g)) == sympy_det(cofactor_matrix(qmat, distances(g))), name
+
+
+def test_differenced_oracles_match_generic_bareiss_on_the_undifferenced_matrices():
+    # generic Bareiss over the Polynomial ring: no Kronecker readout, no row
+    # differencing; it is slow past 20 vertices, where the full corpus run
+    # is left to a one-off script
+    small = [item for item in default_corpus(7) if vertex_count(item[1]) <= 20]
+    sample = random.Random(344).sample(small, 14)
+    for name, specs in sample:
+        g = build(specs)
+        qmat = q_distance_matrix(g)
+        assert oracle_det(g) == _det_bareiss_generic(qmat), name
+        cof = cofactor_matrix(qmat, distances(g))
+        assert oracle_cofactor(g) == _det_bareiss_generic(cof), name
+
+
+def vertex_count(specs) -> int:
+    return 1 + sum(b.m + b.n - 1 for b in specs)
+
+
+def mid_size_biblock(seed: int) -> list:
+    """The first random_biblock(s, 16, 3) with 30 to 40 vertices, s from seed on."""
+    for s in itertools.count(seed):
+        specs = random_biblock(s, 16, 3)
+        if 30 <= vertex_count(specs) <= 40:
+            return specs
+
+
+def test_closed_forms_match_oracles_on_mid_size_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=8, deadline=None)
+    @hypothesis.given(seed=hypothesis.strategies.integers(0, 10**6))
+    def prop(seed):
+        g = build(mid_size_biblock(seed))
+        assert 30 <= g.n <= 40
+        assert closedform.graph_det(g) == oracle_det(g)
+        assert closedform.graph_cofactor(g) == oracle_cofactor(g)
+
+    prop()
 
 
 def test_oracle_inverse_examples():

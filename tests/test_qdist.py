@@ -5,7 +5,13 @@ import pytest
 from qbiblock.exactring import ONE, Q, ZERO, q_integer
 from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock
 from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss
-from qbiblock.qdist import cofactor_matrix, q_distance_matrix, q_matrix_from_distances
+from qbiblock.qdist import (
+    bfs_parents,
+    cofactor_matrix,
+    parent_differenced,
+    q_distance_matrix,
+    q_matrix_from_distances,
+)
 
 
 def test_single_edge():
@@ -88,3 +94,47 @@ def test_errors():
         cofactor_matrix(m, d, pivot=9)
     with pytest.raises(ValueError):
         cofactor_matrix(m, d, route="sideways")
+
+
+def one_norm(e) -> int:
+    return sum(map(abs, e.integer_coeffs()))
+
+
+def test_bfs_parents_are_neighbours_one_step_closer_to_vertex_0():
+    for specs in (path_tree(6), [BlockSpec(3, 2)], random_biblock(11, 6, 3)):
+        dist = distances(build(specs))
+        parents = bfs_parents(dist)
+        assert parents[0] == -1
+        for i, p in enumerate(parents[1:], start=1):
+            assert dist[i][p] == 1 and dist[0][p] == dist[0][i] - 1
+
+
+def test_parent_differenced_subtracts_each_parent_row_and_leaves_small_entries():
+    for seed in range(8):
+        g = build(random_biblock(seed, 6, 3))
+        dist = distances(g)
+        parents = bfs_parents(dist)
+        qmat = q_distance_matrix(g)
+        diffed = parent_differenced(qmat, dist)
+        assert diffed.rows[0] == qmat.rows[0]
+        for i in range(1, g.n):
+            expected = [a - b for a, b in zip(qmat.rows[i], qmat.rows[parents[i]])]
+            assert list(diffed.rows[i]) == expected
+            # 0 or +-q^m
+            assert all(one_norm(e) <= 1 for e in diffed.rows[i])
+        # the cofactor matrix drops vertex 0, so rows whose parent is 0 stay
+        cof = cofactor_matrix(qmat, dist)
+        cof_diffed = parent_differenced(cof, dist)
+        for i in range(1, g.n):
+            p = parents[i]
+            row = cof.rows[i - 1]
+            expected = row if p == 0 else tuple(a - b for a, b in zip(row, cof.rows[p - 1]))
+            assert cof_diffed.rows[i - 1] == expected
+            assert all(one_norm(e) <= 2 for e in cof_diffed.rows[i - 1])
+
+
+def test_parent_differenced_rejects_mismatched_sizes():
+    g = build(path_tree(4))
+    qmat = q_distance_matrix(g)
+    with pytest.raises(DimensionError):
+        parent_differenced(qmat, distances(build(path_tree(6))))
