@@ -249,6 +249,8 @@ def cmd_inverse(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise _InputError("verify --jobs needs at least 1")
     if args.corpus == ["default"] or not args.corpus:
         corpus = default_corpus(args.seed)
     else:

@@ -24,12 +24,13 @@ whole verification corpus; see README for the documented sign variant.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _fastpoly
 from .exactring import ONE, PoleError, Polynomial, Q, Rational, RationalFunction, RF_ZERO, _demote
-from .graph import BiBlockGraph, Block
+from .graph import BiBlockGraph
 from .matrix import RingMatrix
 
 _QP1 = Q + 1
@@ -90,49 +91,58 @@ def block_inverse(s: int, t: int) -> RingMatrix:
     return RingMatrix(rows)
 
 
+def _shapes(g: BiBlockGraph) -> Counter:
+    """Count of blocks per shape (m, n), a mirrored K_{n,m} counted as K_{m,n}:
+    every per-block form below is symmetric in the two parts."""
+    return Counter((min(b.m, b.n), max(b.m, b.n)) for b in g.blocks)
+
+
 def graph_cofactor(g: BiBlockGraph) -> Polynomial:
-    """Reduced cofactor of a bi-block graph: the product of its block cofactors."""
+    """Reduced cofactor of a bi-block graph: the product of its block cofactors,
+    one power cof_T^(c_T) per block shape T with c_T blocks."""
     result = ONE
-    for b in g.blocks:
-        result = result * block_cofactor(b.m, b.n)
+    for (m, n), count in _shapes(g).items():
+        result = result * block_cofactor(m, n) ** count
     return result
 
 
 def graph_det(g: BiBlockGraph) -> Polynomial:
     """Determinant of the q-distance matrix of a bi-block graph.
 
-    Product rule over blocks: sum over blocks of the block determinant times
-    the cofactors of all other blocks, accumulated in one pass so that every
-    multiplication has one block-sized factor.
+    Product rule over blocks: the sum over blocks of the block determinant
+    times the cofactors of all other blocks.  Grouped by block shape T with
+    c_T blocks, that is
+
+        prod_T cof_T^(c_T - 1) * sum_T c_T det_T prod_{U != T} cof_U,
+
+    whose sum is accumulated in one pass over the shapes.
     """
-    total, cof = Polynomial(), ONE
-    for b in g.blocks:
-        cof_b = block_cofactor(b.m, b.n)
-        total = total * cof_b + block_det(b.m, b.n) * cof
-        cof = cof * cof_b
-    return total
+    total, cof, power = Polynomial(), ONE, ONE
+    for (m, n), count in _shapes(g).items():
+        cof_t = block_cofactor(m, n)
+        total = total * cof_t + block_det(m, n) * count * cof
+        cof = cof * cof_t
+        power = power * cof_t ** (count - 1)
+    return total * power
 
 
 # -- vectors and matrices ----------------------------------------------------
 
 
-def _side_term_num(block, side: str) -> int:
-    """Size of the opposite part minus one: the side-dependent weight source."""
-    return (block.n if side == "X" else block.m) - 1
-
-
 def _membership_sums(g: BiBlockGraph, term) -> list[RationalFunction]:
-    """Entry at v: 1 - (block degree of v) plus, in membership order, the term
-    of each (block, side) containing v; term(block, opposite - 1) is built
-    once per block and side."""
-    terms = {
-        (index, side): term(b, _side_term_num(b, side))
-        for index, b in enumerate(g.blocks)
-        for side in "XY"
-    }
+    """Entry at v: 1 - (block degree of v) plus term(own, opposite) for each
+    block containing v, own and opposite being the part sizes on v's side and
+    on the other side.  The entry depends only on v's signature, the sorted
+    tuple of those pairs, so it is built once per signature and the one object
+    is shared by every vertex with that signature."""
+    sizes = [{"X": (b.m, b.n), "Y": (b.n, b.m)} for b in g.blocks]
+    term = functools.cache(term)
+    entry = functools.cache(
+        lambda sig: sum((term(*pair) for pair in sig), RationalFunction(1 - len(sig)))
+    )
     return [
-        sum((terms[key] for key in entries), RationalFunction(1 - len(entries)))
-        for entries in g.membership
+        entry(tuple(sorted(sizes[index][side] for index, side in members)))
+        for members in g.membership
     ]
 
 
@@ -144,7 +154,7 @@ def balance_vector(g: BiBlockGraph) -> list[RationalFunction]:
     (block degree - 1).
     """
     return _membership_sums(
-        g, lambda b, t: RationalFunction(Q * t - 1, _QP1 * cofactor_core(b.m, b.n))
+        g, lambda own, opp: RationalFunction(Q * (opp - 1) - 1, _QP1 * cofactor_core(own, opp))
     )
 
 
@@ -155,18 +165,18 @@ def diagonal_weight_vector(g: BiBlockGraph) -> list[RationalFunction]:
     v, then subtracts (block degree - 1).
     """
     return _membership_sums(
-        g, lambda b, t: RationalFunction(Polynomial((t,)), cofactor_core(b.m, b.n))
+        g, lambda own, opp: RationalFunction(Polynomial((opp - 1,)), cofactor_core(own, opp))
     )
 
 
-def _block_weights(b: Block) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
-    """Edge, X-side non-edge and Y-side non-edge weight of one block:
+def _block_weights(m: int, n: int) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
+    """Edge, X-side non-edge and Y-side non-edge weight of a K_{m,n} block:
     1, n-1 and m-1 over its cofactor core."""
-    core = cofactor_core(b.m, b.n)
+    core = cofactor_core(m, n)
     return (
         RationalFunction(ONE, core),
-        RationalFunction(Polynomial((b.n - 1,)), core),
-        RationalFunction(Polynomial((b.m - 1,)), core),
+        RationalFunction(Polynomial((n - 1,)), core),
+        RationalFunction(Polynomial((m - 1,)), core),
     )
 
 
@@ -174,7 +184,7 @@ def edge_weight_matrix(g: BiBlockGraph) -> RingMatrix:
     """Weighted adjacency matrix: weight 1 / cofactor_core on every edge of its block."""
     rows = [[RF_ZERO] * g.n for _ in range(g.n)]
     for b in g.blocks:
-        w = _block_weights(b)[0]
+        w = _block_weights(b.m, b.n)[0]
         for u in b.x:
             for v in b.y:
                 rows[u][v] = w
@@ -190,7 +200,7 @@ def nonedge_weight_matrix(g: BiBlockGraph) -> RingMatrix:
     """
     rows = [[RF_ZERO] * g.n for _ in range(g.n)]
     for b in g.blocks:
-        _, x_weight, y_weight = _block_weights(b)
+        _, x_weight, y_weight = _block_weights(b.m, b.n)
         for vertices, w in ((b.x, x_weight), (b.y, y_weight)):
             for u in vertices:
                 for v in vertices:
@@ -201,10 +211,11 @@ def nonedge_weight_matrix(g: BiBlockGraph) -> RingMatrix:
 
 def balance_constant(g: BiBlockGraph) -> RationalFunction:
     """The constant value of q_distance_matrix(g) @ balance_vector(g); additive over
-    blocks as det_core / ((q+1) * cofactor_core)."""
+    blocks as det_core / ((q+1) * cofactor_core), so one term c_T det_core_T /
+    ((q+1) core_T) per block shape T with c_T blocks."""
     acc = RF_ZERO
-    for b in g.blocks:
-        acc = acc + RationalFunction(det_core(b.m, b.n), _QP1 * cofactor_core(b.m, b.n))
+    for (m, n), count in _shapes(g).items():
+        acc = acc + RationalFunction(det_core(m, n) * count, _QP1 * cofactor_core(m, n))
     return acc
 
 
@@ -215,27 +226,33 @@ def _local_entries(g: BiBlockGraph) -> dict[tuple[int, int], RationalFunction]:
     times the edge weight across the block, -q^2/(q+1) times the side's
     non-edge weight within one side.  Two vertices share at most one block,
     so no pair is written twice.  The diagonal is 1/(q+1) - q^2/(q+1) * y.
+    Each shape's three weights and each distinct diagonal entry are built once.
     """
     qq = RationalFunction(Q, _QP1)
     qq2 = RationalFunction(Q**2, _QP1)
+
+    @functools.cache
+    def shape_entries(m: int, n: int):
+        edge, x_weight, y_weight = _block_weights(m, n)
+        return edge * qq, -(x_weight * qq2), -(y_weight * qq2)
+
     entries: dict[tuple[int, int], RationalFunction] = {}
     for b in g.blocks:
-        edge, x_weight, y_weight = _block_weights(b)
-        w = edge * qq
+        w, x_entry, y_entry = shape_entries(b.m, b.n)
         for u in b.x:
             for v in b.y:
                 entries[u, v] = entries[v, u] = w
-        for vertices, weight in ((b.x, x_weight), (b.y, y_weight)):
-            if weight.is_zero:
+        for vertices, w in ((b.x, x_entry), (b.y, y_entry)):
+            if w.is_zero:
                 continue
-            w = -(weight * qq2)
             for u in vertices:
                 for v in vertices:
                     if u != v:
                         entries[u, v] = w
     inv_qp1 = RationalFunction(ONE, _QP1)
+    diagonal = functools.cache(lambda y: inv_qp1 - y * qq2)
     for v, y in enumerate(diagonal_weight_vector(g)):
-        entries[v, v] = inv_qp1 - y * qq2
+        entries[v, v] = diagonal(y)
     return entries
 
 
@@ -251,13 +268,15 @@ def _dense(entries: dict[tuple[int, int], RationalFunction], n: int) -> RingMatr
 
 
 def clearing_poly(g: BiBlockGraph) -> Polynomial:
-    """(q+1) times the product of the nonconstant cofactor cores: a common
-    clearing denominator for the balance vector, the balance constant, the
-    local matrix, and the inverse."""
+    """(q+1) times the product of the distinct nonconstant cofactor cores: a
+    common clearing denominator for the balance vector, the balance constant,
+    the local matrix, and the inverse.  Blocks with equal (m-1)(n-1) share one
+    core, so the degree is 1 + 2 * (number of distinct nonzero (m-1)(n-1))."""
+    cores = {(m - 1) * (n - 1): cofactor_core(m, n) for m, n in _shapes(g)}
+    cores.pop(0, None)
     delta = _QP1
-    for b in g.blocks:
-        if (b.m - 1) * (b.n - 1) > 0:
-            delta = delta * cofactor_core(b.m, b.n)
+    for core in cores.values():
+        delta = delta * core
     return delta
 
 

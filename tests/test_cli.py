@@ -172,6 +172,9 @@ def test_input_errors(capsys, tmp_path, k11):
     ):
         code, out, err = run_cli(capsys, "gen", *gen_argv)
         assert code == 2 and out == "" and err.startswith("error:"), (gen_argv, out, err)
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "--jobs", jobs)
+        assert code == 2 and out == "" and err.startswith("error:"), (jobs, out, err)
 
 
 def test_gen_tree(capsys):

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from qbiblock import _fastpoly
 from qbiblock.closedform import (
+    _local_entries,
     balance_constant,
     balance_vector,
     block_cofactor,
     block_det,
     block_inverse,
     check_conditions,
+    clearing_poly,
+    cofactor_core,
+    det_core,
     diagonal_weight_vector,
     edge_weight_matrix,
     graph_cofactor,
@@ -319,6 +325,118 @@ def test_inverse_at_property_on_random_graphs():
                 assert sum(d[i][k] * inv[k][j] for k in range(g.n)) == (i == j)
 
     prop()
+
+
+# -- shape counts and shared entries against the per-block reference ----------
+
+
+def reference_graph_det(g):
+    """The product rule block by block: total <- total cof_b + det_b cof."""
+    total, cof = Polynomial(), ONE
+    for b in g.blocks:
+        cof_b = block_cofactor(b.m, b.n)
+        total = total * cof_b + block_det(b.m, b.n) * cof
+        cof = cof * cof_b
+    return total
+
+
+def reference_graph_cofactor(g):
+    result = ONE
+    for b in g.blocks:
+        result = result * block_cofactor(b.m, b.n)
+    return result
+
+
+def reference_balance_constant(g):
+    acc = RF_ZERO
+    for b in g.blocks:
+        acc = acc + RationalFunction(det_core(b.m, b.n), QP1 * cofactor_core(b.m, b.n))
+    return acc
+
+
+def reference_membership_sums(g, term):
+    """Entry at v built on its own: 1 - (block degree) plus one term per
+    membership, term(block, opposite part size - 1)."""
+    out = []
+    for members in g.membership:
+        entry = RationalFunction(1 - len(members))
+        for index, side in members:
+            b = g.blocks[index]
+            entry = entry + term(b, (b.n if side == "X" else b.m) - 1)
+        out.append(entry)
+    return out
+
+
+def reference_balance_vector(g):
+    return reference_membership_sums(
+        g, lambda b, t: RationalFunction(Q * t - 1, QP1 * cofactor_core(b.m, b.n))
+    )
+
+
+def reference_diagonal_weight_vector(g):
+    return reference_membership_sums(
+        g, lambda b, t: RationalFunction(Polynomial((t,)), cofactor_core(b.m, b.n))
+    )
+
+
+def formulas_large_graphs():
+    """The reference graphs of the formulas_large benchmark workload (n = 299,
+    303, 87 and 180)."""
+    return [
+        build(random_biblock(23, 100, 3)),
+        build(random_biblock(86, 100, 3)),
+        build(random_biblock(116, 30, 3)),
+        build(random_tree(0, 180)),
+    ]
+
+
+def json_bytes(values) -> str:
+    return json.dumps([v.to_json() for v in values])
+
+
+def test_shape_grouped_forms_match_the_per_block_reference():
+    graphs = [build(specs) for _, specs in default_corpus(7)] + formulas_large_graphs()
+    assert len(graphs) == 176
+    for g in graphs:
+        det, cof = graph_det(g), graph_cofactor(g)
+        assert det == reference_graph_det(g), g
+        assert str(det) == str(reference_graph_det(g))
+        assert json.dumps(det.to_json()) == json.dumps(reference_graph_det(g).to_json())
+        assert json.dumps(cof.to_json()) == json.dumps(reference_graph_cofactor(g).to_json()), g
+        assert json_bytes([balance_constant(g)]) == json_bytes([reference_balance_constant(g)]), g
+        assert json_bytes(balance_vector(g)) == json_bytes(reference_balance_vector(g)), g
+        assert json_bytes(diagonal_weight_vector(g)) == json_bytes(
+            reference_diagonal_weight_vector(g)
+        ), g
+
+
+def test_vector_entries_are_shared_per_membership_signature():
+    for g in formulas_large_graphs() + corpus_sample():
+        signatures = [
+            tuple(sorted((g.blocks[i].m, g.blocks[i].n, side) for i, side in members))
+            for members in g.membership
+        ]
+        for vector in (balance_vector(g), diagonal_weight_vector(g)):
+            by_signature = {}
+            for signature, entry in zip(signatures, vector):
+                assert by_signature.setdefault(signature, entry) is entry, (g, signature)
+            assert len({id(e) for e in vector}) <= len(by_signature)
+    # 58 signatures among the 299 vertices of the largest benchmark graph
+    g = build(random_biblock(23, 100, 3))
+    assert len({id(e) for e in balance_vector(g)}) == 58
+
+
+def test_clearing_poly_clears_every_entry_over_distinct_cores():
+    graphs = [build(specs) for _, specs in default_corpus(7)] + formulas_large_graphs()[2:]
+    for g in graphs:
+        delta = clearing_poly(g)
+        distinct = {(b.m - 1) * (b.n - 1) for b in g.blocks} - {0}
+        assert delta.degree == 1 + 2 * len(distinct), g
+        delta_int = delta.integer_coeffs()
+        values = [balance_constant(g), *balance_vector(g), *_local_entries(g).values()]
+        for value in values:
+            # raises ArithmeticError unless value * delta has integer coefficients
+            _fastpoly.cleared(value, delta_int)
 
 
 # -- identity suite on small graphs, straight rational-function route ---------

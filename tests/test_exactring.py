@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -177,3 +178,54 @@ def test_pow():
     assert (Q + 1) ** 3 == Polynomial((1, 3, 3, 1))
     with pytest.raises(ValueError):
         Q**-1
+
+
+def test_rational_function_ring_axioms_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    poly = st.lists(coeff, max_size=4).map(Polynomial)
+    rf = st.builds(RationalFunction, poly, poly.filter(bool))
+
+    def json_bytes(value):
+        return json.dumps(value.to_json())
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        a=rf, b=rf, c=rf, q0=st.fractions(min_value=-4, max_value=4, max_denominator=7)
+    )
+    def prop(a, b, c, q0):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        # canonical form: the order of the operations never shows in the bytes
+        assert json_bytes((a + b) + c) == json_bytes(c + (b + a))
+        assert json_bytes((a * b) * c) == json_bytes(b * (c * a))
+        assert json_bytes(a * c + b * c) == json_bytes((b + a) * c)
+        # evaluation is a ring homomorphism away from the poles of a and b
+        hypothesis.assume(a.den.eval_at(q0) != 0 and b.den.eval_at(q0) != 0)
+        assert (a + b).eval_at(q0) == a.eval_at(q0) + b.eval_at(q0)
+        assert (a * b).eval_at(q0) == a.eval_at(q0) * b.eval_at(q0)
+        assert (a - b).eval_at(q0) == a.eval_at(q0) - b.eval_at(q0)
+
+    prop()
+
+
+def test_rational_function_sum_bytes_are_order_free_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.integers(-3, 3)
+    poly = st.lists(coeff, max_size=3).map(Polynomial)
+    terms = st.lists(st.builds(RationalFunction, poly, poly.filter(bool)), min_size=1, max_size=6)
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(values=terms, data=st.data())
+    def prop(values, data):
+        shuffled = data.draw(st.permutations(values))
+        forward = sum(values, RationalFunction(ZERO))
+        backward = sum(shuffled, RationalFunction(ZERO))
+        assert json.dumps(forward.to_json()) == json.dumps(backward.to_json())
+        assert str(forward) == str(backward)
+
+    prop()

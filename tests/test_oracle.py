@@ -191,6 +191,30 @@ def test_elimination_comparison_runs_only_on_small_graphs():
     assert big.passed
 
 
+def test_skipped_elimination_comparison_builds_nothing(monkeypatch):
+    calls = {"_graph_inverse": 0, "balance_vector": 0, "_local_entries": 0}
+
+    def counting(name):
+        real = getattr(oracle, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counting(name))
+    specs = random_biblock(5, 4, 3)
+    assert build(specs).n == 12 > oracle._ELIMINATION_COMPARE_MAX
+    report = verify_graph(specs, "n12", select=["inverse_vs_elimination"])
+    assert report.checks == ()
+    assert calls == {"_graph_inverse": 0, "balance_vector": 0, "_local_entries": 0}
+    report = verify_graph(specs, "n12", select=["inverse_product", "inverse_vs_elimination"])
+    assert [c.name for c in report.checks] == ["inverse_product"] and report.passed
+    assert calls == {"_graph_inverse": 1, "balance_vector": 1, "_local_entries": 1}
+
+
 def graph_attach(v, side="X"):
     from qbiblock.graph import Attachment
 
