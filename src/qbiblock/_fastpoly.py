@@ -10,7 +10,6 @@ exact; inexact divisions raise instead of truncating.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -87,8 +86,10 @@ def pdiv_exact(a: list[int], b: list[int]) -> list[int]:
 
 def int_pair(coeffs) -> tuple[list[int], int]:
     """(integer list, positive scalar denominator) for mixed int/Fraction coefficients."""
-    den = lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
-    return [int(c * den) for c in coeffs], den
+    den = lcm(*(c.denominator for c in coeffs if type(c) is not int))
+    if den == 1:
+        return list(coeffs), 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def content(coeffs: list[int]) -> int:

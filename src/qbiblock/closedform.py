@@ -315,17 +315,19 @@ def graph_inverse(g: BiBlockGraph) -> RingMatrix:
     intermediate arithmetic on integer coefficients; each distinct entry is
     built and canonicalised once.
     """
-    return _graph_inverse(g, balance_vector(g), _local_entries(g))
-
-
-def _graph_inverse(g: BiBlockGraph, x: list, local: dict) -> RingMatrix:
-    """graph_inverse(g) from its balance vector x and _local_entries(g), for
-    callers that already hold both."""
-    lam = balance_constant(g)
-    if lam.is_zero:
-        raise ArithmeticError("balance constant is identically zero; inverse form undefined")
     delta_int = clearing_poly(g).integer_coeffs()
-    lam_int = _fastpoly.cleared(lam, delta_int)
+    lam_int = _fastpoly.cleared(balance_constant(g), delta_int)
+    return _graph_inverse(g, balance_vector(g), _local_entries(g), delta_int, lam_int)
+
+
+def _graph_inverse(
+    g: BiBlockGraph, x: list, local: dict, delta_int: list[int], lam_int: list[int]
+) -> RingMatrix:
+    """graph_inverse(g) from its balance vector x, _local_entries(g), the
+    coefficients delta_int of clearing_poly(g) and the balance constant
+    cleared by it, lam_int, for callers that already hold all four."""
+    if not lam_int:
+        raise ArithmeticError("balance constant is identically zero; inverse form undefined")
     den = Polynomial(_fastpoly.pmul(delta_int, lam_int))
     cleared = functools.cache(lambda value: _fastpoly.cleared(value, delta_int))
 

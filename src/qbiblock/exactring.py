@@ -4,7 +4,8 @@ Everything here is exact; no floating point is used anywhere in the package.
 Rational scalars are plain ``int`` or ``fractions.Fraction`` values (integral
 results are demoted to ``int``).  Polynomials are dense ascending coefficient
 tuples; rational functions are kept in canonical form (gcd-reduced, monic
-denominator) so that equality is structural.
+denominator) so that equality is structural.  Canonicalisation tests for an
+exact ``int`` first: int coefficients skip ``Fraction`` arithmetic entirely.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ class PoleError(ZeroDivisionError):
 
 def _demote(value: Rational) -> Rational:
     """Return ``value`` as an int when it is integral."""
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
     return value
@@ -56,7 +59,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        normalized = [_demote(c) for c in coeffs]
+        normalized = [c if type(c) is int else _demote(c) for c in coeffs]
         while normalized and normalized[-1] == 0:
             normalized.pop()
         object.__setattr__(self, "coeffs", tuple(normalized))
@@ -300,10 +303,10 @@ class RationalFunction:
                 if len(g) > 1:
                     num_int = _fastpoly.pdiv_exact(num_int, g)
                     den_int = _fastpoly.pdiv_exact(den_int, g)
-            scalar = Fraction(den_den, num_den) / den_int[-1]
-            num = Polynomial(c * scalar for c in num_int)
             lead = den_int[-1]
-            den = Polynomial(Fraction(c, lead) for c in den_int)
+            scalar = _demote(Fraction(den_den, num_den * lead))
+            num = Polynomial([c * scalar for c in num_int])
+            den = Polynomial(den_int if lead == 1 else [Fraction(c, lead) for c in den_int])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

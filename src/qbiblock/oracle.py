@@ -1,11 +1,11 @@
 """Brute-force oracles and the verification harness.
 
 The oracles never call the closed-form code paths: they work from the
-q-distance matrix alone through the generic matrix primitives (fraction-free
-condensation, Gauss-Jordan elimination), so agreement between the two routes
-is evidence, not tautology.  The determinant oracles first difference each
-row against its BFS parent's row, a unit-triangular row operation read off
-the distance table, which keeps the entries and so the Kronecker digits small.
+distance table alone, so agreement between the two routes is evidence, not
+tautology.  The determinant oracles read their matrices off the table as
+integer coefficient lists, difference each row against its BFS parent's row
+(a unit-triangular row operation that keeps the Kronecker digits small) and
+take one packed determinant; the inverse oracle is Gauss-Jordan elimination.
 
 verify_graph runs a fixed list of identity checks per graph.  The matrix
 identities are verified over a cleared structural common denominator
@@ -50,8 +50,8 @@ from .graph import (
     graph_to_json,
     random_biblock,
 )
-from .matrix import RingMatrix, det_bareiss, inverse_gauss, rf_matrix
-from .qdist import cofactor_matrix, parent_differenced, q_distance_matrix
+from .matrix import RingMatrix, inverse_gauss, rf_matrix
+from .qdist import cofactor_rows, parent_differenced, q_distance_matrix, q_distance_rows
 
 # Above this size the elimination-inverse comparison is skipped: the inverse
 # is still fully verified by the exact product identity, and uniqueness of the
@@ -73,18 +73,18 @@ _CHECK_NAMES = (
 
 
 def oracle_det(g: BiBlockGraph) -> Polynomial:
-    """Determinant of the q-distance matrix, straight from the matrix.  Rows are
-    first differenced against their BFS parents' rows (parent_differenced),
-    which leaves the determinant unchanged and the engine's coefficient
-    bound small."""
-    return det_bareiss(parent_differenced(q_distance_matrix(g), distances(g)))
+    """Determinant of the q-distance matrix, straight from the distance table;
+    rows are first differenced against their BFS parents' rows, which keeps
+    the determinant and makes the engine's coefficient bound small."""
+    dist = distances(g)
+    return Polynomial(_moddet.det_int_poly_matrix(parent_differenced(q_distance_rows(dist), dist)))
 
 
 def oracle_cofactor(g: BiBlockGraph) -> Polynomial:
-    """Reduced cofactor, straight from the cofactor-construction matrix, with
-    its rows differenced against their BFS parents' rows like oracle_det's."""
+    """Reduced cofactor, straight from the cofactor-construction matrix at
+    pivot 0, its rows differenced like oracle_det's."""
     dist = distances(g)
-    return det_bareiss(parent_differenced(cofactor_matrix(q_distance_matrix(g), dist), dist))
+    return Polynomial(_moddet.det_int_poly_matrix(parent_differenced(cofactor_rows(dist), dist)))
 
 
 def oracle_inverse(g: BiBlockGraph) -> RingMatrix:
@@ -177,7 +177,7 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
         # the comparison does not run here, so nothing is built for it below
         wanted.discard("inverse_vs_elimination")
     dist = distances(g)
-    d_int = [[[1] * dist[i][j] for j in range(n)] for i in range(n)]
+    d_int = q_distance_rows(dist)
     checks: list[CheckResult] = []
 
     def record(check_name: str, witness: str | None):
@@ -199,21 +199,18 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
             None if closed_cof == ocof else _witness_pair("cofactor", closed_cof, ocof),
         )
 
-    # the balance vector and the local entries, built once for the checks
-    # below and for the inverse
+    # the balance vector, the balance constant and the structural common
+    # denominator of the rational-function identities, built once for the
+    # checks below and for the inverse; so are the local entries
     inverse_wanted = wanted & {"inverse_product", "inverse_vs_elimination"}
     if wanted - {"det_vs_oracle", "cofactor_vs_oracle"}:
         x = balance_vector(g)
-    if inverse_wanted or "local_matrix_product" in wanted:
-        local = _local_entries(g)
-
-    # structural common denominator for the rational-function identities;
-    # shared by every check below but the elimination comparison
-    if wanted - {"det_vs_oracle", "cofactor_vs_oracle", "inverse_vs_elimination"}:
         delta_int = clearing_poly(g).integer_coeffs()
         lam_scaled = _fastpoly.cleared(balance_constant(g), delta_int)
         x_scaled = [_fastpoly.cleared(e, delta_int) for e in x]
         x_column = [[e] for e in x_scaled]
+    if inverse_wanted or "local_matrix_product" in wanted:
+        local = _local_entries(g)
 
     if "balance_constant_nonzero" in wanted:
         record(
@@ -256,7 +253,7 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
         record("local_matrix_product", _first_mismatch(product, lambda i, j: x_scaled[j]))
 
     if inverse_wanted:
-        inverse = _graph_inverse(g, x, local)
+        inverse = _graph_inverse(g, x, local, delta_int, lam_scaled)
 
     if "inverse_product" in wanted:
         delta2_int = _fastpoly.pmul(delta_int, lam_scaled)

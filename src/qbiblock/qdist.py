@@ -3,13 +3,15 @@
 The q-distance matrix replaces each graph distance alpha >= 1 with the
 polynomial 1 + q + ... + q^(alpha-1).  The reduced cofactor of such a matrix
 is the determinant of an (n-1) x (n-1) matrix obtained from a pivot vertex;
-two equivalent constructions are provided and must agree entrywise.  A
-determinant-preserving row transform (parent_differenced) gives the
-determinant engine matrices of small entries.
+two equivalent constructions are provided and must agree entrywise.  The
+oracles read both as integer coefficient lists (q_distance_rows,
+cofactor_rows), which a determinant-preserving row transform
+(parent_differenced) turns into matrices of small entries.
 """
 
 from __future__ import annotations
 
+from ._fastpoly import psub
 from .exactring import Q, q_integer
 from .graph import BiBlockGraph, distances
 from .matrix import DimensionError, RingMatrix
@@ -34,11 +36,28 @@ def bfs_parents(dist: list[list[int]]) -> list[int]:
     ]
 
 
-def parent_differenced(m: RingMatrix, dist: list[list[int]]) -> RingMatrix:
-    """m with the row of each vertex minus the row of its BFS parent, wherever
-    that parent has a row.
+def q_distance_rows(dist: list[list[int]]) -> list[list[list[int]]]:
+    """The q-distance matrix of a distance table as ascending integer
+    coefficient lists: entry (u, v) is [1] * d(u, v)."""
+    return [[[1] * d for d in row] for row in dist]
 
-    The rows of m belong to the last m.nrows vertices: all of them for the
+
+def cofactor_rows(dist: list[list[int]]) -> list[list[list[int]]]:
+    """cofactor_matrix at pivot 0 as ascending integer coefficient lists:
+    entry (u, v), for u, v != 0, is [d(u, v)]_q - [d(u, 0) + d(0, v)]_q."""
+    return [
+        [psub([1] * d, [1] * (row[0] + dist[0][v])) for v, d in enumerate(row) if v]
+        for row in dist[1:]
+    ]
+
+
+def parent_differenced(
+    rows: list[list[list[int]]], dist: list[list[int]]
+) -> list[list[list[int]]]:
+    """A square matrix of integer coefficient lists with the row of each
+    vertex minus the row of its BFS parent, wherever that parent has a row.
+
+    The rows belong to the last len(rows) vertices: all of them for the
     q-distance matrix, all but vertex 0 for the cofactor matrix at pivot 0.
     Each new row is an original row minus an earlier one in BFS order, so the
     transform is unit lower triangular and the determinant is unchanged.
@@ -47,16 +66,14 @@ def parent_differenced(m: RingMatrix, dist: list[list[int]]) -> RingMatrix:
     entries 0 or +-q^a, one of the cofactor matrix entries of 1-norm at most 2.
     """
     n = len(dist)
-    skip = n - m.nrows
-    if not m.is_square or skip not in (0, 1) or any(len(row) != n for row in dist):
+    skip = n - len(rows)
+    widths = {len(row) for row in rows} | {len(row) - skip for row in dist}
+    if skip not in (0, 1) or widths != {n - skip}:
         raise DimensionError("matrix and distance table sizes disagree")
-    rows = m.rows
-    return RingMatrix(
-        [
-            row if p < skip else [a - b for a, b in zip(row, rows[p - skip])]
-            for row, p in zip(rows, bfs_parents(dist)[skip:])
-        ]
-    )
+    return [
+        row if p < skip else [psub(a, b) for a, b in zip(row, rows[p - skip])]
+        for row, p in zip(rows, bfs_parents(dist)[skip:])
+    ]
 
 
 def cofactor_matrix(

@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from qbiblock import _fastpoly
 from qbiblock.exactring import (
     ONE,
     Q,
@@ -227,5 +229,92 @@ def test_rational_function_sum_bytes_are_order_free_property():
         backward = sum(shuffled, RationalFunction(ZERO))
         assert json.dumps(forward.to_json()) == json.dumps(backward.to_json())
         assert str(forward) == str(backward)
+
+    prop()
+
+
+def mixed_coefficients(st):
+    """ints, and Fractions that may be integral (Fraction(2, 1)) or not."""
+    return st.one_of(
+        st.integers(-5, 5), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    )
+
+
+def stored_as_canonical_types(p: Polynomial) -> bool:
+    return all(
+        type(c) is (int if Fraction(c).denominator == 1 else Fraction) for c in p.coeffs
+    )
+
+
+def reference_int_pair(coeffs) -> tuple[list[int], int]:
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    return [int(Fraction(c) * den) for c in coeffs], den
+
+
+def test_polynomial_ring_axioms_and_coefficient_types_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    raw = st.lists(mixed_coefficients(st), max_size=5)
+    poly = raw.map(Polynomial)
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(a=poly, b=poly, c=poly, coeffs=raw)
+    def prop(a, b, c, coeffs):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a - a == ZERO
+        # integral coefficients are stored as int, the others as Fraction
+        built = Polynomial(coeffs)
+        trimmed = list(coeffs)
+        while trimmed and trimmed[-1] == 0:
+            trimmed.pop()
+        assert list(built.coeffs) == trimmed
+        for value in (built, a + b, a - b, a * b, a.scale(Fraction(1, 3)), a.scale(2)):
+            assert stored_as_canonical_types(value), value
+        assert _fastpoly.int_pair(built.coeffs) == reference_int_pair(built.coeffs)
+        assert _fastpoly.int_pair(a.coeffs) == reference_int_pair(a.coeffs)
+
+    prop()
+
+
+def reference_canonical_json(num: Polynomial, den: Polynomial) -> dict:
+    """RationalFunction's canonical form, computed with Fraction arithmetic
+    throughout: reduce by the integer gcd, fold both coefficient denominators
+    and the denominator's lead into one Fraction, divide by the lead."""
+    if num.is_zero:
+        return {"num": [], "den": [["1", "1"]]}
+    num_int, num_den = reference_int_pair(num.coeffs)
+    den_int, den_den = reference_int_pair(den.coeffs)
+    if len(num_int) > 1 or len(den_int) > 1:
+        g = _fastpoly.int_poly_gcd(num_int, den_int)
+        if len(g) > 1:
+            num_int = _fastpoly.pdiv_exact(num_int, g)
+            den_int = _fastpoly.pdiv_exact(den_int, g)
+    scalar = Fraction(den_den, num_den) / den_int[-1]
+    lead = den_int[-1]
+
+    def rendered(values):
+        return [[str(v.numerator), str(v.denominator)] for v in values]
+
+    return {
+        "num": rendered(c * scalar for c in num_int),
+        "den": rendered(Fraction(c, lead) for c in den_int),
+    }
+
+
+def test_rational_function_canonical_form_matches_fraction_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    poly = st.lists(mixed_coefficients(st), max_size=5).map(Polynomial)
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(num=poly, den=poly.filter(bool))
+    def prop(num, den):
+        r = RationalFunction(num, den)
+        want = json.dumps(reference_canonical_json(num, den))
+        assert json.dumps(r.to_json()) == want
+        assert stored_as_canonical_types(r.num) and stored_as_canonical_types(r.den)
 
     prop()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from qbiblock.graph import (
@@ -167,6 +169,26 @@ def test_json_round_trip():
     for seed in range(10):
         specs = random_biblock(seed, 4, 3)
         assert specs_from_json(graph_to_json(specs)) == specs
+
+
+def test_json_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sequences = st.one_of(
+        st.builds(random_biblock, st.integers(0, 2**62), st.integers(1, 8), st.integers(1, 4)),
+        st.builds(path_tree, st.integers(2, 30)),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(specs=sequences)
+    def prop(specs):
+        text = json.dumps(graph_to_json(specs))
+        rebuilt = specs_from_json(json.loads(text))
+        assert rebuilt == specs
+        assert distances(build(rebuilt)) == distances(build(specs))
+        assert json.dumps(graph_to_json(rebuilt)) == text
+
+    prop()
 
 
 def test_json_validation_errors():

@@ -215,6 +215,30 @@ def test_skipped_elimination_comparison_builds_nothing(monkeypatch):
     assert calls == {"_graph_inverse": 1, "balance_vector": 1, "_local_entries": 1}
 
 
+def test_verify_graph_builds_the_clearing_poly_and_balance_constant_once(monkeypatch):
+    calls = {"clearing_poly": 0, "balance_constant": 0}
+
+    def counting(name):
+        real = getattr(closedform, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        # verify_graph holds its own references to the closed-form functions
+        wrapper = counting(name)
+        monkeypatch.setattr(closedform, name, wrapper)
+        monkeypatch.setattr(oracle, name, wrapper)
+    for specs in ([BlockSpec(2, 2), BlockSpec(1, 3, graph_attach(1))], random_biblock(5, 4, 3)):
+        report = verify_graph(specs, "g")
+        assert report.passed and "inverse_product" in [c.name for c in report.checks]
+        assert calls == {"clearing_poly": 1, "balance_constant": 1}, specs
+        calls.update(clearing_poly=0, balance_constant=0)
+
+
 def graph_attach(v, side="X"):
     from qbiblock.graph import Attachment
 

@@ -5,11 +5,14 @@ import pytest
 from qbiblock.exactring import ONE, Q, ZERO, q_integer
 from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock
 from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss
+from qbiblock.oracle import default_corpus
 from qbiblock.qdist import (
     bfs_parents,
     cofactor_matrix,
+    cofactor_rows,
     parent_differenced,
     q_distance_matrix,
+    q_distance_rows,
     q_matrix_from_distances,
 )
 
@@ -96,8 +99,27 @@ def test_errors():
         cofactor_matrix(m, d, route="sideways")
 
 
-def one_norm(e) -> int:
-    return sum(map(abs, e.integer_coeffs()))
+def one_norm(e: list[int]) -> int:
+    return sum(map(abs, e))
+
+
+def int_rows(m: RingMatrix) -> list[list[list[int]]]:
+    return [[e.integer_coeffs() for e in row] for row in m.rows]
+
+
+def test_integer_rows_equal_the_ring_matrices_on_the_corpus():
+    # the oracles' integer lists against the Polynomial constructions, both
+    # cofactor routes
+    corpus = default_corpus(7)
+    assert len(corpus) == 172
+    for name, specs in corpus:
+        g = build(specs)
+        dist = distances(g)
+        qmat = q_distance_matrix(g)
+        assert q_distance_rows(dist) == int_rows(qmat), name
+        cof = cofactor_rows(dist)
+        assert cof == int_rows(cofactor_matrix(qmat, dist, route="direct")), name
+        assert cof == int_rows(cofactor_matrix(qmat, dist, route="rowcol")), name
 
 
 def test_bfs_parents_are_neighbours_one_step_closer_to_vertex_0():
@@ -110,31 +132,31 @@ def test_bfs_parents_are_neighbours_one_step_closer_to_vertex_0():
 
 
 def test_parent_differenced_subtracts_each_parent_row_and_leaves_small_entries():
+    # expected rows come from Polynomial subtraction on the ring matrices
     for seed in range(8):
         g = build(random_biblock(seed, 6, 3))
         dist = distances(g)
         parents = bfs_parents(dist)
         qmat = q_distance_matrix(g)
-        diffed = parent_differenced(qmat, dist)
-        assert diffed.rows[0] == qmat.rows[0]
+        diffed = parent_differenced(q_distance_rows(dist), dist)
+        assert diffed[0] == int_rows(qmat)[0]
         for i in range(1, g.n):
             expected = [a - b for a, b in zip(qmat.rows[i], qmat.rows[parents[i]])]
-            assert list(diffed.rows[i]) == expected
+            assert diffed[i] == [e.integer_coeffs() for e in expected]
             # 0 or +-q^m
-            assert all(one_norm(e) <= 1 for e in diffed.rows[i])
+            assert all(one_norm(e) <= 1 for e in diffed[i])
         # the cofactor matrix drops vertex 0, so rows whose parent is 0 stay
         cof = cofactor_matrix(qmat, dist)
-        cof_diffed = parent_differenced(cof, dist)
+        cof_diffed = parent_differenced(cofactor_rows(dist), dist)
         for i in range(1, g.n):
             p = parents[i]
             row = cof.rows[i - 1]
-            expected = row if p == 0 else tuple(a - b for a, b in zip(row, cof.rows[p - 1]))
-            assert cof_diffed.rows[i - 1] == expected
-            assert all(one_norm(e) <= 2 for e in cof_diffed.rows[i - 1])
+            expected = row if p == 0 else [a - b for a, b in zip(row, cof.rows[p - 1])]
+            assert cof_diffed[i - 1] == [e.integer_coeffs() for e in expected]
+            assert all(one_norm(e) <= 2 for e in cof_diffed[i - 1])
 
 
 def test_parent_differenced_rejects_mismatched_sizes():
-    g = build(path_tree(4))
-    qmat = q_distance_matrix(g)
+    dist = distances(build(path_tree(4)))
     with pytest.raises(DimensionError):
-        parent_differenced(qmat, distances(build(path_tree(6))))
+        parent_differenced(q_distance_rows(dist), distances(build(path_tree(6))))
