@@ -2,10 +2,11 @@
 
 A polynomial is an ascending list of ints with a nonzero last entry; the zero
 polynomial is the empty list.  The verification harness uses these raw lists
-for its vector checks, where ring-object overhead would dominate, and to clear
-denominators; the closed forms use them to assemble the inverse, and the ring
-types for gcds.  Matrix-sized products live in _moddet.  All routines are
-exact; inexact divisions raise instead of truncating.
+for its vector checks, where ring-object overhead would dominate; the closed
+forms use them to clear denominators and to assemble the inverse
+(closedform.ClearedForms), and the ring types for gcds.  Matrix-sized products
+live in _moddet.  All routines are exact; inexact divisions raise instead of
+truncating.
 """
 
 from __future__ import annotations

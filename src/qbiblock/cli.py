@@ -72,10 +72,14 @@ def _load_specs(path: str):
                 raw = handle.read()
     except OSError as exc:
         raise _InputError(f"cannot read graph file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise _InputError(f"{path}: JSON nested too deeply") from None
     try:
         return specs_from_json(obj)
     except GraphError as exc:
@@ -254,9 +258,8 @@ def cmd_verify(args) -> int:
     if args.corpus == ["default"] or not args.corpus:
         corpus = default_corpus(args.seed)
     else:
-        corpus = []
-        for path in args.corpus:
-            corpus.append((path, _load_specs(path)))
+        # each file is built here, so a graph that parses but does not build exits 2
+        corpus = [(path, _build_graph(path).specs) for path in args.corpus]
 
     results = verify_corpus(corpus, args.jobs)
 

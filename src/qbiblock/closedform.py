@@ -14,6 +14,12 @@ the negated local matrix plus a rank-one balance correction:
     inverse = -local_matrix + outer(x, x) / balance_constant
 
 where x is the balance vector (the matrix maps it to a constant column).
+ClearedForms is the one place where these forms are cleared over the
+structural denominator delta = clearing_poly(g): x, the balance constant and
+the local matrix become integer lists over delta, and the inverse integer
+numerators over delta * Lambda, Lambda being the cleared balance constant.
+graph_inverse canonicalises those numerators; the verification harness
+checks them as they are.
 
 Sign convention: the reduced cofactor of K_{s,t} carries the global sign
 (-1)^(s+t).  Direct evaluation of the 1x1 case K_{1,1} (whose cofactor matrix
@@ -306,38 +312,71 @@ def _inverse_rows(g: BiBlockGraph, x: list, local: dict, entry) -> list[list]:
     return rows
 
 
+class ClearedForms:
+    """The closed forms of one graph as integer coefficient lists, cleared
+    over delta = clearing_poly(g).
+
+    lam is Lambda = delta * balance_constant(g), x the balance vector times
+    delta, local the rows of local_matrix(g) times delta, and inverse the
+    numerators N = X_a X_b - L_ab Lambda of graph_inverse(g) over
+    inverse_den = delta * Lambda.  x, lam and the local entries are built as
+    RationalFunctions and then cleared, so the lists are those of the printed
+    values.  Each distinct value is cleared once and its list shared; local
+    and inverse are built on first use.
+    """
+
+    def __init__(self, g: BiBlockGraph):
+        self._g = g
+        self.delta = delta = clearing_poly(g).integer_coeffs()
+        self._clear = functools.cache(lambda value: _fastpoly.cleared(value, delta))
+        self.lam = self._clear(balance_constant(g))
+        self.inverse_den = _fastpoly.pmul(delta, self.lam)
+        self._x = balance_vector(g)
+        self.x = [self._clear(e) for e in self._x]
+
+    @functools.cached_property
+    def _local(self) -> dict[tuple[int, int], RationalFunction]:
+        return _local_entries(self._g)
+
+    @functools.cached_property
+    def local(self) -> list[list[list[int]]]:
+        n = self._g.n
+        cleared = {key: self._clear(value) for key, value in self._local.items()}
+        return [[cleared.get((i, j), []) for j in range(n)] for i in range(n)]
+
+    @functools.cached_property
+    def inverse(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(numerators, index): entry (i, j) of graph_inverse(g) is
+        numerators[index[i][j]] / inverse_den, one numerator per distinct
+        key of _inverse_rows."""
+        numerators: list[list[int]] = []
+
+        def entry(xa: RationalFunction, xb: RationalFunction, loc: RationalFunction | None):
+            num = _fastpoly.pmul(self._clear(xa), self._clear(xb))
+            if loc is not None:
+                num = _fastpoly.psub(num, _fastpoly.pmul(self._clear(loc), self.lam))
+            numerators.append(num)
+            return len(numerators) - 1
+
+        return numerators, _inverse_rows(self._g, self._x, self._local, entry)
+
+
 def graph_inverse(g: BiBlockGraph) -> RingMatrix:
     """Inverse of the q-distance matrix: negated local matrix plus the
     rank-one balance correction outer(x, x) / balance_constant.
 
     Entries are assembled over the structural common denominator
-    clearing_poly(g) * (cleared balance constant), which keeps all
-    intermediate arithmetic on integer coefficients; each distinct entry is
-    built and canonicalised once.
+    clearing_poly(g) * (cleared balance constant) by ClearedForms, which keeps
+    all intermediate arithmetic on integer coefficients; each distinct entry
+    is canonicalised once and shared.
     """
-    delta_int = clearing_poly(g).integer_coeffs()
-    lam_int = _fastpoly.cleared(balance_constant(g), delta_int)
-    return _graph_inverse(g, balance_vector(g), _local_entries(g), delta_int, lam_int)
-
-
-def _graph_inverse(
-    g: BiBlockGraph, x: list, local: dict, delta_int: list[int], lam_int: list[int]
-) -> RingMatrix:
-    """graph_inverse(g) from its balance vector x, _local_entries(g), the
-    coefficients delta_int of clearing_poly(g) and the balance constant
-    cleared by it, lam_int, for callers that already hold all four."""
-    if not lam_int:
+    forms = ClearedForms(g)
+    if not forms.lam:
         raise ArithmeticError("balance constant is identically zero; inverse form undefined")
-    den = Polynomial(_fastpoly.pmul(delta_int, lam_int))
-    cleared = functools.cache(lambda value: _fastpoly.cleared(value, delta_int))
-
-    def entry(xa: RationalFunction, xb: RationalFunction, loc: RationalFunction | None):
-        num = _fastpoly.pmul(cleared(xa), cleared(xb))
-        if loc is not None:
-            num = _fastpoly.psub(num, _fastpoly.pmul(cleared(loc), lam_int))
-        return RationalFunction(Polynomial(num), den)
-
-    return RingMatrix(_inverse_rows(g, x, local, entry))
+    numerators, index = forms.inverse
+    den = Polynomial(forms.inverse_den)
+    entries = [RationalFunction(Polynomial(num), den) for num in numerators]
+    return RingMatrix([[entries[k] for k in row] for row in index])
 
 
 def inverse_at(g: BiBlockGraph, q0: Rational) -> list[list[Rational]]:

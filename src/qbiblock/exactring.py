@@ -98,13 +98,7 @@ class Polynomial:
         other = Polynomial._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return Polynomial(_fastpoly.padd(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -124,16 +118,7 @@ class Polynomial:
         other = Polynomial._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Polynomial(out)
+        return Polynomial(_fastpoly.pmul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -152,9 +137,6 @@ class Polynomial:
 
     def __truediv__(self, other) -> "RationalFunction":
         return RationalFunction(self, other)
-
-    def scale(self, factor: Rational) -> "Polynomial":
-        return Polynomial(tuple(c * factor for c in self.coeffs))
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """Exact quotient self / other; raises if the division is not exact."""
@@ -198,14 +180,6 @@ class Polynomial:
             _fastpoly.int_pair(self.coeffs)[0], _fastpoly.int_pair(other.coeffs)[0]
         )
         return Polynomial(g)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lc = self.lead
-        if lc == 1:
-            return self
-        return self.scale(Fraction(1) / lc)
 
     def eval_at(self, q0: Rational) -> Rational:
         """Exact Horner evaluation at a rational point."""

@@ -12,9 +12,12 @@ identities are verified over a cleared structural common denominator
 (q+1) * prod(distinct cofactor cores), which turns every rational-function
 identity into an equivalent integer-polynomial identity; the straight
 rational-function route is exercised on small graphs by the test suite.  The
-matrix products and the elimination inverse of those checks run on
-Kronecker-packed integers (_moddet.matmul, _moddet.adjugate), and each
-distinct entry object of the local matrix and of the inverse is cleared once.
+cleared integer forms come from closedform.ClearedForms, the one place that
+clears them: the balance vector, the balance constant, the local matrix and
+the numerators of the inverse over its denominator.  The matrix products and
+the elimination inverse of those checks run on Kronecker-packed integers
+(_moddet.matmul, _moddet.adjugate); the elimination comparison checks
+numerator * det == denominator * adjugate entry by entry.
 
 verify_corpus fans the graphs out over a process pool when asked for more
 than one job; reports come back in corpus order with per-graph wall times.
@@ -30,16 +33,7 @@ import time
 from dataclasses import dataclass
 
 from . import _fastpoly, _moddet
-from .closedform import (
-    _dense,
-    _graph_inverse,
-    _local_entries,
-    balance_constant,
-    balance_vector,
-    clearing_poly,
-    graph_cofactor,
-    graph_det,
-)
+from .closedform import ClearedForms, graph_cofactor, graph_det
 from .exactring import Polynomial
 from .graph import (
     Attachment,
@@ -149,18 +143,6 @@ def _first_mismatch(rows: list[list[list[int]]], expected) -> str | None:
     return next(filter(None, cells), None)
 
 
-def _per_entry_object(matrix: RingMatrix, fn) -> list[list]:
-    """fn of every entry, once per distinct entry object: the closed forms share
-    one object among equal entries.  The memo keeps each object alive, so no
-    id is reused while it lives."""
-    memo: dict[int, tuple] = {}
-    for row in matrix.rows:
-        for e in row:
-            if id(e) not in memo:
-                memo[id(e)] = (e, fn(e))
-    return [[memo[id(e)][1] for e in row] for row in matrix.rows]
-
-
 def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
     """Run the identity checks on one graph; failures carry a first-mismatch witness.
 
@@ -199,35 +181,28 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
             None if closed_cof == ocof else _witness_pair("cofactor", closed_cof, ocof),
         )
 
-    # the balance vector, the balance constant and the structural common
-    # denominator of the rational-function identities, built once for the
-    # checks below and for the inverse; so are the local entries
-    inverse_wanted = wanted & {"inverse_product", "inverse_vs_elimination"}
+    # the cleared closed forms shared by every check below; the local entries
+    # and the inverse numerators are built only when a check reads them
     if wanted - {"det_vs_oracle", "cofactor_vs_oracle"}:
-        x = balance_vector(g)
-        delta_int = clearing_poly(g).integer_coeffs()
-        lam_scaled = _fastpoly.cleared(balance_constant(g), delta_int)
-        x_scaled = [_fastpoly.cleared(e, delta_int) for e in x]
-        x_column = [[e] for e in x_scaled]
-    if inverse_wanted or "local_matrix_product" in wanted:
-        local = _local_entries(g)
+        forms = ClearedForms(g)
+        x_column = [[e] for e in forms.x]
 
     if "balance_constant_nonzero" in wanted:
         record(
             "balance_constant_nonzero",
-            None if lam_scaled else f"balance constant is zero for {name}",
+            None if forms.lam else f"balance constant is zero for {name}",
         )
 
     if "matrix_times_balance_is_constant" in wanted:
         rows = _moddet.matmul(d_int, x_column)
-        cells = (_mismatch(f"row {i}", r, lam_scaled) for i, (r,) in enumerate(rows))
+        cells = (_mismatch(f"row {i}", r, forms.lam) for i, (r,) in enumerate(rows))
         record("matrix_times_balance_is_constant", next(filter(None, cells), None))
 
     if "balance_vector_sum" in wanted:
         total: list[int] = []
-        for e in x_scaled:
+        for e in forms.x:
             total = _fastpoly.padd(total, e)
-        expected = _fastpoly.psub(delta_int, _fastpoly.pmul([-1, 1], lam_scaled))
+        expected = _fastpoly.psub(forms.delta, _fastpoly.pmul([-1, 1], forms.lam))
         record("balance_vector_sum", _mismatch("sum", total, expected))
 
     if wanted & {"anchor_weighted_sum", "anchor_affine_sum"}:
@@ -240,28 +215,27 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
         ]
         (weighted,), (affine,) = _moddet.matmul(weights, x_column)
         if "anchor_weighted_sum" in wanted:
-            expected = _fastpoly.pmul([1, 1], delta_int)
+            expected = _fastpoly.pmul([1, 1], forms.delta)
             record("anchor_weighted_sum", _mismatch("anchor sum", weighted, expected))
         if "anchor_affine_sum" in wanted:
-            record("anchor_affine_sum", _mismatch("anchor sum", affine, delta_int))
+            record("anchor_affine_sum", _mismatch("anchor sum", affine, forms.delta))
 
     if "local_matrix_product" in wanted:
-        loc_scaled = _per_entry_object(_dense(local, n), lambda e: _fastpoly.cleared(e, delta_int))
-        product = _moddet.matmul(d_int, loc_scaled)
+        product = _moddet.matmul(d_int, forms.local)
         for i in range(n):
-            product[i][i] = _fastpoly.padd(product[i][i], delta_int)
-        record("local_matrix_product", _first_mismatch(product, lambda i, j: x_scaled[j]))
+            product[i][i] = _fastpoly.padd(product[i][i], forms.delta)
+        record("local_matrix_product", _first_mismatch(product, lambda i, j: forms.x[j]))
 
-    if inverse_wanted:
-        inverse = _graph_inverse(g, x, local, delta_int, lam_scaled)
+    if wanted & {"inverse_product", "inverse_vs_elimination"}:
+        # entry (i, j) of the inverse is inverse[i][j] / forms.inverse_den
+        numerators, index = forms.inverse
+        inverse = [[numerators[k] for k in row] for row in index]
 
     if "inverse_product" in wanted:
-        delta2_int = _fastpoly.pmul(delta_int, lam_scaled)
-        inv_scaled = _per_entry_object(inverse, lambda e: _fastpoly.cleared(e, delta2_int))
-        product = _moddet.matmul(d_int, inv_scaled)
+        product = _moddet.matmul(d_int, inverse)
         record(
             "inverse_product",
-            _first_mismatch(product, lambda i, j: delta2_int if i == j else []),
+            _first_mismatch(product, lambda i, j: forms.inverse_den if i == j else []),
         )
 
     if "inverse_vs_elimination" in wanted:
@@ -270,23 +244,11 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
         except _moddet.SingularError as exc:
             witness = f"elimination failed: {exc}"
         else:
-            pairs = _per_entry_object(
-                inverse,
-                lambda e: (_fastpoly.int_pair(e.num.coeffs), _fastpoly.int_pair(e.den.coeffs)),
+            # inverse / inverse_den == adj / det, cross-multiplied
+            witness = _first_mismatch(
+                [[_fastpoly.pmul(e, elim_det) for e in row] for row in inverse],
+                lambda i, j: _fastpoly.pmul(forms.inverse_den, elim_adj[i][j]),
             )
-
-            def differs(i: int, j: int) -> str | None:
-                # (wnum / wa) / (wden / wb) == adj / det, cross-multiplied
-                (wnum, wa), (wden, wb) = pairs[i][j]
-                lhs = _fastpoly.pscale(_fastpoly.pmul(wnum, elim_det), wb)
-                rhs = _fastpoly.pscale(_fastpoly.pmul(wden, elim_adj[i][j]), wa)
-                if lhs == rhs:
-                    return None
-                adj_entry = f"({Polynomial(elim_adj[i][j])})/({Polynomial(elim_det)})"
-                return _witness_pair(f"entry ({i},{j})", inverse[i, j], adj_entry)
-
-            cells = (differs(i, j) for i in range(n) for j in range(n))
-            witness = next(filter(None, cells), None)
         record("inverse_vs_elimination", witness)
 
     return VerificationReport(name, tuple(specs), n, tuple(checks))

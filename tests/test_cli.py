@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 import subprocess
@@ -175,6 +176,13 @@ def test_input_errors(capsys, tmp_path, k11):
     for jobs in ("0", "-3"):
         code, out, err = run_cli(capsys, "verify", "--jobs", jobs)
         assert code == 2 and out == "" and err.startswith("error:"), (jobs, out, err)
+    # bytes that are not UTF-8, and JSON nested past the interpreter's recursion limit
+    for hostile in (b'{"blocks": [{"m": 1, "n": 1}], "name": "\xff"}', b"[" * 100000):
+        schema_bad.write_bytes(hostile)
+        for argv in (("det", str(schema_bad)), ("verify", "--corpus", str(schema_bad))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("error:"), (argv, out, err)
+            assert err.count("\n") == 1 and "schema.json" in err, err
 
 
 def test_gen_tree(capsys):
@@ -335,6 +343,29 @@ def test_verify_bad_corpus_file_names_the_file(capsys, tmp_path, k11):
     code, _, err = run_cli(capsys, "verify", "--corpus", k11, str(bad))
     assert code == 2
     assert "broken.json" in err
+
+
+def test_verify_corpus_file_that_parses_but_does_not_build_exits_2(capsys, tmp_path, k11):
+    for name, blocks in (
+        ("unknown_vertex.json", [{"m": 1, "n": 1}, {"m": 1, "n": 2, "attach": {"vertex": 9, "side": "X"}}]),
+        ("empty_part.json", [{"m": 0, "n": 2}]),
+        ("attached_first.json", [{"m": 1, "n": 1, "attach": {"vertex": 0, "side": "X"}}]),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps({"blocks": blocks}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--corpus", k11, str(path))
+        assert code == 2 and out == "" and err.startswith("error:") and name in err, (name, err)
+
+
+# sha256 of the stdout of `verify --seed 7 --json`: the default corpus's report
+# stream, which every change to the closed forms or the checks must keep
+VERIFY_SEED_7_SHA256 = "551f0318729233e5cfa790edd198bc19bffdf9f8aaecaf39f3decd49f3cedd6c"
+
+
+def test_verify_seed_7_json_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--seed", "7", "--json", "--jobs", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_SEED_7_SHA256
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch, k11):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qbiblock import _fastpoly
+from qbiblock import _fastpoly, _moddet
 from qbiblock.closedform import (
     _local_entries,
     balance_constant,
@@ -48,7 +48,7 @@ from qbiblock.graph import (
 )
 from qbiblock.matrix import RingMatrix, det_bareiss, inverse_gauss, rf_matrix
 from qbiblock.oracle import default_corpus
-from qbiblock.qdist import q_distance_matrix
+from qbiblock.qdist import q_distance_matrix, q_distance_rows
 
 QP1 = Q + 1
 
@@ -230,6 +230,24 @@ def test_graph_inverse_product_identity_on_a_three_block_graph():
     d = rf_matrix(q_distance_matrix(g))
     eye = RingMatrix.identity(g.n, RF_ZERO, RF_ONE)
     assert d @ graph_inverse(g) == eye
+
+
+def test_graph_inverse_matches_the_elimination_adjugate_on_small_corpus_graphs():
+    # verify compares the inverse's numerators with the adjugate; this compares
+    # the canonical entries that `inverse` prints
+    checked = 0
+    for _, specs in default_corpus(7):
+        g = build(specs)
+        if g.n > 10:
+            continue
+        det, adj = _moddet.adjugate(q_distance_rows(distances(g)))
+        inverse = graph_inverse(g)
+        for i in range(g.n):
+            for j in range(g.n):
+                expected = RationalFunction(Polynomial(adj[i][j]), Polynomial(det))
+                assert inverse[i, j] == expected, (specs, i, j)
+        checked += 1
+    assert checked == 113
 
 
 # -- structured assembly: sparse local matrix, evaluate-first inverse ---------

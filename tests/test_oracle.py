@@ -7,7 +7,7 @@ import pytest
 
 from qbiblock import closedform, oracle
 from qbiblock.closedform import block_cofactor
-from qbiblock.exactring import Polynomial, Q
+from qbiblock.exactring import RF_ZERO, Polynomial, Q
 from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock, star_tree
 from qbiblock.matrix import _det_bareiss_generic, rf_matrix
 from qbiblock.oracle import (
@@ -191,11 +191,11 @@ def test_elimination_comparison_runs_only_on_small_graphs():
     assert big.passed
 
 
-def test_skipped_elimination_comparison_builds_nothing(monkeypatch):
-    calls = {"_graph_inverse": 0, "balance_vector": 0, "_local_entries": 0}
+def counting_wrappers(monkeypatch, calls: dict[str, int], module) -> None:
+    """Replace each module.name in calls by a wrapper that counts its calls."""
 
     def counting(name):
-        real = getattr(oracle, name)
+        real = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -204,39 +204,41 @@ def test_skipped_elimination_comparison_builds_nothing(monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(oracle, name, counting(name))
+        monkeypatch.setattr(module, name, counting(name))
+
+
+def test_skipped_elimination_comparison_builds_nothing(monkeypatch):
+    calls = {"ClearedForms": 0}
+    counting_wrappers(monkeypatch, calls, oracle)
+    built = {"balance_vector": 0, "_local_entries": 0}
+    counting_wrappers(monkeypatch, built, closedform)
     specs = random_biblock(5, 4, 3)
     assert build(specs).n == 12 > oracle._ELIMINATION_COMPARE_MAX
     report = verify_graph(specs, "n12", select=["inverse_vs_elimination"])
     assert report.checks == ()
-    assert calls == {"_graph_inverse": 0, "balance_vector": 0, "_local_entries": 0}
+    assert calls == {"ClearedForms": 0} and built == {"balance_vector": 0, "_local_entries": 0}
     report = verify_graph(specs, "n12", select=["inverse_product", "inverse_vs_elimination"])
     assert [c.name for c in report.checks] == ["inverse_product"] and report.passed
-    assert calls == {"_graph_inverse": 1, "balance_vector": 1, "_local_entries": 1}
+    assert calls == {"ClearedForms": 1} and built == {"balance_vector": 1, "_local_entries": 1}
 
 
 def test_verify_graph_builds_the_clearing_poly_and_balance_constant_once(monkeypatch):
     calls = {"clearing_poly": 0, "balance_constant": 0}
-
-    def counting(name):
-        real = getattr(closedform, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
-
-    for name in calls:
-        # verify_graph holds its own references to the closed-form functions
-        wrapper = counting(name)
-        monkeypatch.setattr(closedform, name, wrapper)
-        monkeypatch.setattr(oracle, name, wrapper)
+    counting_wrappers(monkeypatch, calls, closedform)
     for specs in ([BlockSpec(2, 2), BlockSpec(1, 3, graph_attach(1))], random_biblock(5, 4, 3)):
         report = verify_graph(specs, "g")
         assert report.passed and "inverse_product" in [c.name for c in report.checks]
         assert calls == {"clearing_poly": 1, "balance_constant": 1}, specs
         calls.update(clearing_poly=0, balance_constant=0)
+
+
+def test_zero_balance_constant_fails_a_check_and_refuses_only_the_inverse(monkeypatch):
+    monkeypatch.setattr(closedform, "balance_constant", lambda g: RF_ZERO)
+    report = verify_graph([BlockSpec(2, 2)], "zero")
+    failed = {c.name for c in report.checks if not c.passed}
+    assert {"balance_constant_nonzero", "inverse_product"} <= failed
+    with pytest.raises(ArithmeticError):
+        closedform.graph_inverse(build([BlockSpec(2, 2)]))
 
 
 def graph_attach(v, side="X"):
