@@ -3,10 +3,9 @@
 A polynomial is an ascending list of ints with a nonzero last entry; the zero
 polynomial is the empty list.  The verification harness uses these raw lists
 for its vector checks, where ring-object overhead would dominate; the closed
-forms use them to clear denominators and to assemble the inverse
-(closedform.ClearedForms), and the ring types for gcds.  Matrix-sized products
-live in _moddet.  All routines are exact; inexact divisions raise instead of
-truncating.
+forms are built on them (closedform.ClearedForms), and the ring types use
+them for gcds.  Matrix-sized products live in _moddet.  All routines are
+exact; inexact divisions raise instead of truncating.
 """
 
 from __future__ import annotations
@@ -153,7 +152,8 @@ def int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def cleared(rf, scale: list[int]) -> list[int]:
-    """Integer coefficients of rf * scale, when that product is integral.
+    """Integer coefficients of rf * scale, when that product is integral; the
+    tests clear rational functions with it.
 
     rf is a rational function num/den whose coefficients are ints or
     Fractions; scale is an integer list that den divides over the rationals.

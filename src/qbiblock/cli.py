@@ -16,11 +16,13 @@ gen
 Exit codes: 0 success, 1 verification failure, 2 input error, 3
 evaluation-domain error (q = -1, a refused condition violation, or a pole).
 Rational literals are integers or fractions like 3/2; no decimal floats.
+Integer literals in graph files and in --at have at most MAX_DIGITS digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,6 +56,10 @@ EXIT_DOMAIN = 3
 
 SCHEMA_VERSION = 1
 
+# Longest integer literal accepted in a graph file or in --at: CPython's
+# default int/str conversion limit, which main lifts for the exact output.
+MAX_DIGITS = 4300
+
 
 class _InputError(Exception):
     pass
@@ -74,8 +80,15 @@ def _load_specs(path: str):
         raise _InputError(f"cannot read graph file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path}: not UTF-8 text: {exc}") from exc
+
+    def bounded_int(literal: str) -> int:
+        digits = len(literal.lstrip("-"))
+        if digits > MAX_DIGITS:
+            raise _InputError(f"{path}: an integer literal of {digits} digits; at most {MAX_DIGITS}")
+        return int(literal)
+
     try:
-        obj = json.loads(raw)
+        obj = json.loads(raw, parse_int=bounded_int)
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError:
@@ -94,6 +107,8 @@ def _build_graph(path: str):
 
 
 def _parse_at(text: str):
+    if any(len(part.strip().lstrip("+-")) > MAX_DIGITS for part in text.split("/")):
+        raise _InputError(f"--at accepts at most {MAX_DIGITS} digits above and below the bar")
     try:
         q0 = parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -317,25 +332,25 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _add_formula_parser(sub, name: str, handler, help_text: str):
+def _add_formula_parser(sub, name: str, help_text: str):
     parser = sub.add_parser(name, help=help_text)
     parser.add_argument("graph", help="graph JSON file, or - for stdin")
     parser.add_argument("--at", metavar="RATIONAL", help="evaluate exactly at q = p or p/q")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.set_defaults(handler=handler)
 
 
-def _make_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbiblock",
         description="Exact q-distance matrices of bi-block graphs: closed forms and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_formula_parser(sub, "det", cmd_det, "determinant of the q-distance matrix")
-    _add_formula_parser(sub, "xi", cmd_xi, "reduced cofactor of the q-distance matrix")
-    _add_formula_parser(sub, "lambda", cmd_lambda, "the balance constant")
-    _add_formula_parser(sub, "vectors", cmd_vectors, "the balance and diagonal-weight vectors")
-    _add_formula_parser(sub, "inverse", cmd_inverse, "inverse of the q-distance matrix")
+    _add_formula_parser(sub, "det", "determinant of the q-distance matrix")
+    _add_formula_parser(sub, "xi", "reduced cofactor of the q-distance matrix")
+    _add_formula_parser(sub, "lambda", "the balance constant")
+    _add_formula_parser(sub, "vectors", "the balance and diagonal-weight vectors")
+    _add_formula_parser(sub, "inverse", "inverse of the q-distance matrix")
 
     verify = sub.add_parser("verify", help="run the identity checks over a corpus")
     verify.add_argument(
@@ -349,7 +364,6 @@ def _make_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--jobs", type=int, default=1, help="worker processes (report order is fixed)"
     )
-    verify.set_defaults(handler=cmd_verify)
 
     gen = sub.add_parser("gen", help="emit a graph JSON to stdout")
     gen.add_argument("--kind", choices=("tree", "random"), required=True)
@@ -357,15 +371,19 @@ def _make_parser() -> argparse.ArgumentParser:
     gen.add_argument("--blocks", type=int, help="random: maximum block count")
     gen.add_argument("--part-max", dest="part_max", type=int, help="random: maximum part size")
     gen.add_argument("--seed", type=int, default=0, help="random: generator seed")
-    gen.set_defaults(handler=cmd_gen)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # exact values may run to many thousands of digits; the inputs stay
+    # capped at MAX_DIGITS where they are parsed
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        # looked up when called, so that a handler replaced on this module runs
+        return globals()[f"cmd_{args.command}"](args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -375,6 +393,9 @@ def main(argv=None) -> int:
     except PoleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -14,12 +14,11 @@ the negated local matrix plus a rank-one balance correction:
     inverse = -local_matrix + outer(x, x) / balance_constant
 
 where x is the balance vector (the matrix maps it to a constant column).
-ClearedForms is the one place where these forms are cleared over the
-structural denominator delta = clearing_poly(g): x, the balance constant and
-the local matrix become integer lists over delta, and the inverse integer
-numerators over delta * Lambda, Lambda being the cleared balance constant.
-graph_inverse canonicalises those numerators; the verification harness
-checks them as they are.
+Each of x, the balance constant and the local matrix sums per-block terms
+over cofactor cores.  ClearedForms builds them, and the inverse numerators,
+as integer lists over the structural denominator delta = clearing_poly(g);
+the public functions wrap each distinct list in one RationalFunction, and
+the verification harness checks the lists as they are.
 
 Sign convention: the reduced cofactor of K_{s,t} carries the global sign
 (-1)^(s+t).  Direct evaluation of the 1x1 case K_{1,1} (whose cofactor matrix
@@ -135,17 +134,46 @@ def graph_det(g: BiBlockGraph) -> Polynomial:
 # -- vectors and matrices ----------------------------------------------------
 
 
-def _membership_sums(g: BiBlockGraph, term) -> list[RationalFunction]:
-    """Entry at v: 1 - (block degree of v) plus term(own, opposite) for each
-    block containing v, own and opposite being the part sizes on v's side and
-    on the other side.  The entry depends only on v's signature, the sorted
-    tuple of those pairs, so it is built once per signature and the one object
-    is shared by every vertex with that signature."""
+def _core_quotients(shapes: Counter) -> tuple[list[int], dict[int, list[int]]]:
+    """(P, R): P the product of the distinct cores a q^2 - 1 with
+    a = (m-1)(n-1) != 0 among the shapes, and R[a] = P / core_a for each of
+    them, R[0] = -P (the core of a = 0 is -1)."""
+    distinct = {(m - 1) * (n - 1) for m, n in shapes} - {0}
+    product = [1]
+    for a in distinct:
+        product = _fastpoly.pmul(product, [-1, 0, a])
+    quotients = {a: _fastpoly.pdiv_exact(product, [-1, 0, a]) for a in distinct}
+    quotients[0] = _fastpoly.pscale(product, -1)
+    return product, quotients
+
+
+def _cleared_lambda(shapes: Counter, quotients: dict[int, list[int]]) -> list[int]:
+    """Lambda = delta * balance_constant: the sum over shapes T with c_T
+    blocks of c_T det_core_T R_{a_T}, det_core = a (q+1)^2 - m n."""
+    total: list[int] = []
+    for (m, n), count in shapes.items():
+        a = (m - 1) * (n - 1)
+        core = [count * (a - m * n), count * 2 * a, count * a]
+        total = _fastpoly.padd(total, _fastpoly.pmul(core, quotients[a]))
+    return total
+
+
+def _cleared_sums(g: BiBlockGraph, base: list[int], quotients, factor) -> list[list[int]]:
+    """Entry at v: (1 - block degree of v) * base plus factor(opp) * R_a for
+    each block containing v, own and opp being the part sizes on v's side and
+    on the other side and a = (own-1)(opp-1).  The entry depends only on v's
+    signature, the sorted tuple of those pairs, so it is built once per
+    signature and the one list is shared by every vertex with that signature."""
     sizes = [{"X": (b.m, b.n), "Y": (b.n, b.m)} for b in g.blocks]
-    term = functools.cache(term)
-    entry = functools.cache(
-        lambda sig: sum((term(*pair) for pair in sig), RationalFunction(1 - len(sig)))
-    )
+
+    @functools.cache
+    def entry(sig):
+        total = _fastpoly.pscale(base, 1 - len(sig))
+        for own, opp in sig:
+            term = _fastpoly.pmul(factor(opp), quotients[(own - 1) * (opp - 1)])
+            total = _fastpoly.padd(total, term)
+        return total
+
     return [
         entry(tuple(sorted(sizes[index][side] for index, side in members)))
         for members in g.membership
@@ -157,22 +185,22 @@ def balance_vector(g: BiBlockGraph) -> list[RationalFunction]:
 
     Entry at v sums, over the blocks containing v, the side-dependent weight
     (q * (opposite - 1) - 1) / ((q+1) * cofactor_core), then subtracts
-    (block degree - 1).
+    (block degree - 1).  Vertices with the same block signature share one
+    entry object.
     """
-    return _membership_sums(
-        g, lambda own, opp: RationalFunction(Q * (opp - 1) - 1, _QP1 * cofactor_core(own, opp))
-    )
+    forms = ClearedForms(g)
+    return _shared_rfs(forms.x, forms.delta)
 
 
 def diagonal_weight_vector(g: BiBlockGraph) -> list[RationalFunction]:
     """The vector y used on the diagonal of the local matrix.
 
     Entry at v sums (opposite - 1) / cofactor_core over the blocks containing
-    v, then subtracts (block degree - 1).
+    v, then subtracts (block degree - 1).  Vertices with the same block
+    signature share one entry object.
     """
-    return _membership_sums(
-        g, lambda own, opp: RationalFunction(Polynomial((opp - 1,)), cofactor_core(own, opp))
-    )
+    forms = ClearedForms(g)
+    return _shared_rfs(forms.y, forms.product)
 
 
 def _block_weights(m: int, n: int) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
@@ -219,58 +247,58 @@ def balance_constant(g: BiBlockGraph) -> RationalFunction:
     """The constant value of q_distance_matrix(g) @ balance_vector(g); additive over
     blocks as det_core / ((q+1) * cofactor_core), so one term c_T det_core_T /
     ((q+1) core_T) per block shape T with c_T blocks."""
-    acc = RF_ZERO
-    for (m, n), count in _shapes(g).items():
-        acc = acc + RationalFunction(det_core(m, n) * count, _QP1 * cofactor_core(m, n))
-    return acc
+    forms = ClearedForms(g)
+    return RationalFunction(Polynomial(forms.lam), Polynomial(forms.delta))
 
 
-def _local_entries(g: BiBlockGraph) -> dict[tuple[int, int], RationalFunction]:
-    """The nonzero entries of local_matrix(g), keyed by (row, column).
-
-    Off the diagonal only pairs inside a common block are nonzero: q/(q+1)
-    times the edge weight across the block, -q^2/(q+1) times the side's
-    non-edge weight within one side.  Two vertices share at most one block,
-    so no pair is written twice.  The diagonal is 1/(q+1) - q^2/(q+1) * y.
-    Each shape's three weights and each distinct diagonal entry are built once.
-    """
-    qq = RationalFunction(Q, _QP1)
-    qq2 = RationalFunction(Q**2, _QP1)
+def _cleared_local(g: BiBlockGraph, product: list[int], quotients, y) -> dict:
+    """The nonzero entries of delta * local_matrix(g) as coefficient tuples,
+    keyed by (row, column): q R_a across a K_{m,n} block, -(n-1) q^2 R_a and
+    -(m-1) q^2 R_a within its X and Y sides (two vertices share at most one
+    block), and P - q^2 Y_v on the diagonal, Y_v = P y_v.  Each shape's three
+    entries and each distinct diagonal entry are built once."""
 
     @functools.cache
     def shape_entries(m: int, n: int):
-        edge, x_weight, y_weight = _block_weights(m, n)
-        return edge * qq, -(x_weight * qq2), -(y_weight * qq2)
+        r = quotients[(m - 1) * (n - 1)]
+        within = [0, 0, *r]
+        return (
+            (0, *r),
+            tuple(_fastpoly.pscale(within, 1 - n)),
+            tuple(_fastpoly.pscale(within, 1 - m)),
+        )
 
-    entries: dict[tuple[int, int], RationalFunction] = {}
+    entries: dict[tuple[int, int], tuple[int, ...]] = {}
     for b in g.blocks:
         w, x_entry, y_entry = shape_entries(b.m, b.n)
         for u in b.x:
             for v in b.y:
                 entries[u, v] = entries[v, u] = w
         for vertices, w in ((b.x, x_entry), (b.y, y_entry)):
-            if w.is_zero:
+            if not w:
                 continue
             for u in vertices:
                 for v in vertices:
                     if u != v:
                         entries[u, v] = w
-    inv_qp1 = RationalFunction(ONE, _QP1)
-    diagonal = functools.cache(lambda y: inv_qp1 - y * qq2)
-    for v, y in enumerate(diagonal_weight_vector(g)):
-        entries[v, v] = diagonal(y)
+    diagonal = functools.cache(lambda e: tuple(_fastpoly.psub(product, [0, 0, *e])))
+    for v, e in enumerate(y):
+        entries[v, v] = diagonal(tuple(e))
     return entries
+
+
+def _local_entries(g: BiBlockGraph) -> dict[tuple[int, int], RationalFunction]:
+    """The nonzero entries of local_matrix(g), keyed by (row, column); equal
+    entries of one block shape, and equal diagonal entries, share one object."""
+    forms = ClearedForms(g)
+    return dict(zip(forms._local, _shared_rfs(forms._local.values(), forms.delta)))
 
 
 def local_matrix(g: BiBlockGraph) -> RingMatrix:
     """The block-local matrix: q/(q+1) * edge weights - q^2/(q+1) * non-edge
     weights - q^2/(q+1) * diag(y) + 1/(q+1) * identity."""
-    return _dense(_local_entries(g), g.n)
-
-
-def _dense(entries: dict[tuple[int, int], RationalFunction], n: int) -> RingMatrix:
-    """The n x n matrix with the given (row, column) entries and zeros elsewhere."""
-    return RingMatrix([[entries.get((i, j), RF_ZERO) for j in range(n)] for i in range(n)])
+    entries = _local_entries(g)
+    return RingMatrix([[entries.get((i, j), RF_ZERO) for j in range(g.n)] for i in range(g.n)])
 
 
 def clearing_poly(g: BiBlockGraph) -> Polynomial:
@@ -278,12 +306,7 @@ def clearing_poly(g: BiBlockGraph) -> Polynomial:
     common clearing denominator for the balance vector, the balance constant,
     the local matrix, and the inverse.  Blocks with equal (m-1)(n-1) share one
     core, so the degree is 1 + 2 * (number of distinct nonzero (m-1)(n-1))."""
-    cores = {(m - 1) * (n - 1): cofactor_core(m, n) for m, n in _shapes(g)}
-    cores.pop(0, None)
-    delta = _QP1
-    for core in cores.values():
-        delta = delta * core
-    return delta
+    return Polynomial(ClearedForms(g).delta)
 
 
 def _inverse_rows(g: BiBlockGraph, x: list, local: dict, entry) -> list[list]:
@@ -313,36 +336,45 @@ def _inverse_rows(g: BiBlockGraph, x: list, local: dict, entry) -> list[list]:
 
 
 class ClearedForms:
-    """The closed forms of one graph as integer coefficient lists, cleared
-    over delta = clearing_poly(g).
+    """The closed forms of one graph as integer coefficient lists over
+    delta = (q+1) * product, product P being the product of the distinct
+    nonconstant cofactor cores.
 
     lam is Lambda = delta * balance_constant(g), x the balance vector times
-    delta, local the rows of local_matrix(g) times delta, and inverse the
-    numerators N = X_a X_b - L_ab Lambda of graph_inverse(g) over
-    inverse_den = delta * Lambda.  x, lam and the local entries are built as
-    RationalFunctions and then cleared, so the lists are those of the printed
-    values.  Each distinct value is cleared once and its list shared; local
-    and inverse are built on first use.
+    delta, y the diagonal weight vector times P, local the rows of
+    local_matrix(g) times delta, and inverse the numerators
+    N = X_a X_b - L_ab Lambda of graph_inverse(g) over inverse_den =
+    delta * Lambda.  All are built in integer-list arithmetic from the
+    per-shape quotients R_a = P / core_a, x, y, local and inverse on first use.
     """
 
     def __init__(self, g: BiBlockGraph):
         self._g = g
-        self.delta = delta = clearing_poly(g).integer_coeffs()
-        self._clear = functools.cache(lambda value: _fastpoly.cleared(value, delta))
-        self.lam = self._clear(balance_constant(g))
-        self.inverse_den = _fastpoly.pmul(delta, self.lam)
-        self._x = balance_vector(g)
-        self.x = [self._clear(e) for e in self._x]
+        shapes = _shapes(g)
+        self.product, self._quotients = _core_quotients(shapes)
+        self.delta = _fastpoly.pmul([1, 1], self.product)
+        self.lam = _cleared_lambda(shapes, self._quotients)
+        self.inverse_den = _fastpoly.pmul(self.delta, self.lam)
 
     @functools.cached_property
-    def _local(self) -> dict[tuple[int, int], RationalFunction]:
-        return _local_entries(self._g)
+    def x(self) -> list[list[int]]:
+        """delta x_v = (1 - deg v) delta + sum of ((opp-1) q - 1) R_a."""
+        return _cleared_sums(self._g, self.delta, self._quotients, lambda opp: [-1, opp - 1])
+
+    @functools.cached_property
+    def y(self) -> list[list[int]]:
+        """P y_v = (1 - deg v) P + sum of (opp-1) R_a."""
+        return _cleared_sums(self._g, self.product, self._quotients, lambda opp: [opp - 1])
+
+    @functools.cached_property
+    def _local(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        return _cleared_local(self._g, self.product, self._quotients, self.y)
 
     @functools.cached_property
     def local(self) -> list[list[list[int]]]:
         n = self._g.n
-        cleared = {key: self._clear(value) for key, value in self._local.items()}
-        return [[cleared.get((i, j), []) for j in range(n)] for i in range(n)]
+        as_list = functools.cache(list)
+        return [[as_list(self._local.get((i, j), ())) for j in range(n)] for i in range(n)]
 
     @functools.cached_property
     def inverse(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -351,14 +383,23 @@ class ClearedForms:
         key of _inverse_rows."""
         numerators: list[list[int]] = []
 
-        def entry(xa: RationalFunction, xb: RationalFunction, loc: RationalFunction | None):
-            num = _fastpoly.pmul(self._clear(xa), self._clear(xb))
+        def entry(xa: tuple[int, ...], xb: tuple[int, ...], loc: tuple[int, ...] | None):
+            num = _fastpoly.pmul(xa, xb)
             if loc is not None:
-                num = _fastpoly.psub(num, _fastpoly.pmul(self._clear(loc), self.lam))
+                num = _fastpoly.psub(num, _fastpoly.pmul(loc, self.lam))
             numerators.append(num)
             return len(numerators) - 1
 
-        return numerators, _inverse_rows(self._g, self._x, self._local, entry)
+        return numerators, _inverse_rows(self._g, list(map(tuple, self.x)), self._local, entry)
+
+
+def _shared_rfs(values, den: list[int]) -> list[RationalFunction]:
+    """RationalFunction(value / den) for each value, built once per distinct
+    value object, so that values shared as objects stay shared."""
+    den = Polynomial(den)
+    made = {id(v): v for v in values}
+    made = {key: RationalFunction(Polynomial(v), den) for key, v in made.items()}
+    return [made[id(v)] for v in values]
 
 
 def graph_inverse(g: BiBlockGraph) -> RingMatrix:
@@ -374,8 +415,7 @@ def graph_inverse(g: BiBlockGraph) -> RingMatrix:
     if not forms.lam:
         raise ArithmeticError("balance constant is identically zero; inverse form undefined")
     numerators, index = forms.inverse
-    den = Polynomial(forms.inverse_den)
-    entries = [RationalFunction(Polynomial(num), den) for num in numerators]
+    entries = _shared_rfs(numerators, forms.inverse_den)
     return RingMatrix([[entries[k] for k in row] for row in index])
 
 
@@ -383,23 +423,25 @@ def inverse_at(g: BiBlockGraph, q0: Rational) -> list[list[Rational]]:
     """graph_inverse(g) evaluated exactly at q0, without building it.
 
     The balance constant, the distinct balance-vector values and the local
-    entries are evaluated first; the entries are then assembled with
-    rationals.  Raises PoleError when the balance constant vanishes at q0:
-    where every cofactor core is nonzero (condition C1) that happens exactly
-    where the determinant vanishes.
+    entries are evaluated first, each in its canonical form; the entries are
+    then assembled with rationals.  Raises PoleError when the balance
+    constant vanishes at q0: where every cofactor core is nonzero (condition
+    C1) that happens exactly where the determinant vanishes.
     """
-    lam = balance_constant(g).eval_at(q0)
+    forms = ClearedForms(g)
+    den = Polynomial(forms.delta)
+    at = functools.cache(lambda value: Fraction(RationalFunction(Polynomial(value), den).eval_at(q0)))
+    lam = at(tuple(forms.lam))
     if lam == 0:
         raise PoleError(f"the balance constant vanishes at q = {q0}; the inverse has a pole there")
-    at = functools.cache(lambda value: Fraction(value.eval_at(q0)))
 
-    def entry(xa: RationalFunction, xb: RationalFunction, loc: RationalFunction | None):
+    def entry(xa: tuple[int, ...], xb: tuple[int, ...], loc: tuple[int, ...] | None):
         value = at(xa) * at(xb) / lam
         if loc is not None:
             value -= at(loc)
         return _demote(value)
 
-    return _inverse_rows(g, balance_vector(g), _local_entries(g), entry)
+    return _inverse_rows(g, list(map(tuple, forms.x)), forms._local, entry)
 
 
 # -- admissibility of concrete q values ---------------------------------------

@@ -188,12 +188,6 @@ class Polynomial:
             acc = acc * q0 + c
         return _demote(acc)
 
-    def integer_coeffs(self) -> list[int] | None:
-        """Ascending coefficient list when every coefficient is an integer, else None."""
-        if all(isinstance(c, int) for c in self.coeffs):
-            return list(self.coeffs)
-        return None
-
     # -- comparisons and rendering ---------------------------------------
 
     def __eq__(self, other):

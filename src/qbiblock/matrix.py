@@ -3,17 +3,16 @@
 Matrices are immutable value types generic over the entry ring: entries only
 need the arithmetic the chosen operation uses (``+``, ``-``, ``*``, and for
 eliminations ``is_zero`` plus ``exact_div``).  Determinants use fraction-free
-Bareiss condensation; a matrix of integer-coefficient polynomials is first
-Kronecker-substituted into one integer matrix (``_moddet``).  Inverses use
-Gauss-Jordan elimination over the rational-function field.
+Bareiss condensation and inverses Gauss-Jordan elimination over the
+rational-function field; matrices of integer-coefficient polynomials have a
+faster determinant engine in ``_moddet``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from . import _moddet
-from .exactring import Polynomial, RationalFunction, RF_ONE, RF_ZERO
+from .exactring import RationalFunction, RF_ONE, RF_ZERO
 
 
 class DimensionError(ValueError):
@@ -70,15 +69,6 @@ class RingMatrix:
     @classmethod
     def ones(cls, nrows: int, ncols: int, one) -> "RingMatrix":
         return cls([[one] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, n: int, zero, one) -> "RingMatrix":
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, values: Sequence, zero) -> "RingMatrix":
-        n = len(values)
-        return cls([[values[i] if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_blocks(cls, grid: Sequence[Sequence["RingMatrix"]]) -> "RingMatrix":
@@ -183,37 +173,10 @@ def det_bareiss(m: RingMatrix):
     """Exact determinant of a square matrix over an integral domain.
 
     Fraction-free Bareiss condensation with row-swap pivoting (first
-    structurally nonzero entry); every interior division is exact.  A matrix
-    whose entries are all integer-coefficient polynomials, of any size, is
-    evaluated at ``B = 2^k`` instead: one integer Bareiss determinant, read
-    back as balanced base-``B`` digits, gives the exact polynomial because
-    ``B`` exceeds twice the Hadamard bound
-    ``ceil(sqrt(prod_i sum_j ||a_ij||_1^2))`` on every coefficient.
+    structurally nonzero entry); every interior division is exact.
     """
     if not m.is_square:
         raise DimensionError("determinant requires a square matrix")
-    int_rows = _integer_rows(m)
-    if int_rows is not None:
-        return Polynomial(_moddet.det_int_poly_matrix(int_rows))
-    return _det_bareiss_generic(m)
-
-
-def _integer_rows(m: RingMatrix) -> list[list[list[int]]] | None:
-    out = []
-    for row in m.rows:
-        out_row = []
-        for e in row:
-            if not isinstance(e, Polynomial):
-                return None
-            ic = e.integer_coeffs()
-            if ic is None:
-                return None
-            out_row.append(ic)
-        out.append(out_row)
-    return out
-
-
-def _det_bareiss_generic(m: RingMatrix):
     n = m.nrows
     a = [list(row) for row in m.rows]
     zero = a[0][0] * 0
@@ -233,28 +196,6 @@ def _det_bareiss_generic(m: RingMatrix):
                 a[i][j] = t if prev is None else t.exact_div(prev)
         prev = pivot
     return a[n - 1][n - 1] * sign
-
-
-def det_cofactor(m: RingMatrix):
-    """Determinant by naive cofactor expansion along the first row (test oracle)."""
-    if not m.is_square:
-        raise DimensionError("determinant requires a square matrix")
-    n = m.nrows
-    if n == 1:
-        return m.rows[0][0]
-    acc = None
-    for j in range(n):
-        e = m.rows[0][j]
-        if e.is_zero:
-            continue
-        minor = RingMatrix([[row[c] for c in range(n) if c != j] for row in m.rows[1:]])
-        term = e * det_cofactor(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return m.rows[0][0] * 0
-    return acc
 
 
 # -- inverse -----------------------------------------------------------------

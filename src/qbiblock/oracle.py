@@ -12,10 +12,10 @@ identities are verified over a cleared structural common denominator
 (q+1) * prod(distinct cofactor cores), which turns every rational-function
 identity into an equivalent integer-polynomial identity; the straight
 rational-function route is exercised on small graphs by the test suite.  The
-cleared integer forms come from closedform.ClearedForms, the one place that
-clears them: the balance vector, the balance constant, the local matrix and
-the numerators of the inverse over its denominator.  The matrix products and
-the elimination inverse of those checks run on Kronecker-packed integers
+cleared integer forms come from closedform.ClearedForms, their one owner,
+which builds them in integer-list arithmetic without a RationalFunction: the
+balance vector, the balance constant, the local matrix and the numerators of
+the inverse over its denominator.  The matrix products and the elimination inverse of those checks run on Kronecker-packed integers
 (_moddet.matmul, _moddet.adjugate); the elimination comparison checks
 numerator * det == denominator * adjugate entry by entry.
 

@@ -1,0 +1,152 @@
+"""Reference routes and matrix constructors that only the tests use.
+
+ReferenceClearedForms builds the closed forms the slow way: the balance
+vector, the balance constant and the local matrix as sums of gcd-reduced
+RationalFunction terms, which are then cleared over delta with
+_fastpoly.cleared.  closedform.ClearedForms must give the same integer lists.
+det_cofactor is the naive cofactor expansion that the Bareiss determinant is
+checked against, and identity builds the identity matrices the tests multiply
+by.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from qbiblock import _fastpoly
+from qbiblock.closedform import _shapes, cofactor_core, det_core
+from qbiblock.exactring import ONE, Polynomial, Q, RF_ZERO, RationalFunction
+from qbiblock.matrix import DimensionError, RingMatrix
+
+QP1 = Q + 1
+
+
+def membership_sums(g, term) -> list[RationalFunction]:
+    """Entry at v: 1 - (block degree of v) plus term(own, opposite) per block
+    containing v, one shared object per signature."""
+    sizes = [{"X": (b.m, b.n), "Y": (b.n, b.m)} for b in g.blocks]
+    term = functools.cache(term)
+    entry = functools.cache(
+        lambda sig: sum((term(*pair) for pair in sig), RationalFunction(1 - len(sig)))
+    )
+    return [
+        entry(tuple(sorted(sizes[index][side] for index, side in members)))
+        for members in g.membership
+    ]
+
+
+def balance_vector(g) -> list[RationalFunction]:
+    return membership_sums(
+        g, lambda own, opp: RationalFunction(Q * (opp - 1) - 1, QP1 * cofactor_core(own, opp))
+    )
+
+
+def diagonal_weight_vector(g) -> list[RationalFunction]:
+    return membership_sums(
+        g, lambda own, opp: RationalFunction(Polynomial((opp - 1,)), cofactor_core(own, opp))
+    )
+
+
+def balance_constant(g) -> RationalFunction:
+    acc = RF_ZERO
+    for (m, n), count in _shapes(g).items():
+        acc = acc + RationalFunction(det_core(m, n) * count, QP1 * cofactor_core(m, n))
+    return acc
+
+
+def local_entries(g) -> dict[tuple[int, int], RationalFunction]:
+    """Nonzero entries of the local matrix: q/(q+1) times the edge weight
+    across a block, -q^2/(q+1) times the side's non-edge weight within one
+    side, 1/(q+1) - q^2/(q+1) y_v on the diagonal."""
+    qq = RationalFunction(Q, QP1)
+    qq2 = RationalFunction(Q**2, QP1)
+    entries: dict[tuple[int, int], RationalFunction] = {}
+    for b in g.blocks:
+        core = cofactor_core(b.m, b.n)
+        w = RationalFunction(ONE, core) * qq
+        x_entry = -(RationalFunction(Polynomial((b.n - 1,)), core) * qq2)
+        y_entry = -(RationalFunction(Polynomial((b.m - 1,)), core) * qq2)
+        for u in b.x:
+            for v in b.y:
+                entries[u, v] = entries[v, u] = w
+        for vertices, w in ((b.x, x_entry), (b.y, y_entry)):
+            if w.is_zero:
+                continue
+            for u in vertices:
+                for v in vertices:
+                    if u != v:
+                        entries[u, v] = w
+    inv_qp1 = RationalFunction(ONE, QP1)
+    for v, y in enumerate(diagonal_weight_vector(g)):
+        entries[v, v] = inv_qp1 - y * qq2
+    return entries
+
+
+def clearing_poly(g) -> Polynomial:
+    cores = {(m - 1) * (n - 1): cofactor_core(m, n) for m, n in _shapes(g)}
+    cores.pop(0, None)
+    delta = QP1
+    for core in cores.values():
+        delta = delta * core
+    return delta
+
+
+class ReferenceClearedForms:
+    """delta, lam, x, local and inverse as closedform.ClearedForms defines
+    them, each value built as a RationalFunction and cleared over delta."""
+
+    def __init__(self, g):
+        self.delta = delta = list(clearing_poly(g).coeffs)
+        clear = functools.cache(lambda value: _fastpoly.cleared(value, delta))
+        self.lam = clear(balance_constant(g))
+        self.inverse_den = _fastpoly.pmul(delta, self.lam)
+        x = balance_vector(g)
+        self.x = [clear(e) for e in x]
+        local = local_entries(g)
+        n = g.n
+        self.local = [[clear(local[i, j]) if (i, j) in local else [] for j in range(n)] for i in range(n)]
+        # inverse numerators, one per distinct (class of x_i, class of x_j, L_ij)
+        classes: dict = {}
+        ids = [classes.setdefault(e, len(classes)) for e in x]
+        reps = list(classes)
+        memo: dict = {}
+        numerators: list[list[int]] = []
+        index = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a, b = sorted((ids[i], ids[j]))
+                key = (a, b, local.get((i, j)))
+                if key not in memo:
+                    num = _fastpoly.pmul(clear(reps[a]), clear(reps[b]))
+                    if key[2] is not None:
+                        num = _fastpoly.psub(num, _fastpoly.pmul(clear(key[2]), self.lam))
+                    memo[key] = len(numerators)
+                    numerators.append(num)
+                index[i][j] = index[j][i] = memo[key]
+        self.inverse = numerators, index
+
+
+def det_cofactor(m: RingMatrix):
+    """Determinant by naive cofactor expansion along the first row."""
+    if not m.is_square:
+        raise DimensionError("determinant requires a square matrix")
+    n = m.nrows
+    if n == 1:
+        return m.rows[0][0]
+    acc = None
+    for j in range(n):
+        e = m.rows[0][j]
+        if e.is_zero:
+            continue
+        minor = RingMatrix([[row[c] for c in range(n) if c != j] for row in m.rows[1:]])
+        term = e * det_cofactor(minor)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return m.rows[0][0] * 0
+    return acc
+
+
+def identity(n: int, zero, one) -> RingMatrix:
+    return RingMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])

@@ -24,7 +24,7 @@ from qbiblock.closedform import (
 from qbiblock.exactring import Q
 from qbiblock.graph import BlockSpec, build, path_tree, random_tree, star_tree
 from qbiblock.exactring import RF_ONE, RF_ZERO
-from qbiblock.matrix import RingMatrix, det_bareiss, rf_matrix
+from qbiblock.matrix import det_bareiss, rf_matrix
 from qbiblock.oracle import (
     default_corpus,
     oracle_cofactor,
@@ -33,6 +33,7 @@ from qbiblock.oracle import (
     verify_graph,
 )
 from qbiblock.qdist import q_distance_matrix
+from helpers import identity
 
 QP1 = Q + 1
 
@@ -90,7 +91,7 @@ def test_criterion_3_block_inverse():
                 g = build([BlockSpec(s, t)])
                 inv = block_inverse(s, t)
                 d = rf_matrix(q_distance_matrix(g))
-                eye = RingMatrix.identity(s + t, RF_ZERO, RF_ONE)
+                eye = identity(s + t, RF_ZERO, RF_ONE)
                 assert inv @ d == eye, (s, t)
                 assert inv == oracle_inverse(g), (s, t)
 

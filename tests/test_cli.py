@@ -185,6 +185,49 @@ def test_input_errors(capsys, tmp_path, k11):
             assert err.count("\n") == 1 and "schema.json" in err, err
 
 
+def test_integer_literals_past_the_digit_cap_exit_2(capsys, tmp_path, k11):
+    huge = "1" * (cli.MAX_DIGITS + 700)
+    graph = tmp_path / "huge.json"
+    graph.write_text('{"blocks": [{"m": %s, "n": 1}]}' % huge, encoding="utf-8")
+    for argv in (
+        ("det", str(graph)),
+        ("verify", "--corpus", str(graph)),
+        ("det", k11, "--at", huge),
+        ("xi", k11, f"--at=-1/{huge}", "--format", "json"),
+        ("inverse", k11, "--at", f"{huge}/3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), (argv[0], out, err)
+        assert err.count("\n") == 1 and str(cli.MAX_DIGITS) in err, err
+    code, out, _ = run_cli(capsys, "det", k11, "--at", "1" * cli.MAX_DIGITS)
+    assert code == 0 and out == "-1\n"
+
+
+def test_exact_values_past_the_int_str_digit_limit_are_printed(capsys, tmp_path):
+    # on a 250-vertex path at q = 10^-20, det is -249 (1 + q)^248: the
+    # reduced denominator is 10^4960
+    path = write_graph(tmp_path, "p250.json", path_tree(250))
+    at = "1/1" + "0" * 20
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for command, exponent in (("det", 4960), ("xi", 4980)):
+        code, text, err = run_cli(capsys, command, path, "--at", at)
+        assert code == 0 and err == "", err
+        num, den = text.rstrip("\n").split("/")
+        assert den == "1" + "0" * exponent and len(num) > cli.MAX_DIGITS
+        code, out, _ = run_cli(capsys, command, path, "--at", at, "--format", "json")
+        assert code == 0 and json.loads(out)["value"] == [num, den]
+    # the digit limit of the calling process is left as it was
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_handlers_are_looked_up_when_called(capsys, monkeypatch, k11):
+    assert run_cli(capsys, "det", k11)[:2] == (0, "-1\n")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_det", lambda args: seen.append(args.graph) or 0)
+    assert run_cli(capsys, "det", k11) == (0, "", "") and seen == [k11]
+    assert cli._parser() is cli._parser()
+
+
 def test_gen_tree(capsys):
     code, out, _ = run_cli(capsys, "gen", "--kind", "tree", "--n", "4")
     assert code == 0

@@ -8,6 +8,7 @@ import pytest
 
 from qbiblock import _fastpoly, _moddet
 from qbiblock.closedform import (
+    ClearedForms,
     _local_entries,
     balance_constant,
     balance_vector,
@@ -49,6 +50,8 @@ from qbiblock.graph import (
 from qbiblock.matrix import RingMatrix, det_bareiss, inverse_gauss, rf_matrix
 from qbiblock.oracle import default_corpus
 from qbiblock.qdist import q_distance_matrix, q_distance_rows
+from helpers import ReferenceClearedForms, identity
+from helpers import diagonal_weight_vector as reference_y
 
 QP1 = Q + 1
 
@@ -106,7 +109,7 @@ def test_block_inverse_matches_elimination():
 def test_block_inverse_product_is_identity():
     s, t = 3, 2
     d = rf_matrix(q_distance_matrix(single_block(s, t)))
-    eye = RingMatrix.identity(s + t, RF_ZERO, RF_ONE)
+    eye = identity(s + t, RF_ZERO, RF_ONE)
     assert d @ block_inverse(s, t) == eye
 
 
@@ -228,7 +231,7 @@ def test_graph_inverse_product_identity_on_a_three_block_graph():
     specs = random_biblock(12, 3, 2)
     g = build(specs)
     d = rf_matrix(q_distance_matrix(g))
-    eye = RingMatrix.identity(g.n, RF_ZERO, RF_ONE)
+    eye = identity(g.n, RF_ZERO, RF_ONE)
     assert d @ graph_inverse(g) == eye
 
 
@@ -450,11 +453,42 @@ def test_clearing_poly_clears_every_entry_over_distinct_cores():
         delta = clearing_poly(g)
         distinct = {(b.m - 1) * (b.n - 1) for b in g.blocks} - {0}
         assert delta.degree == 1 + 2 * len(distinct), g
-        delta_int = delta.integer_coeffs()
+        delta_int = list(delta.coeffs)
         values = [balance_constant(g), *balance_vector(g), *_local_entries(g).values()]
         for value in values:
             # raises ArithmeticError unless value * delta has integer coefficients
             _fastpoly.cleared(value, delta_int)
+
+
+def assert_cleared_forms_match_the_reference(g):
+    forms, ref = ClearedForms(g), ReferenceClearedForms(g)
+    assert forms.delta == ref.delta, g
+    assert forms.lam == ref.lam and forms.inverse_den == ref.inverse_den, g
+    assert forms.x == ref.x, g
+    assert forms.y == [_fastpoly.cleared(e, forms.product) for e in reference_y(g)], g
+    assert forms.local == ref.local, g
+    assert forms.inverse == ref.inverse, g
+
+
+def test_cleared_forms_match_the_rational_function_route():
+    graphs = [build(specs) for _, specs in default_corpus(7)] + formulas_large_graphs()
+    assert len(graphs) == 176
+    for g in graphs:
+        assert_cleared_forms_match_the_reference(g)
+
+
+def test_cleared_forms_match_the_rational_function_route_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 10**6), r_max=st.integers(1, 8), part_max=st.integers(1, 5)
+    )
+    def prop(seed, r_max, part_max):
+        assert_cleared_forms_match_the_reference(build(random_biblock(seed, r_max, part_max)))
+
+    prop()
 
 
 # -- identity suite on small graphs, straight rational-function route ---------
@@ -523,7 +557,7 @@ def test_local_matrix_product_identity():
         d = rf_matrix(q_distance_matrix(g))
         loc = local_matrix(g)
         x = balance_vector(g)
-        eye = RingMatrix.identity(g.n, RF_ZERO, RF_ONE)
+        eye = identity(g.n, RF_ZERO, RF_ONE)
         ones = [RF_ONE] * g.n
         from qbiblock.matrix import outer
 

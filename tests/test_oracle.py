@@ -7,9 +7,9 @@ import pytest
 
 from qbiblock import closedform, oracle
 from qbiblock.closedform import block_cofactor
-from qbiblock.exactring import RF_ZERO, Polynomial, Q
+from qbiblock.exactring import Polynomial, Q
 from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock, star_tree
-from qbiblock.matrix import _det_bareiss_generic, rf_matrix
+from qbiblock.matrix import det_bareiss, rf_matrix
 from qbiblock.oracle import (
     all_trees,
     default_corpus,
@@ -67,9 +67,9 @@ def test_differenced_oracles_match_generic_bareiss_on_the_undifferenced_matrices
     for name, specs in sample:
         g = build(specs)
         qmat = q_distance_matrix(g)
-        assert oracle_det(g) == _det_bareiss_generic(qmat), name
+        assert oracle_det(g) == det_bareiss(qmat), name
         cof = cofactor_matrix(qmat, distances(g))
-        assert oracle_cofactor(g) == _det_bareiss_generic(cof), name
+        assert oracle_cofactor(g) == det_bareiss(cof), name
 
 
 def vertex_count(specs) -> int:
@@ -210,30 +210,35 @@ def counting_wrappers(monkeypatch, calls: dict[str, int], module) -> None:
 def test_skipped_elimination_comparison_builds_nothing(monkeypatch):
     calls = {"ClearedForms": 0}
     counting_wrappers(monkeypatch, calls, oracle)
-    built = {"balance_vector": 0, "_local_entries": 0}
+    built = {"_core_quotients": 0, "_cleared_sums": 0, "_cleared_local": 0}
     counting_wrappers(monkeypatch, built, closedform)
     specs = random_biblock(5, 4, 3)
     assert build(specs).n == 12 > oracle._ELIMINATION_COMPARE_MAX
     report = verify_graph(specs, "n12", select=["inverse_vs_elimination"])
     assert report.checks == ()
-    assert calls == {"ClearedForms": 0} and built == {"balance_vector": 0, "_local_entries": 0}
+    assert calls == {"ClearedForms": 0}
+    assert built == {"_core_quotients": 0, "_cleared_sums": 0, "_cleared_local": 0}
     report = verify_graph(specs, "n12", select=["inverse_product", "inverse_vs_elimination"])
     assert [c.name for c in report.checks] == ["inverse_product"] and report.passed
-    assert calls == {"ClearedForms": 1} and built == {"balance_vector": 1, "_local_entries": 1}
+    # _cleared_sums builds x and, for the local diagonal, y
+    assert calls == {"ClearedForms": 1}
+    assert built == {"_core_quotients": 1, "_cleared_sums": 2, "_cleared_local": 1}
 
 
 def test_verify_graph_builds_the_clearing_poly_and_balance_constant_once(monkeypatch):
-    calls = {"clearing_poly": 0, "balance_constant": 0}
+    # delta and the quotients R_a come from _core_quotients, Lambda from _cleared_lambda
+    pieces = ("_core_quotients", "_cleared_lambda", "_cleared_sums", "_cleared_local")
+    calls = dict.fromkeys(pieces, 0)
     counting_wrappers(monkeypatch, calls, closedform)
     for specs in ([BlockSpec(2, 2), BlockSpec(1, 3, graph_attach(1))], random_biblock(5, 4, 3)):
         report = verify_graph(specs, "g")
         assert report.passed and "inverse_product" in [c.name for c in report.checks]
-        assert calls == {"clearing_poly": 1, "balance_constant": 1}, specs
-        calls.update(clearing_poly=0, balance_constant=0)
+        assert calls == dict(zip(pieces, (1, 1, 2, 1))), specs
+        calls.update(dict.fromkeys(pieces, 0))
 
 
 def test_zero_balance_constant_fails_a_check_and_refuses_only_the_inverse(monkeypatch):
-    monkeypatch.setattr(closedform, "balance_constant", lambda g: RF_ZERO)
+    monkeypatch.setattr(closedform, "_cleared_lambda", lambda shapes, quotients: [])
     report = verify_graph([BlockSpec(2, 2)], "zero")
     failed = {c.name for c in report.checks if not c.passed}
     assert {"balance_constant_nonzero", "inverse_product"} <= failed
