@@ -27,6 +27,7 @@ import json
 import sys
 
 from .closedform import (
+    ClearedForms,
     ConditionCheck,
     balance_constant,
     balance_vector,
@@ -36,6 +37,7 @@ from .closedform import (
     graph_det,
     graph_inverse,
     inverse_at,
+    values_at,
 )
 from .exactring import PoleError, parse_rational, rational_to_json
 from .graph import (
@@ -139,21 +141,26 @@ def _gate(g, q0, refuse: tuple[str, ...]) -> ConditionCheck:
     return check
 
 
+_to_json = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
 def _emit_json(payload: dict):
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    print(_to_json(payload))
 
 
-def _scalar_command(g, args, name: str, symbolic_value, refuse: tuple[str, ...]):
-    """Shared body of det/xi/lambda: print symbolically or evaluate at --at."""
+def _scalar_command(g, args, name: str, symbolic, refuse: tuple[str, ...], at=None):
+    """Shared body of det/xi/lambda: print symbolic(g), or at(g, q0) for --at
+    (symbolic(g) evaluated at q0 when at is None)."""
     if args.at is None:
+        value = symbolic(g)
         if args.format == "json":
-            _emit_json({"schema": SCHEMA_VERSION, "command": name, "value": symbolic_value.to_json()})
+            _emit_json({"schema": SCHEMA_VERSION, "command": name, "value": value.to_json()})
         else:
-            print(str(symbolic_value))
+            print(str(value))
         return EXIT_OK
     q0 = _parse_at(args.at)
     check = _gate(g, q0, refuse)
-    value = symbolic_value.eval_at(q0)
+    value = at(g, q0) if at else symbolic(g).eval_at(q0)
     if args.format == "json":
         _emit_json(
             {
@@ -172,24 +179,29 @@ def _scalar_command(g, args, name: str, symbolic_value, refuse: tuple[str, ...])
 
 def cmd_det(args) -> int:
     g = _build_graph(args.graph)
-    return _scalar_command(g, args, "det", graph_det(g), refuse=())
+    return _scalar_command(g, args, "det", graph_det, refuse=())
 
 
 def cmd_xi(args) -> int:
     g = _build_graph(args.graph)
-    return _scalar_command(g, args, "xi", graph_cofactor(g), refuse=())
+    return _scalar_command(g, args, "xi", graph_cofactor, refuse=())
 
 
 def cmd_lambda(args) -> int:
     g = _build_graph(args.graph)
-    return _scalar_command(g, args, "lambda", balance_constant(g), refuse=("C1",))
+    return _scalar_command(g, args, "lambda", balance_constant, refuse=("C1",), at=_lambda_at)
+
+
+def _lambda_at(g, q0):
+    forms = ClearedForms(g)
+    return values_at([forms.lam], forms.delta, q0)[0]
 
 
 def cmd_vectors(args) -> int:
     g = _build_graph(args.graph)
-    x = balance_vector(g)
-    y = diagonal_weight_vector(g)
     if args.at is None:
+        x = balance_vector(g)
+        y = diagonal_weight_vector(g)
         if args.format == "json":
             _emit_json(
                 {
@@ -207,8 +219,9 @@ def cmd_vectors(args) -> int:
         return EXIT_OK
     q0 = _parse_at(args.at)
     check = _gate(g, q0, refuse=("C1",))
-    x_vals = [e.eval_at(q0) for e in x]
-    y_vals = [e.eval_at(q0) for e in y]
+    forms = ClearedForms(g)
+    x_vals = values_at(forms.x, forms.delta, q0)
+    y_vals = values_at(forms.y, forms.product, q0)
     if args.format == "json":
         _emit_json(
             {
@@ -229,41 +242,38 @@ def cmd_vectors(args) -> int:
     return EXIT_OK
 
 
+def _rendered(rows, render) -> list[list[str]]:
+    """render(e) for each entry of rows, called once per distinct entry
+    object: the inverse shares one object among equal entries."""
+    distinct: dict[int, object] = {}
+    for row in rows:
+        distinct.update(zip(map(id, row), row))
+    texts = {key: render(e) for key, e in distinct.items()}
+    return [list(map(texts.__getitem__, map(id, row))) for row in rows]
+
+
 def cmd_inverse(args) -> int:
     g = _build_graph(args.graph)
+    as_json = args.format == "json"
+    payload = {"schema": SCHEMA_VERSION, "command": "inverse"}
     if args.at is None:
-        # graph_inverse shares one object among equal entries: render each once
-        render = (lambda e: e.to_json()) if args.format == "json" else str
-        rendered: dict[int, object] = {}
-        rows = []
-        for row in graph_inverse(g).rows:
-            for e in row:
-                if id(e) not in rendered:
-                    rendered[id(e)] = render(e)
-            rows.append([rendered[id(e)] for e in row])
-        if args.format == "json":
-            _emit_json({"schema": SCHEMA_VERSION, "command": "inverse", "value": rows})
-        else:
-            for row in rows:
-                print("\t".join(row))
-        return EXIT_OK
-    q0 = _parse_at(args.at)
-    check = _gate(g, q0, refuse=("C1", "C2"))
-    values = inverse_at(g, q0)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "inverse",
-                "at": rational_to_json(q0),
-                "value": [[rational_to_json(v) for v in row] for row in values],
-                "violations": _violations_json(check),
-            }
-        )
+        render = (lambda e: _to_json(e.to_json())) if as_json else str
+        lines = _rendered(graph_inverse(g).rows, render)
     else:
-        _warn_violations(check)
-        for row in values:
-            print("\t".join(str(v) for v in row))
+        q0 = _parse_at(args.at)
+        check = _gate(g, q0, refuse=("C1", "C2"))
+        render = (lambda v: _to_json(rational_to_json(v))) if as_json else str
+        lines = _rendered(inverse_at(g, q0), render)
+        payload.update(at=rational_to_json(q0), violations=_violations_json(check))
+        if not as_json:
+            _warn_violations(check)
+    if not as_json:
+        print("\n".join(map("\t".join, lines)))
+        return EXIT_OK
+    # the payload as JSON, with the rows spliced in under "value"
+    head, tail = _to_json({**payload, "value": None}).split('"value":null')
+    value = ",".join(["[" + ",".join(line) + "]" for line in lines])
+    print(f'{head}"value":[{value}]{tail}')
     return EXIT_OK
 
 

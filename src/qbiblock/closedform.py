@@ -32,8 +32,10 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import add
 
-from . import _fastpoly
+from . import _fastpoly, _moddet
 from .exactring import ONE, PoleError, Polynomial, Q, Rational, RationalFunction, RF_ZERO, _demote
 from .graph import BiBlockGraph
 from .matrix import RingMatrix
@@ -102,33 +104,52 @@ def _shapes(g: BiBlockGraph) -> Counter:
     return Counter((min(b.m, b.n), max(b.m, b.n)) for b in g.blocks)
 
 
+def _expanded(g: BiBlockGraph, with_det: bool) -> Polynomial:
+    """graph_cofactor(g), or graph_det(g) when with_det, expanded from its factors.
+
+    With E = n - 1, sigma = prod over blocks of (-1)^(m+n) and the cofactor
+    cores grouped by value (core v shared by c_v blocks, P = prod_v v):
+
+        xi  = sigma (q+1)^E     prod_v v^(c_v)
+        det = sigma (q+1)^(E-1) prod_v v^(c_v - 1) sum_T c_T det_core_T P / core_T
+
+    over the block shapes T with c_T blocks.  The factors after the power of
+    q+1 are evaluated at q = 2^k, multiplied as plain integers and read back
+    as balanced base-2^k digits (Kronecker substitution); the product of
+    their 1-norms bounds every coefficient and sets k.  The power of q+1 is
+    then applied by Pascal's rule, one pass of c_i + c_(i-1) per factor.
+    """
+    shapes = _shapes(g)
+    cores = {t: cofactor_core(*t) for t in shapes}
+    counts: Counter = Counter()
+    for t, count in shapes.items():
+        counts[cores[t]] += count
+    dets = {t: det_core(*t) for t in shapes} if with_det else {}
+    bound = prod(_moddet._norm(v.coeffs) ** c for v, c in counts.items())
+    if with_det:
+        bound *= sum(count * _moddet._norm(dets[t].coeffs) for t, count in shapes.items())
+    k = _moddet._digit_bits(bound)
+    at = functools.cache(lambda p: p.eval_at(1 << k))
+    value = prod(at(v) ** (c - with_det) for v, c in counts.items())
+    if with_det:
+        full = prod(map(at, counts))
+        value *= sum(count * at(dets[t]) * (full // at(cores[t])) for t, count in shapes.items())
+    sign = _sign(sum(count * (m + n) for (m, n), count in shapes.items()))
+    coeffs = _moddet.unpack(sign * value, k, bound)
+    for _ in range(g.n - 1 - with_det):
+        coeffs = list(map(add, coeffs + [0], [0] + coeffs))
+    return Polynomial(coeffs)
+
+
 def graph_cofactor(g: BiBlockGraph) -> Polynomial:
-    """Reduced cofactor of a bi-block graph: the product of its block cofactors,
-    one power cof_T^(c_T) per block shape T with c_T blocks."""
-    result = ONE
-    for (m, n), count in _shapes(g).items():
-        result = result * block_cofactor(m, n) ** count
-    return result
+    """Reduced cofactor of a bi-block graph: the product of its block cofactors."""
+    return _expanded(g, with_det=False)
 
 
 def graph_det(g: BiBlockGraph) -> Polynomial:
-    """Determinant of the q-distance matrix of a bi-block graph.
-
-    Product rule over blocks: the sum over blocks of the block determinant
-    times the cofactors of all other blocks.  Grouped by block shape T with
-    c_T blocks, that is
-
-        prod_T cof_T^(c_T - 1) * sum_T c_T det_T prod_{U != T} cof_U,
-
-    whose sum is accumulated in one pass over the shapes.
-    """
-    total, cof, power = Polynomial(), ONE, ONE
-    for (m, n), count in _shapes(g).items():
-        cof_t = block_cofactor(m, n)
-        total = total * cof_t + block_det(m, n) * count * cof
-        cof = cof * cof_t
-        power = power * cof_t ** (count - 1)
-    return total * power
+    """Determinant of the q-distance matrix of a bi-block graph: the sum over
+    blocks of the block determinant times the cofactors of all other blocks."""
+    return _expanded(g, with_det=True)
 
 
 # -- vectors and matrices ----------------------------------------------------
@@ -393,13 +414,26 @@ class ClearedForms:
         return numerators, _inverse_rows(self._g, list(map(tuple, self.x)), self._local, entry)
 
 
-def _shared_rfs(values, den: list[int]) -> list[RationalFunction]:
-    """RationalFunction(value / den) for each value, built once per distinct
-    value object, so that values shared as objects stay shared."""
-    den = Polynomial(den)
+def _per_object(values, make) -> list:
+    """make(value) for each value, called once per distinct value object, so
+    that values shared as objects stay shared."""
     made = {id(v): v for v in values}
-    made = {key: RationalFunction(Polynomial(v), den) for key, v in made.items()}
+    made = {key: make(v) for key, v in made.items()}
     return [made[id(v)] for v in values]
+
+
+def _shared_rfs(values, den: list[int]) -> list[RationalFunction]:
+    """RationalFunction(value / den) for each integer list in values."""
+    den = Polynomial(den)
+    return _per_object(values, lambda v: RationalFunction(Polynomial(v), den))
+
+
+def values_at(values, den: list[int], q0: Rational) -> list[Rational]:
+    """value(q0) / den(q0) for each integer list of ClearedForms in values,
+    each distinct list object evaluated once.  den(q0) must be nonzero: for
+    delta and P that is condition C1."""
+    den_value = Polynomial(den).eval_at(q0)
+    return _per_object(values, lambda v: _demote(Fraction(Polynomial(v).eval_at(q0)) / den_value))
 
 
 def graph_inverse(g: BiBlockGraph) -> RingMatrix:
@@ -422,24 +456,26 @@ def graph_inverse(g: BiBlockGraph) -> RingMatrix:
 def inverse_at(g: BiBlockGraph, q0: Rational) -> list[list[Rational]]:
     """graph_inverse(g) evaluated exactly at q0, without building it.
 
-    The balance constant, the distinct balance-vector values and the local
-    entries are evaluated first, each in its canonical form; the entries are
-    then assembled with rationals.  Raises PoleError when the balance
-    constant vanishes at q0: where every cofactor core is nonzero (condition
-    C1) that happens exactly where the determinant vanishes.
+    Each distinct cleared list (delta, Lambda, the balance-vector values X
+    and the local entries L) is evaluated at q0 once, and entry (i, j) is
+    (X_i X_j - L_ij Lambda) / (delta Lambda) in exact rationals.  Raises
+    PoleError when delta or Lambda vanishes at q0: delta where condition C1
+    fails, Lambda (where C1 holds) exactly where the determinant vanishes.
     """
     forms = ClearedForms(g)
-    den = Polynomial(forms.delta)
-    at = functools.cache(lambda value: Fraction(RationalFunction(Polynomial(value), den).eval_at(q0)))
-    lam = at(tuple(forms.lam))
+    at = functools.cache(lambda value: Fraction(Polynomial(value).eval_at(q0)))
+    delta, lam = at(tuple(forms.delta)), at(tuple(forms.lam))
+    if delta == 0:
+        raise PoleError(f"a cofactor core vanishes at q = {q0}; the inverse has a pole there")
     if lam == 0:
         raise PoleError(f"the balance constant vanishes at q = {q0}; the inverse has a pole there")
+    den = delta * lam
 
     def entry(xa: tuple[int, ...], xb: tuple[int, ...], loc: tuple[int, ...] | None):
-        value = at(xa) * at(xb) / lam
+        num = at(xa) * at(xb)
         if loc is not None:
-            value -= at(loc)
-        return _demote(value)
+            num -= at(loc) * lam
+        return _demote(num / den)
 
     return _inverse_rows(g, list(map(tuple, forms.x)), forms._local, entry)
 

@@ -182,11 +182,14 @@ class Polynomial:
         return Polynomial(g)
 
     def eval_at(self, q0: Rational) -> Rational:
-        """Exact Horner evaluation at a rational point."""
-        acc: Rational = 0
+        """Exact Horner evaluation at q0 = p/r: Horner in p over the coefficients scaled by
+        powers of r gives r^deg times the value, so int coefficients need one division."""
+        p, r = q0.numerator, q0.denominator
+        acc, scale = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return _demote(acc)
+            acc = acc * p + c * scale
+            scale *= r
+        return _demote(acc if r == 1 else Fraction(acc * r, scale))
 
     # -- comparisons and rendering ---------------------------------------
 

@@ -5,8 +5,9 @@ vector, the balance constant and the local matrix as sums of gcd-reduced
 RationalFunction terms, which are then cleared over delta with
 _fastpoly.cleared.  closedform.ClearedForms must give the same integer lists.
 det_cofactor is the naive cofactor expansion that the Bareiss determinant is
-checked against, and identity builds the identity matrices the tests multiply
-by.
+checked against, identity builds the identity matrices the tests multiply by,
+and formulas_large_graphs builds the reference graphs of the formulas_large
+benchmark workload.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 from qbiblock import _fastpoly
 from qbiblock.closedform import _shapes, cofactor_core, det_core
 from qbiblock.exactring import ONE, Polynomial, Q, RF_ZERO, RationalFunction
+from qbiblock.graph import build, random_biblock, random_tree
 from qbiblock.matrix import DimensionError, RingMatrix
 
 QP1 = Q + 1
@@ -150,3 +152,14 @@ def det_cofactor(m: RingMatrix):
 
 def identity(n: int, zero, one) -> RingMatrix:
     return RingMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def formulas_large_graphs():
+    """The reference graphs of the formulas_large benchmark workload (n = 299,
+    303, 87 and 180)."""
+    return [
+        build(random_biblock(23, 100, 3)),
+        build(random_biblock(86, 100, 3)),
+        build(random_biblock(116, 30, 3)),
+        build(random_tree(0, 180)),
+    ]

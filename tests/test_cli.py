@@ -12,6 +12,7 @@ import pytest
 from qbiblock import cli, oracle
 from qbiblock.graph import Attachment, BlockSpec, graph_to_json, path_tree
 from qbiblock.oracle import CheckResult, VerificationReport
+from helpers import formulas_large_graphs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PYTHON = shlex.quote(sys.executable)
@@ -409,6 +410,82 @@ def test_verify_seed_7_json_stdout_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "7", "--json", "--jobs", "2")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_SEED_7_SHA256
+
+
+# sha256 of [exit code, stdout, stderr] of the formula commands on the
+# formulas_large benchmark graphs (big299, big303 for the scalar commands and
+# vectors, dense87, tree180 for inverse) and on K_{2,2} at q = 1, where det
+# warns and inverse refuses.  Keyed "command graph format at".
+FORMULA_SHA256 = {
+    "det big299 json -": "890274fc4892df73be5c62dbb8385a20b758154743ff322d83e3e67eb98f922c",
+    "det big299 json 2/7": "d3130871a0d4a64339fea3466a153e99499e02833791dce05b1bfa34d76f205d",
+    "det big299 text -": "05caad944459383f48909f3fba2c61175f3ab86460cfdd9b3c7c83939d7737f6",
+    "det big299 text 2/7": "2f43ac47daad5c6f24b87427ab6c6eceab7ba89ee77b4bd4e63af4c0f06df7ca",
+    "det big303 json -": "1ff6d2e5f5c42a4b29d131a693d49ffe575ca43283b24c119144051ef478f2ad",
+    "det big303 json 2/7": "e8ddbfbf7b624c3e640459352debefb8e616e272803eb7a17a62cd172697e7bb",
+    "det big303 text -": "6ee8edbf58758d3482626a84728c7cafd63c877a5672604979fa0d0d72fb63d9",
+    "det big303 text 2/7": "79019146889fecb17b5d16c21a14d9478109a956b9d0c0050376a80a1bd71fd5",
+    "det k22 json 1": "87183921c50c811fdb027ba3c36fd7b06466853c6f6b93f89fae7c266bdcaf72",
+    "det k22 text 1": "1b105632f697b8c6634d910278ec6d6e73c099874b2f1158724fbe44501b1341",
+    "inverse dense87 json -": "e2e402c464d499553cf85e00787268eb81646f395f4138be54d5ac69de50be4e",
+    "inverse dense87 json 2/7": "d7cd1cf0612679253cc79b9d645050bfde4da2c287acd5b2bd3fda9f2ad12903",
+    "inverse dense87 text -": "634707cb22dce313940f58199737716afb956002555f590de39c33004339aa86",
+    "inverse dense87 text 2/7": "f7bd06ee5adc021352855e829bc65ea4d4616f7d49d212e82644252436e9cda2",
+    "inverse k22 json 1": "fbf0e521ac32f8d8d78c160a48045cea0cd43f25a9c88a33942c1b0fcf79193c",
+    "inverse k22 text 1": "fbf0e521ac32f8d8d78c160a48045cea0cd43f25a9c88a33942c1b0fcf79193c",
+    "inverse tree180 json -": "5f0c84814a227bfb6dc97947b2150710e3150da974556ec00ae55549d33c27b9",
+    "inverse tree180 json 2/7": "79193c90e90c4770fb2a38d25f0dff6c4bea72c146fed1ae9b62dbdcc0fdef51",
+    "inverse tree180 text -": "e05df90140ba1e8f542eb2cf508e206c48e5578343fb39d15d05a8286a1a5d66",
+    "inverse tree180 text 2/7": "186a4e28b7cdd76b7a8db0022c9d897700c08311f834bd7485186be90991136b",
+    "lambda big299 json -": "322b1d806ca8dc2d12018fca96b1290c77f9b872b915dca3a73d78d7112a7039",
+    "lambda big299 json 2/7": "5466f9c4f49a18f760948b6b80080962c912a5a3881c2ac5fb37313e538e09a2",
+    "lambda big299 text -": "8ef72d82d9c436130d997b97789f683107f034000ec2019b9676adee05f11f47",
+    "lambda big299 text 2/7": "df685e579692859adbbcd70d68b1c16aea78d8fd29c63a154ca84b881ae2f8a8",
+    "lambda big303 json -": "19a6dcaaabd3638f5d159e191bb4641653eaf4c666ad54e081cde3de2f4c2819",
+    "lambda big303 json 2/7": "63de837657384a22361f16ec0c7e421c695739fd504ace394d38ae398c72dfc8",
+    "lambda big303 text -": "944dc13e5b61263c4979f836ca6df16328c5d710d18e106083bb786637719aac",
+    "lambda big303 text 2/7": "d5476956aefa91fa6157e54c79389efe23f8df3c84bec16b5cdbc9542ec773f5",
+    "vectors big299 json -": "65e50707dcd8faef660d8fae5b4f9d55ccb851083e9e194c9129b1d7c4a2aff6",
+    "vectors big299 json 2/7": "40382d3e66efe0f86d19b9eb6ccf96697392b0c18c8b42195d222a1913605b46",
+    "vectors big299 text -": "539094c481e9e2aa3345ffef6d6043844d7d4a330efc96c48b07d8dd76b679a7",
+    "vectors big299 text 2/7": "e58dd58e0df1438afda93fb2a260fc29fb323abe3421934df6266b4a1dee6cd5",
+    "vectors big303 json -": "104ae68318ada6fe655429987dd96b6f0eedbcaf5f131fff0f869bb364ac0483",
+    "vectors big303 json 2/7": "a8aeeca32c2ccc6fafe9658d94cc77c4b7d0ef6a4d3f1c555923aa5889630345",
+    "vectors big303 text -": "f1bb7cbd8b9e7972ef5ea609e00d209198548638f6a2c309efba6774979d8452",
+    "vectors big303 text 2/7": "db370ac572a8137559a7b7b6b94bb74044258a84e1688f49f7ec43411a40e10b",
+    "xi big299 json -": "fcb4234e4481086b3e0934ce08d3dddf7d6aa3a4f624b7115c5e219fc26bd824",
+    "xi big299 json 2/7": "8ae2d32c4c90d3445b7bed86d695836608570e7cc48e847545aecdefcbbcccbf",
+    "xi big299 text -": "2162a1ea3677f58197c7914b664a3db7bd9b79e79058249929e68ded85769d29",
+    "xi big299 text 2/7": "d740c8e7d7d264e84b2eb533d6888f16beabf3f5fceabd91e84273312406005b",
+    "xi big303 json -": "54aec9249c846d2cbf48968fcfe193ba6331ba95a02ee3d102fd1cda376d8355",
+    "xi big303 json 2/7": "31420f8a03017258dac18ae101bea462935aaae3936b1c1fa1678ea693c2a6a9",
+    "xi big303 text -": "ed9efbb149060637b08e208460643ff74312257bb5a73523f68279036aa10a45",
+    "xi big303 text 2/7": "90162a2571a6ed93d14a95a6dd2d75c61ff4178b15e83ab8bb75debe86b3cb9c",
+}
+
+
+@pytest.fixture(scope="module")
+def formula_graphs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("formulas")
+    names = ("big299", "big303", "dense87", "tree180")
+    paths = {
+        name: write_graph(directory, f"{name}.json", g.specs)
+        for name, g in zip(names, formulas_large_graphs())
+    }
+    paths["k22"] = write_graph(directory, "k22.json", [BlockSpec(2, 2)])
+    return paths
+
+
+def formula_digest(capsys, paths, key: str) -> str:
+    command, graph, fmt, at = key.split()
+    argv = [command, paths[graph], "--format", fmt] + ([] if at == "-" else ["--at", at])
+    result = run_cli(capsys, *argv)
+    return hashlib.sha256(json.dumps(result).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(FORMULA_SHA256))
+def test_formula_outputs_are_pinned(capsys, formula_graphs, key):
+    assert formula_digest(capsys, formula_graphs, key) == FORMULA_SHA256[key]
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch, k11):

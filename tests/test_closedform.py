@@ -3,12 +3,14 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from qbiblock import _fastpoly, _moddet
 from qbiblock.closedform import (
     ClearedForms,
+    _shapes,
     _local_entries,
     balance_constant,
     balance_vector,
@@ -50,7 +52,7 @@ from qbiblock.graph import (
 from qbiblock.matrix import RingMatrix, det_bareiss, inverse_gauss, rf_matrix
 from qbiblock.oracle import default_corpus
 from qbiblock.qdist import q_distance_matrix, q_distance_rows
-from helpers import ReferenceClearedForms, identity
+from helpers import ReferenceClearedForms, formulas_large_graphs, identity
 from helpers import diagonal_weight_vector as reference_y
 
 QP1 = Q + 1
@@ -321,6 +323,14 @@ def test_inverse_at_pole_where_only_the_balance_constant_vanishes():
         inverse_at(g, q0)
 
 
+def test_inverse_at_pole_where_a_cofactor_core_vanishes():
+    # K_{2,2} at q = 1: its cofactor core q^2 - 1 vanishes (condition C1)
+    g = single_block(2, 2)
+    assert check_conditions(g, 1).violated("C1")
+    with pytest.raises(PoleError):
+        inverse_at(g, 1)
+
+
 def test_inverse_at_property_on_random_graphs():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -400,17 +410,6 @@ def reference_diagonal_weight_vector(g):
     )
 
 
-def formulas_large_graphs():
-    """The reference graphs of the formulas_large benchmark workload (n = 299,
-    303, 87 and 180)."""
-    return [
-        build(random_biblock(23, 100, 3)),
-        build(random_biblock(86, 100, 3)),
-        build(random_biblock(116, 30, 3)),
-        build(random_tree(0, 180)),
-    ]
-
-
 def json_bytes(values) -> str:
     return json.dumps([v.to_json() for v in values])
 
@@ -429,6 +428,48 @@ def test_shape_grouped_forms_match_the_per_block_reference():
         assert json_bytes(diagonal_weight_vector(g)) == json_bytes(
             reference_diagonal_weight_vector(g)
         ), g
+
+
+def test_factored_det_and_cofactor_match_the_per_block_reference_on_many_cores():
+    g = build(random_biblock(9, 400, 4))
+    assert g.n == 938
+    assert len({(m - 1) * (n - 1) for m, n in _shapes(g)}) == 7
+    assert graph_det(g) == reference_graph_det(g)
+    assert graph_cofactor(g) == reference_graph_cofactor(g)
+
+
+def test_factored_det_and_cofactor_on_a_long_path_match_the_tree_closed_form():
+    # det = (-1)^(n-1) (n-1) (q+1)^(n-2) and xi = (-1)^(n-1) (q+1)^(n-1)
+    n = 2000
+    g = build(path_tree(n))
+    sign = (-1) ** (n - 1)
+    assert graph_det(g).coeffs == tuple(sign * (n - 1) * comb(n - 2, i) for i in range(n - 1))
+    assert graph_cofactor(g).coeffs == tuple(sign * comb(n - 1, i) for i in range(n))
+
+
+def test_factored_det_and_cofactor_property_on_random_shapes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        blocks=st.lists(
+            st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10**6), st.booleans()),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def prop(blocks):
+        specs, count = [], 0
+        for m, n, vertex, side in blocks:
+            attach = graph_attach(vertex % count, "X" if side else "Y") if specs else None
+            specs.append(BlockSpec(m, n, attach))
+            count += m + n - (1 if attach else 0)
+        g = build(specs)
+        assert graph_det(g) == reference_graph_det(g)
+        assert graph_cofactor(g) == reference_graph_cofactor(g)
+
+    prop()
 
 
 def test_vector_entries_are_shared_per_membership_signature():

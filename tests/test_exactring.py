@@ -84,6 +84,19 @@ def test_eval_is_ring_homomorphism():
         assert (p + r).eval_at(q0) == p.eval_at(q0) + r.eval_at(q0)
 
 
+def test_integer_horner_matches_fraction_horner():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        coeffs = [rng.randint(-10**30, 10**30) for _ in range(rng.randint(0, 12))]
+        q0 = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+        expected = Fraction(0)
+        for c in reversed(coeffs):
+            expected = expected * q0 + c
+        got = Polynomial(coeffs).eval_at(q0)
+        assert got == expected
+        assert type(got) is (int if expected.denominator == 1 else Fraction)
+
+
 def test_gcd_examples():
     assert (Q**2 - 1).gcd(Q + 1) == Q + 1
     assert (2 * Q + 2).gcd(4 * Q + 4) == Q + 1

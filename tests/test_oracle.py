@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qbiblock import closedform, oracle
-from qbiblock.closedform import block_cofactor
+from qbiblock.closedform import cofactor_core
 from qbiblock.exactring import Polynomial, Q
 from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock, star_tree
 from qbiblock.matrix import det_bareiss, rf_matrix
@@ -131,12 +131,13 @@ def test_verify_report_json_shape():
 
 def test_sign_flip_is_isolated_to_det_and_cofactor_checks(monkeypatch):
     # flip the cofactor of one block shape only, so neither composed quantity
-    # can cancel the flip away
+    # can cancel the flip away: the factored det and cofactor read each
+    # shape's cofactor core, and negating the core negates the block cofactor
     def flipped(s, t):
-        value = block_cofactor(s, t)
+        value = cofactor_core(s, t)
         return -value if (s, t) == (2, 2) else value
 
-    monkeypatch.setattr(closedform, "block_cofactor", flipped)
+    monkeypatch.setattr(closedform, "cofactor_core", flipped)
     specs = [BlockSpec(1, 1), BlockSpec(2, 2, graph_attach(1))]
     report = verify_graph(specs, "flipped")
     failed = {c.name for c in report.checks if not c.passed}
