@@ -2,10 +2,13 @@
 
 The oracles never call the closed-form code paths: they work from the
 distance table alone, so agreement between the two routes is evidence, not
-tautology.  The determinant oracles read their matrices off the table as
-integer coefficient lists, difference each row against its BFS parent's row
-(a unit-triangular row operation that keeps the Kronecker digits small) and
-take one packed determinant; the inverse oracle is Gauss-Jordan elimination.
+tautology.  The determinant and the reduced cofactor come from one packed
+determinant, of the q-distance matrix bordered at pivot 0 with corner q^M
+(qdist.bordered_rows, rows differenced against their BFS parents' rows): it
+is det D + q^M * cofactor, and M, one more than the row-degree sum, bounds
+deg det D a priori, so the coefficients below q^M are det D and the rest the
+cofactor.  The engine's Hadamard bound covers both readouts.  The inverse
+oracle is Gauss-Jordan elimination.
 
 verify_graph runs a fixed list of identity checks per graph.  The matrix
 identities are verified over a cleared structural common denominator
@@ -45,7 +48,7 @@ from .graph import (
     random_biblock,
 )
 from .matrix import RingMatrix, inverse_gauss, rf_matrix
-from .qdist import cofactor_rows, parent_differenced, q_distance_matrix, q_distance_rows
+from .qdist import bordered_rows, q_distance_matrix, q_distance_rows
 
 # Above this size the elimination-inverse comparison is skipped: the inverse
 # is still fully verified by the exact product identity, and uniqueness of the
@@ -66,19 +69,22 @@ _CHECK_NAMES = (
 )
 
 
+def oracle_det_and_cofactor(g: BiBlockGraph) -> tuple[Polynomial, Polynomial]:
+    """(det D, reduced cofactor), straight from the distance table: the first
+    M coefficients of the bordered determinant and the rest."""
+    rows, m = bordered_rows(distances(g))
+    coeffs = _moddet.det_int_poly_matrix(rows)
+    return Polynomial(coeffs[:m]), Polynomial(coeffs[m:])
+
+
 def oracle_det(g: BiBlockGraph) -> Polynomial:
-    """Determinant of the q-distance matrix, straight from the distance table;
-    rows are first differenced against their BFS parents' rows, which keeps
-    the determinant and makes the engine's coefficient bound small."""
-    dist = distances(g)
-    return Polynomial(_moddet.det_int_poly_matrix(parent_differenced(q_distance_rows(dist), dist)))
+    """Determinant of the q-distance matrix (oracle_det_and_cofactor)."""
+    return oracle_det_and_cofactor(g)[0]
 
 
 def oracle_cofactor(g: BiBlockGraph) -> Polynomial:
-    """Reduced cofactor, straight from the cofactor-construction matrix at
-    pivot 0, its rows differenced like oracle_det's."""
-    dist = distances(g)
-    return Polynomial(_moddet.det_int_poly_matrix(parent_differenced(cofactor_rows(dist), dist)))
+    """Reduced cofactor at pivot 0 (oracle_det_and_cofactor)."""
+    return oracle_det_and_cofactor(g)[1]
 
 
 def oracle_inverse(g: BiBlockGraph) -> RingMatrix:
@@ -166,16 +172,17 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
         checks.append(CheckResult(check_name, witness is None, witness))
 
     # determinant and cofactor against the elimination oracles
+    if wanted & {"det_vs_oracle", "cofactor_vs_oracle"}:
+        odet, ocof = oracle_det_and_cofactor(g)
+
     if "det_vs_oracle" in wanted:
         closed_det = graph_det(g)
-        odet = oracle_det(g)
         record(
             "det_vs_oracle", None if closed_det == odet else _witness_pair("det", closed_det, odet)
         )
 
     if "cofactor_vs_oracle" in wanted:
         closed_cof = graph_cofactor(g)
-        ocof = oracle_cofactor(g)
         record(
             "cofactor_vs_oracle",
             None if closed_cof == ocof else _witness_pair("cofactor", closed_cof, ocof),

@@ -3,10 +3,17 @@
 The q-distance matrix replaces each graph distance alpha >= 1 with the
 polynomial 1 + q + ... + q^(alpha-1).  The reduced cofactor of such a matrix
 is the determinant of an (n-1) x (n-1) matrix obtained from a pivot vertex;
-two equivalent constructions are provided and must agree entrywise.  The
-oracles read both as integer coefficient lists (q_distance_rows,
-cofactor_rows), which a determinant-preserving row transform
-(parent_differenced) turns into matrices of small entries.
+two equivalent constructions are provided and must agree entrywise.
+
+The oracles read one integer-list matrix off the distance table,
+bordered_rows.  Subtracting the pivot row from every other row and then
+q^d(0, v) times the pivot column from every other column v turns D into
+[[0, alpha^T], [beta, C]], with alpha_v = [d(0, v)]_q, beta_u = [d(u, 0)]_q
+and C the cofactor matrix at pivot 0.  Moving the pivot last shifts the rows
+and the columns cyclically, with signs that cancel, so the bordered matrix
+B(z) = [[C, beta], [alpha^T, z]] has det B(z) = det D + z * det C, linear in
+its corner z.  With z = q^M, for an a-priori bound M on the degree of det D,
+one determinant carries both values in disjoint coefficient ranges.
 """
 
 from __future__ import annotations
@@ -42,38 +49,29 @@ def q_distance_rows(dist: list[list[int]]) -> list[list[list[int]]]:
     return [[[1] * d for d in row] for row in dist]
 
 
-def cofactor_rows(dist: list[list[int]]) -> list[list[list[int]]]:
-    """cofactor_matrix at pivot 0 as ascending integer coefficient lists:
-    entry (u, v), for u, v != 0, is [d(u, v)]_q - [d(u, 0) + d(0, v)]_q."""
-    return [
-        [psub([1] * d, [1] * (row[0] + dist[0][v])) for v, d in enumerate(row) if v]
+def bordered_rows(dist: list[list[int]]) -> tuple[list[list[list[int]]], int]:
+    """(rows, M): the bordered q-distance matrix above, as integer coefficient
+    lists with corner q^M.
+
+    Row u != 0 is cofactor_matrix's row of u followed by [d(u, 0)]_q, less
+    the row of u's BFS parent p when p != 0: unit lower triangular in BFS
+    order, so the determinant is kept, and [a]_q - [a-1]_q = q^(a-1) leaves
+    entries of 1-norm at most 2, with q^d(p, 0) last.  Vertex 0's row comes
+    last.  M = 1 + sum_i max_j deg B_ij, corner excluded, bounds deg det D.
+    """
+    alpha = dist[0][1:]
+    rows = [
+        [psub([1] * d, [1] * (row[0] + a)) for d, a in zip(row[1:], alpha)] + [[1] * row[0]]
         for row in dist[1:]
     ]
-
-
-def parent_differenced(
-    rows: list[list[list[int]]], dist: list[list[int]]
-) -> list[list[list[int]]]:
-    """A square matrix of integer coefficient lists with the row of each
-    vertex minus the row of its BFS parent, wherever that parent has a row.
-
-    The rows belong to the last len(rows) vertices: all of them for the
-    q-distance matrix, all but vertex 0 for the cofactor matrix at pivot 0.
-    Each new row is an original row minus an earlier one in BFS order, so the
-    transform is unit lower triangular and the determinant is unchanged.
-    Neighbours differ in distance to any vertex by at most 1, and
-    [a]_q - [a-1]_q = q^(a-1): a differenced row of the q-distance matrix has
-    entries 0 or +-q^a, one of the cofactor matrix entries of 1-norm at most 2.
-    """
-    n = len(dist)
-    skip = n - len(rows)
-    widths = {len(row) for row in rows} | {len(row) - skip for row in dist}
-    if skip not in (0, 1) or widths != {n - skip}:
-        raise DimensionError("matrix and distance table sizes disagree")
-    return [
-        row if p < skip else [psub(a, b) for a, b in zip(row, rows[p - skip])]
-        for row, p in zip(rows, bfs_parents(dist)[skip:])
+    rows = [
+        row if p == 0 else [psub(a, b) for a, b in zip(row, rows[p - 1])]
+        for row, p in zip(rows, bfs_parents(dist)[1:])
     ]
+    rows.append([[1] * a for a in alpha] + [[]])
+    m = 1 + sum(max(map(len, row)) - 1 for row in rows)
+    rows[-1][-1] = [0] * m + [1]
+    return rows, m
 
 
 def cofactor_matrix(

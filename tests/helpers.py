@@ -6,19 +6,25 @@ RationalFunction terms, which are then cleared over delta with
 _fastpoly.cleared.  closedform.ClearedForms must give the same integer lists.
 det_cofactor is the naive cofactor expansion that the Bareiss determinant is
 checked against, identity builds the identity matrices the tests multiply by,
-and formulas_large_graphs builds the reference graphs of the formulas_large
-benchmark workload.
+and formulas_large_graphs and oracle_large_graphs build the reference graphs
+of those benchmark workloads.
+
+separate_det_and_cofactor is the second route to oracle_det_and_cofactor:
+two packed determinants, of the q-distance matrix and of the cofactor matrix
+at pivot 0 (cofactor_rows), each with its rows differenced against their BFS
+parents' rows (parent_differenced).
 """
 
 from __future__ import annotations
 
 import functools
 
-from qbiblock import _fastpoly
+from qbiblock import _fastpoly, _moddet
 from qbiblock.closedform import _shapes, cofactor_core, det_core
 from qbiblock.exactring import ONE, Polynomial, Q, RF_ZERO, RationalFunction
-from qbiblock.graph import build, random_biblock, random_tree
+from qbiblock.graph import build, distances, random_biblock, random_tree
 from qbiblock.matrix import DimensionError, RingMatrix
+from qbiblock.qdist import bfs_parents, q_distance_rows
 
 QP1 = Q + 1
 
@@ -163,3 +169,57 @@ def formulas_large_graphs():
         build(random_biblock(116, 30, 3)),
         build(random_tree(0, 180)),
     ]
+
+
+def oracle_large_graphs():
+    """The reference graphs of the oracle_large benchmark workload (n = 33,
+    34 and 33)."""
+    return [
+        build(random_tree(1, 33)),
+        build(random_biblock(20, 14, 3)),
+        build(random_biblock(81, 14, 3)),
+    ]
+
+
+def cofactor_rows(dist: list[list[int]]) -> list[list[list[int]]]:
+    """cofactor_matrix at pivot 0 as ascending integer coefficient lists:
+    entry (u, v), for u, v != 0, is [d(u, v)]_q - [d(u, 0) + d(0, v)]_q."""
+    return [
+        [_fastpoly.psub([1] * d, [1] * (row[0] + dist[0][v])) for v, d in enumerate(row) if v]
+        for row in dist[1:]
+    ]
+
+
+def parent_differenced(
+    rows: list[list[list[int]]], dist: list[list[int]]
+) -> list[list[list[int]]]:
+    """A square matrix of integer coefficient lists with the row of each
+    vertex minus the row of its BFS parent, wherever that parent has a row.
+
+    The rows belong to the last len(rows) vertices: all of them for the
+    q-distance matrix, all but vertex 0 for the cofactor matrix at pivot 0.
+    Each new row is an original row minus an earlier one in BFS order, so the
+    transform is unit lower triangular and the determinant is unchanged.
+    Neighbours differ in distance to any vertex by at most 1, and
+    [a]_q - [a-1]_q = q^(a-1): a differenced row of the q-distance matrix has
+    entries 0 or +-q^a, one of the cofactor matrix entries of 1-norm at most 2.
+    """
+    n = len(dist)
+    skip = n - len(rows)
+    widths = {len(row) for row in rows} | {len(row) - skip for row in dist}
+    if skip not in (0, 1) or widths != {n - skip}:
+        raise DimensionError("matrix and distance table sizes disagree")
+    return [
+        row if p < skip else [_fastpoly.psub(a, b) for a, b in zip(row, rows[p - skip])]
+        for row, p in zip(rows, bfs_parents(dist)[skip:])
+    ]
+
+
+def separate_det_and_cofactor(g) -> tuple[Polynomial, Polynomial]:
+    """det D and the reduced cofactor at pivot 0 as two packed determinants."""
+    dist = distances(g)
+    det, cof = (
+        _moddet.det_int_poly_matrix(parent_differenced(rows, dist))
+        for rows in (q_distance_rows(dist), cofactor_rows(dist))
+    )
+    return Polynomial(det), Polynomial(cof)

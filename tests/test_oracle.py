@@ -1,25 +1,39 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
+from helpers import (
+    cofactor_rows,
+    oracle_large_graphs,
+    parent_differenced,
+    separate_det_and_cofactor,
+)
 
-from qbiblock import closedform, oracle
+from qbiblock import _moddet, closedform, oracle
 from qbiblock.closedform import cofactor_core
 from qbiblock.exactring import Polynomial, Q
 from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock, star_tree
-from qbiblock.matrix import det_bareiss, rf_matrix
+from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss, rf_matrix
 from qbiblock.oracle import (
     all_trees,
     default_corpus,
     oracle_cofactor,
     oracle_det,
+    oracle_det_and_cofactor,
     oracle_inverse,
     verify_corpus,
     verify_graph,
 )
-from qbiblock.qdist import cofactor_matrix, q_distance_matrix
+from qbiblock.qdist import (
+    bfs_parents,
+    bordered_rows,
+    cofactor_matrix,
+    q_distance_matrix,
+    q_distance_rows,
+)
 
 QP1 = Q + 1
 
@@ -96,6 +110,146 @@ def test_closed_forms_match_oracles_on_mid_size_random_graphs():
         assert closedform.graph_cofactor(g) == oracle_cofactor(g)
 
     prop()
+
+
+def test_oracle_matches_the_separate_routes_on_the_corpus():
+    corpus = default_corpus(7)
+    assert len(corpus) == 172
+    for name, specs in corpus:
+        g = build(specs)
+        assert oracle_det_and_cofactor(g) == separate_det_and_cofactor(g), name
+
+
+def test_oracle_matches_the_separate_routes_on_the_oracle_large_graphs():
+    for g in oracle_large_graphs():
+        assert oracle_det_and_cofactor(g) == separate_det_and_cofactor(g), g.n
+
+
+def test_oracle_matches_the_separate_routes_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 10**6), blocks=st.integers(1, 7), part=st.integers(1, 4))
+    def prop(seed, blocks, part):
+        g = build(random_biblock(seed, blocks, part))
+        assert oracle_det_and_cofactor(g) == separate_det_and_cofactor(g)
+
+    prop()
+
+
+def test_degree_bound_exceeds_the_determinant_degree_on_the_corpus():
+    for name, specs in default_corpus(7):
+        g = build(specs)
+        _, m = bordered_rows(distances(g))
+        assert oracle_det(g).degree < m, name
+
+
+def test_corner_split_on_single_blocks_stars_and_paths():
+    # K_{1,1} is the 2 x 2 bordered matrix [[-(1+q), 1], [1, q^2]]
+    assert oracle_det_and_cofactor(build([BlockSpec(1, 1)])) == (Polynomial((-1,)), -QP1)
+    graphs = [[BlockSpec(1, t)] for t in range(1, 7)] + [star_tree(k) for k in (2, 3, 5, 9)]
+    for specs in graphs:
+        g = build(specs)
+        assert oracle_det_and_cofactor(g) == separate_det_and_cofactor(g), specs
+        assert oracle_det_and_cofactor(g) == (closedform.graph_det(g), closedform.graph_cofactor(g))
+    # a tree on n vertices: det = (-1)^(n-1) (n-1) (q+1)^(n-2), cofactor (-1)^(n-1) (q+1)^(n-1)
+    n = 40
+    det, cof = oracle_det_and_cofactor(build(path_tree(n)))
+    assert det == Polynomial([-(n - 1) * math.comb(n - 2, i) for i in range(n - 1)])
+    assert cof == Polynomial([-math.comb(n - 1, i) for i in range(n)])
+
+
+def test_corner_split_with_a_negative_leading_determinant_coefficient():
+    # a negative lead below the corner must not borrow from the cofactor's digits
+    graphs = [[BlockSpec(2, 3)], [BlockSpec(3, 4)], [BlockSpec(2, 2), BlockSpec(2, 3, graph_attach(0))]]
+    for specs in graphs:
+        g = build(specs)
+        det, cof = oracle_det_and_cofactor(g)
+        assert det.lead < 0, specs
+        assert (det, cof) == separate_det_and_cofactor(g), specs
+        assert (det, cof) == (closedform.graph_det(g), closedform.graph_cofactor(g)), specs
+
+
+def test_a_wrong_closed_form_fails_only_its_own_check(monkeypatch):
+    specs = [BlockSpec(2, 2), BlockSpec(1, 3, graph_attach(1))]
+    for name, check in (("graph_det", "det_vs_oracle"), ("graph_cofactor", "cofactor_vs_oracle")):
+        with monkeypatch.context() as patch:
+            real = getattr(oracle, name)
+            patch.setattr(oracle, name, lambda g, real=real: real(g) + Q)
+            report = verify_graph(specs, "faulty")
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == [check] and failed[0].witness, name
+        assert len(report.checks) == len(oracle._CHECK_NAMES)
+
+
+def test_both_oracle_checks_share_one_determinant(monkeypatch):
+    calls = {"oracle_det_and_cofactor": 0, "graph_det": 0, "graph_cofactor": 0}
+    counting_wrappers(monkeypatch, calls, oracle)
+    engine = {"det_int_poly_matrix": 0}
+    counting_wrappers(monkeypatch, engine, _moddet)
+    specs = random_biblock(5, 4, 3)
+    assert verify_graph(specs, "g").passed
+    assert calls == {"oracle_det_and_cofactor": 1, "graph_det": 1, "graph_cofactor": 1}
+    assert engine == {"det_int_poly_matrix": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    report = verify_graph(specs, "g", select=["cofactor_vs_oracle"])
+    assert [c.name for c in report.checks] == ["cofactor_vs_oracle"] and report.passed
+    assert calls == {"oracle_det_and_cofactor": 1, "graph_det": 0, "graph_cofactor": 1}
+
+
+def one_norm(e: list[int]) -> int:
+    return sum(map(abs, e))
+
+
+def int_rows(m: RingMatrix) -> list[list[list[int]]]:
+    return [[list(e.coeffs) for e in row] for row in m.rows]
+
+
+def test_integer_rows_equal_the_ring_matrices_on_the_corpus():
+    # the second route's integer lists against the Polynomial constructions,
+    # both cofactor routes
+    corpus = default_corpus(7)
+    assert len(corpus) == 172
+    for name, specs in corpus:
+        g = build(specs)
+        dist = distances(g)
+        qmat = q_distance_matrix(g)
+        assert q_distance_rows(dist) == int_rows(qmat), name
+        cof = cofactor_rows(dist)
+        assert cof == int_rows(cofactor_matrix(qmat, dist, route="direct")), name
+        assert cof == int_rows(cofactor_matrix(qmat, dist, route="rowcol")), name
+
+
+def test_parent_differenced_subtracts_each_parent_row_and_leaves_small_entries():
+    # expected rows come from Polynomial subtraction on the ring matrices
+    for seed in range(8):
+        g = build(random_biblock(seed, 6, 3))
+        dist = distances(g)
+        parents = bfs_parents(dist)
+        qmat = q_distance_matrix(g)
+        diffed = parent_differenced(q_distance_rows(dist), dist)
+        assert diffed[0] == int_rows(qmat)[0]
+        for i in range(1, g.n):
+            expected = [a - b for a, b in zip(qmat.rows[i], qmat.rows[parents[i]])]
+            assert diffed[i] == [list(e.coeffs) for e in expected]
+            # 0 or +-q^m
+            assert all(one_norm(e) <= 1 for e in diffed[i])
+        # the cofactor matrix drops vertex 0, so rows whose parent is 0 stay
+        cof = cofactor_matrix(qmat, dist)
+        cof_diffed = parent_differenced(cofactor_rows(dist), dist)
+        for i in range(1, g.n):
+            p = parents[i]
+            row = cof.rows[i - 1]
+            expected = row if p == 0 else [a - b for a, b in zip(row, cof.rows[p - 1])]
+            assert cof_diffed[i - 1] == [list(e.coeffs) for e in expected]
+            assert all(one_norm(e) <= 2 for e in cof_diffed[i - 1])
+
+
+def test_parent_differenced_rejects_mismatched_sizes():
+    dist = distances(build(path_tree(4)))
+    with pytest.raises(DimensionError):
+        parent_differenced(q_distance_rows(dist), distances(build(path_tree(6))))
 
 
 def test_oracle_inverse_examples():

@@ -3,16 +3,13 @@ from __future__ import annotations
 import pytest
 
 from qbiblock.exactring import ONE, Q, ZERO, q_integer
-from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock
+from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock, star_tree
 from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss
-from qbiblock.oracle import default_corpus
 from qbiblock.qdist import (
     bfs_parents,
+    bordered_rows,
     cofactor_matrix,
-    cofactor_rows,
-    parent_differenced,
     q_distance_matrix,
-    q_distance_rows,
     q_matrix_from_distances,
 )
 
@@ -99,29 +96,6 @@ def test_errors():
         cofactor_matrix(m, d, route="sideways")
 
 
-def one_norm(e: list[int]) -> int:
-    return sum(map(abs, e))
-
-
-def int_rows(m: RingMatrix) -> list[list[list[int]]]:
-    return [[list(e.coeffs) for e in row] for row in m.rows]
-
-
-def test_integer_rows_equal_the_ring_matrices_on_the_corpus():
-    # the oracles' integer lists against the Polynomial constructions, both
-    # cofactor routes
-    corpus = default_corpus(7)
-    assert len(corpus) == 172
-    for name, specs in corpus:
-        g = build(specs)
-        dist = distances(g)
-        qmat = q_distance_matrix(g)
-        assert q_distance_rows(dist) == int_rows(qmat), name
-        cof = cofactor_rows(dist)
-        assert cof == int_rows(cofactor_matrix(qmat, dist, route="direct")), name
-        assert cof == int_rows(cofactor_matrix(qmat, dist, route="rowcol")), name
-
-
 def test_bfs_parents_are_neighbours_one_step_closer_to_vertex_0():
     for specs in (path_tree(6), [BlockSpec(3, 2)], random_biblock(11, 6, 3)):
         dist = distances(build(specs))
@@ -131,32 +105,58 @@ def test_bfs_parents_are_neighbours_one_step_closer_to_vertex_0():
             assert dist[i][p] == 1 and dist[0][p] == dist[0][i] - 1
 
 
-def test_parent_differenced_subtracts_each_parent_row_and_leaves_small_entries():
-    # expected rows come from Polynomial subtraction on the ring matrices
-    for seed in range(8):
-        g = build(random_biblock(seed, 6, 3))
+def int_rows(m: RingMatrix) -> list[list[list[int]]]:
+    return [[list(e.coeffs) for e in row] for row in m.rows]
+
+
+def ring_bordered(g, corner=ZERO) -> list[list]:
+    """The bordered matrix from the ring constructions: the row-and-column
+    route's cofactor matrix at pivot 0 with the column [d(u, 0)]_q, then the
+    row [d(0, v)]_q and the corner."""
+    qmat = q_distance_matrix(g)
+    cof = cofactor_matrix(qmat, distances(g), route="rowcol")
+    rows = [list(row) + [qmat[u, 0]] for u, row in enumerate(cof.rows, start=1)]
+    return rows + [[qmat[0, v] for v in range(1, g.n)] + [corner]]
+
+
+def test_bordered_rows_of_the_single_edge():
+    # the 2 x 2 bordered matrix [[-(1+q), 1], [1, q^2]]: det = -1 - q^2 - q^3
+    rows, m = bordered_rows(distances(build([BlockSpec(1, 1)])))
+    assert m == 2
+    assert rows == [[[-1, -1], [1]], [[1], [0, 0, 1]]]
+
+
+def test_bordered_rows_are_the_parent_differenced_ring_construction():
+    graphs = [[BlockSpec(1, 1)], [BlockSpec(1, 4)], [BlockSpec(3, 3)], star_tree(6), path_tree(9)]
+    graphs += [random_biblock(seed, 6, 3) for seed in range(8)]
+    for specs in graphs:
+        g = build(specs)
         dist = distances(g)
+        rows, m = bordered_rows(dist)
+        ring = ring_bordered(g)
         parents = bfs_parents(dist)
+        expected = [
+            row if parents[u] == 0 else [a - b for a, b in zip(row, ring[parents[u] - 1])]
+            for u, row in enumerate(ring[:-1], start=1)
+        ] + [ring[-1]]
+        # the a-priori degree bound: one more than the sum of the rows' degrees
+        assert m == 1 + sum(max(e.degree for e in row) for row in expected), specs
+        expected[-1][-1] = Q**m
+        assert rows == int_rows(RingMatrix(expected)), specs
+        for u in range(1, g.n):
+            if parents[u]:
+                # the differenced entries have 1-norm at most 2, q^d(p, 0) last
+                assert all(sum(map(abs, e)) <= 2 for e in rows[u - 1]), specs
+                assert rows[u - 1][-1] == [0] * dist[parents[u]][0] + [1], specs
+
+
+def test_bordered_determinant_is_linear_in_the_corner():
+    # det B(z) = det D + z * det C, on the undifferenced ring matrices
+    for specs in ([BlockSpec(1, 1)], [BlockSpec(2, 3)], path_tree(5), random_biblock(3, 3, 3)):
+        g = build(specs)
         qmat = q_distance_matrix(g)
-        diffed = parent_differenced(q_distance_rows(dist), dist)
-        assert diffed[0] == int_rows(qmat)[0]
-        for i in range(1, g.n):
-            expected = [a - b for a, b in zip(qmat.rows[i], qmat.rows[parents[i]])]
-            assert diffed[i] == [list(e.coeffs) for e in expected]
-            # 0 or +-q^m
-            assert all(one_norm(e) <= 1 for e in diffed[i])
-        # the cofactor matrix drops vertex 0, so rows whose parent is 0 stay
-        cof = cofactor_matrix(qmat, dist)
-        cof_diffed = parent_differenced(cofactor_rows(dist), dist)
-        for i in range(1, g.n):
-            p = parents[i]
-            row = cof.rows[i - 1]
-            expected = row if p == 0 else [a - b for a, b in zip(row, cof.rows[p - 1])]
-            assert cof_diffed[i - 1] == [list(e.coeffs) for e in expected]
-            assert all(one_norm(e) <= 2 for e in cof_diffed[i - 1])
-
-
-def test_parent_differenced_rejects_mismatched_sizes():
-    dist = distances(build(path_tree(4)))
-    with pytest.raises(DimensionError):
-        parent_differenced(q_distance_rows(dist), distances(build(path_tree(6))))
+        det_d = det_bareiss(qmat)
+        cofactor = det_bareiss(cofactor_matrix(qmat, distances(g)))
+        assert det_bareiss(RingMatrix(ring_bordered(g))) == det_d, specs
+        for z in (ONE, Q**3 - 2):
+            assert det_bareiss(RingMatrix(ring_bordered(g, z))) == det_d + z * cofactor, specs
