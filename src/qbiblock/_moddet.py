@@ -15,6 +15,7 @@ unique, and ``unpack`` raises ``ArithmeticError`` on a digit past ``C``.
   larger than the permanent bound ``∏ᵢ Σⱼ ‖aᵢⱼ‖₁``.
 * ``matmul``: one integer dot product per entry,
   ``C = maxᵢ Σₖ ‖aᵢₖ‖₁ · maxₖⱼ ‖bₖⱼ‖₁ ≥ Σₖ ‖aᵢₖ‖₁·‖bₖⱼ‖₁``.
+* ``power_product``: one product of packed powers, ``C = ∏ ‖eᵢ‖₁^pᵢ ≥ ‖∏ eᵢ^pᵢ‖₁``.
 * ``adjugate``: one fraction-free Gauss-Jordan elimination of ``[A | I]``
   gives ``det(A)`` and ``adj(A)``; the Hadamard bound of ``A`` covers every
   (n-1)-minor when no row is zero, since each row factor is then at least 1.
@@ -129,6 +130,14 @@ def matmul(a: list[list[list[int]]], b: list[list[list[int]]]) -> list[list[list
         [unpack(sum(map(mul, row, col)), k, bound) for col in columns]
         for row in ([pack(e, k) for e in row] for row in a)
     ]
+
+
+def power_product(factors: list[tuple[list[int], int]]) -> list[int]:
+    """Coefficients of the product of e^p over the (e, p) factors of integer
+    polynomial lists: [1] for no factors, [] when a factor with p > 0 is zero."""
+    bound = prod(_norm(e) ** p for e, p in factors)
+    k = _digit_bits(bound)
+    return unpack(prod(pack(e, k) ** p for e, p in factors), k, bound)
 
 
 def adjugate(entries: list[list[list[int]]]) -> tuple[list[int], list[list[list[int]]]]:

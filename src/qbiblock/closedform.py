@@ -8,17 +8,20 @@ Per complete bipartite block K_{s,t} two core polynomials recur:
 
 The block determinant and cofactor are (q+1)-powers times these cores; both
 compose over the blocks of a graph (the cofactor multiplicatively, the
-determinant by a product-rule sum).  The inverse of the q-distance matrix is
-the negated local matrix plus a rank-one balance correction:
+determinant by a product-rule sum), and the composed pair shares all but
+one factor, so det = balance_constant * cofactor.  The inverse of the
+q-distance matrix is the negated local matrix plus a rank-one balance
+correction:
 
     inverse = -local_matrix + outer(x, x) / balance_constant
 
 where x is the balance vector (the matrix maps it to a constant column).
 Each of x, the balance constant and the local matrix sums per-block terms
 over cofactor cores.  ClearedForms builds them, and the inverse numerators,
-as integer lists over the structural denominator delta = clearing_poly(g);
-the public functions wrap each distinct list in one RationalFunction, and
-the verification harness checks the lists as they are.
+as integer lists over the structural denominator delta = clearing_poly(g),
+and the determinant and cofactor from the same pieces; the public functions
+wrap each distinct list in one Polynomial or RationalFunction, and the
+verification harness checks the lists as they are.
 
 Sign convention: the reduced cofactor of K_{s,t} carries the global sign
 (-1)^(s+t).  Direct evaluation of the 1x1 case K_{1,1} (whose cofactor matrix
@@ -32,7 +35,6 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from operator import add
 
 from . import _fastpoly, _moddet
@@ -104,52 +106,15 @@ def _shapes(g: BiBlockGraph) -> Counter:
     return Counter((min(b.m, b.n), max(b.m, b.n)) for b in g.blocks)
 
 
-def _expanded(g: BiBlockGraph, with_det: bool) -> Polynomial:
-    """graph_cofactor(g), or graph_det(g) when with_det, expanded from its factors.
-
-    With E = n - 1, sigma = prod over blocks of (-1)^(m+n) and the cofactor
-    cores grouped by value (core v shared by c_v blocks, P = prod_v v):
-
-        xi  = sigma (q+1)^E     prod_v v^(c_v)
-        det = sigma (q+1)^(E-1) prod_v v^(c_v - 1) sum_T c_T det_core_T P / core_T
-
-    over the block shapes T with c_T blocks.  The factors after the power of
-    q+1 are evaluated at q = 2^k, multiplied as plain integers and read back
-    as balanced base-2^k digits (Kronecker substitution); the product of
-    their 1-norms bounds every coefficient and sets k.  The power of q+1 is
-    then applied by Pascal's rule, one pass of c_i + c_(i-1) per factor.
-    """
-    shapes = _shapes(g)
-    cores = {t: cofactor_core(*t) for t in shapes}
-    counts: Counter = Counter()
-    for t, count in shapes.items():
-        counts[cores[t]] += count
-    dets = {t: det_core(*t) for t in shapes} if with_det else {}
-    bound = prod(_moddet._norm(v.coeffs) ** c for v, c in counts.items())
-    if with_det:
-        bound *= sum(count * _moddet._norm(dets[t].coeffs) for t, count in shapes.items())
-    k = _moddet._digit_bits(bound)
-    at = functools.cache(lambda p: p.eval_at(1 << k))
-    value = prod(at(v) ** (c - with_det) for v, c in counts.items())
-    if with_det:
-        full = prod(map(at, counts))
-        value *= sum(count * at(dets[t]) * (full // at(cores[t])) for t, count in shapes.items())
-    sign = _sign(sum(count * (m + n) for (m, n), count in shapes.items()))
-    coeffs = _moddet.unpack(sign * value, k, bound)
-    for _ in range(g.n - 1 - with_det):
-        coeffs = list(map(add, coeffs + [0], [0] + coeffs))
-    return Polynomial(coeffs)
-
-
 def graph_cofactor(g: BiBlockGraph) -> Polynomial:
     """Reduced cofactor of a bi-block graph: the product of its block cofactors."""
-    return _expanded(g, with_det=False)
+    return Polynomial(ClearedForms(g).cofactor)
 
 
 def graph_det(g: BiBlockGraph) -> Polynomial:
     """Determinant of the q-distance matrix of a bi-block graph: the sum over
     blocks of the block determinant times the cofactors of all other blocks."""
-    return _expanded(g, with_det=True)
+    return Polynomial(ClearedForms(g).det)
 
 
 # -- vectors and matrices ----------------------------------------------------
@@ -365,17 +330,42 @@ class ClearedForms:
     delta, y the diagonal weight vector times P, local the rows of
     local_matrix(g) times delta, and inverse the numerators
     N = X_a X_b - L_ab Lambda of graph_inverse(g) over inverse_den =
-    delta * Lambda.  All are built in integer-list arithmetic from the
-    per-shape quotients R_a = P / core_a, x, y, local and inverse on first use.
+    delta * Lambda, and det and cofactor are graph_det(g) = F (q+1)^(n-2) Lambda
+    and graph_cofactor(g) = F (q+1)^(n-1) P, F their shared factor (_expanded).
+    All are built in integer-list arithmetic from the per-shape quotients
+    R_a = P / core_a; x, y, local, inverse, det and cofactor on first use.
     """
 
     def __init__(self, g: BiBlockGraph):
         self._g = g
-        shapes = _shapes(g)
-        self.product, self._quotients = _core_quotients(shapes)
+        self._shapes = _shapes(g)
+        self.product, self._quotients = _core_quotients(self._shapes)
         self.delta = _fastpoly.pmul([1, 1], self.product)
-        self.lam = _cleared_lambda(shapes, self._quotients)
+        self.lam = _cleared_lambda(self._shapes, self._quotients)
         self.inverse_den = _fastpoly.pmul(self.delta, self.lam)
+
+    def _expanded(self, last: list[int], power: int) -> list[int]:
+        """F last (q+1)^power, F = sigma' prod over a != 0 of core_a^(c_a - 1)
+        for the c_a blocks with a = (m-1)(n-1) and sigma' = (-1)^(c_0 + the
+        sum of m + n over the blocks): one Kronecker product, then power
+        passes of Pascal's rule c_i + c_(i-1)."""
+        counts: Counter = Counter()
+        for (m, n), count in self._shapes.items():
+            counts[(m - 1) * (n - 1)] += count
+        parity = sum(count * (m + n) for (m, n), count in self._shapes.items()) + counts[0]
+        powers = [([-1, 0, a], c - 1) for a, c in counts.items() if a]
+        coeffs = _moddet.power_product([([_sign(parity)], 1), (last, 1), *powers])
+        for _ in range(power if coeffs else 0):
+            coeffs = list(map(add, coeffs + [0], [0] + coeffs))
+        return coeffs
+
+    @functools.cached_property
+    def det(self) -> list[int]:
+        return self._expanded(self.lam, self._g.n - 2)
+
+    @functools.cached_property
+    def cofactor(self) -> list[int]:
+        return self._expanded(self.product, self._g.n - 1)
 
     @functools.cached_property
     def x(self) -> list[list[int]]:
@@ -509,7 +499,8 @@ def check_conditions(g: BiBlockGraph, q0: Rational) -> ConditionCheck:
     C1 fails when q0 = -1 or q0^2 (m-1)(n-1) = 1 (a cofactor core vanishes:
     vectors, weight matrices, the local matrix and the balance constant have
     poles).  C2 fails when q0 = -1 or (q0+1)^2 (m-1)(n-1) = m n (a determinant
-    core vanishes: the determinant is zero and the inverse does not exist).
+    core vanishes: that block's determinant is zero, not the graph's, which
+    is 59049/1024 for K_{2,9} with K_{1,1} attached at q0 = 1/2).
     Violations are data, not errors.
     """
     violations = []

@@ -10,6 +10,7 @@ exact ``int`` first: int coefficients skip ``Fraction`` arithmetic entirely.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -36,12 +37,13 @@ def _demote(value: Rational) -> Rational:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse an exact rational literal of the form ``p`` or ``p/q``."""
-    text = text.strip()
-    if "/" in text:
-        num_text, den_text = text.split("/", 1)
-        return _demote(Fraction(int(num_text), int(den_text)))
-    return int(text)
+    """Parse an exact rational literal ``p`` or ``p/q``, each part optionally
+    signed ASCII digits (``int`` alone would take ``1_0`` and other scripts)."""
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?", text.strip())
+    if match is None:
+        raise ValueError(f"not a rational literal: {text!r}")
+    num, den = match.groups()
+    return int(num) if den is None else _demote(Fraction(int(num), int(den)))
 
 
 def rational_to_json(value: Rational) -> list[str]:

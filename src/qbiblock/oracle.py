@@ -17,10 +17,13 @@ identity into an equivalent integer-polynomial identity; the straight
 rational-function route is exercised on small graphs by the test suite.  The
 cleared integer forms come from closedform.ClearedForms, their one owner,
 which builds them in integer-list arithmetic without a RationalFunction: the
-balance vector, the balance constant, the local matrix and the numerators of
-the inverse over its denominator.  The matrix products and the elimination inverse of those checks run on Kronecker-packed integers
-(_moddet.matmul, _moddet.adjugate); the elimination comparison checks
-numerator * det == denominator * adjugate entry by entry.
+balance vector, the balance constant, the local matrix, the numerators of
+the inverse over its denominator, and the determinant and cofactor that the
+oracle's are compared with.  One ClearedForms serves every check of a
+graph.  The matrix products and the elimination inverse of those checks run
+on Kronecker-packed integers (_moddet.matmul, _moddet.adjugate); the
+elimination comparison checks numerator * det == denominator * adjugate
+entry by entry.
 
 verify_corpus fans the graphs out over a process pool when asked for more
 than one job; reports come back in corpus order with per-graph wall times.
@@ -36,7 +39,7 @@ import time
 from dataclasses import dataclass
 
 from . import _fastpoly, _moddet
-from .closedform import ClearedForms, graph_cofactor, graph_det
+from .closedform import ClearedForms
 from .exactring import Polynomial
 from .graph import (
     Attachment,
@@ -130,13 +133,11 @@ def _clip(text: str, limit: int = 160) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def _witness_pair(where: str, lhs, rhs) -> str:
-    return f"{where}: {_clip(str(lhs))} != {_clip(str(rhs))}"
-
-
 def _mismatch(where: str, got: list[int], want: list[int]) -> str | None:
     """Witness when two coefficient lists differ, else None."""
-    return None if got == want else _witness_pair(where, Polynomial(got), Polynomial(want))
+    if got == want:
+        return None
+    return f"{where}: {_clip(str(Polynomial(got)))} != {_clip(str(Polynomial(want)))}"
 
 
 def _first_mismatch(rows: list[list[list[int]]], expected) -> str | None:
@@ -171,27 +172,23 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
     def record(check_name: str, witness: str | None):
         checks.append(CheckResult(check_name, witness is None, witness))
 
+    # the cleared closed forms shared by every check below; det, cofactor,
+    # x, the local entries and the inverse numerators are built only when a
+    # check reads them
+    if wanted:
+        forms = ClearedForms(g)
+
     # determinant and cofactor against the elimination oracles
     if wanted & {"det_vs_oracle", "cofactor_vs_oracle"}:
         odet, ocof = oracle_det_and_cofactor(g)
 
     if "det_vs_oracle" in wanted:
-        closed_det = graph_det(g)
-        record(
-            "det_vs_oracle", None if closed_det == odet else _witness_pair("det", closed_det, odet)
-        )
+        record("det_vs_oracle", _mismatch("det", forms.det, list(odet.coeffs)))
 
     if "cofactor_vs_oracle" in wanted:
-        closed_cof = graph_cofactor(g)
-        record(
-            "cofactor_vs_oracle",
-            None if closed_cof == ocof else _witness_pair("cofactor", closed_cof, ocof),
-        )
+        record("cofactor_vs_oracle", _mismatch("cofactor", forms.cofactor, list(ocof.coeffs)))
 
-    # the cleared closed forms shared by every check below; the local entries
-    # and the inverse numerators are built only when a check reads them
     if wanted - {"det_vs_oracle", "cofactor_vs_oracle"}:
-        forms = ClearedForms(g)
         x_column = [[e] for e in forms.x]
 
     if "balance_constant_nonzero" in wanted:

@@ -13,6 +13,11 @@ separate_det_and_cofactor is the second route to oracle_det_and_cofactor:
 two packed determinants, of the q-distance matrix and of the cofactor matrix
 at pivot 0 (cofactor_rows), each with its rows differenced against their BFS
 parents' rows (parent_differenced).
+
+reference_graph_det and reference_graph_cofactor compose the block
+determinants and cofactors block by block, by the product rule, with no
+shared factor: the route that ClearedForms.det and .cofactor are checked
+against.
 """
 
 from __future__ import annotations
@@ -20,13 +25,30 @@ from __future__ import annotations
 import functools
 
 from qbiblock import _fastpoly, _moddet
-from qbiblock.closedform import _shapes, cofactor_core, det_core
+from qbiblock.closedform import _shapes, block_cofactor, block_det, cofactor_core, det_core
 from qbiblock.exactring import ONE, Polynomial, Q, RF_ZERO, RationalFunction
 from qbiblock.graph import build, distances, random_biblock, random_tree
 from qbiblock.matrix import DimensionError, RingMatrix
 from qbiblock.qdist import bfs_parents, q_distance_rows
 
 QP1 = Q + 1
+
+
+def reference_graph_det(g):
+    """The product rule block by block: total <- total cof_b + det_b cof."""
+    total, cof = Polynomial(), ONE
+    for b in g.blocks:
+        cof_b = block_cofactor(b.m, b.n)
+        total = total * cof_b + block_det(b.m, b.n) * cof
+        cof = cof * cof_b
+    return total
+
+
+def reference_graph_cofactor(g):
+    result = ONE
+    for b in g.blocks:
+        result = result * block_cofactor(b.m, b.n)
+    return result
 
 
 def membership_sums(g, term) -> list[RationalFunction]:

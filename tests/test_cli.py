@@ -5,12 +5,14 @@ import json
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qbiblock import cli, oracle
-from qbiblock.graph import Attachment, BlockSpec, graph_to_json, path_tree
+from qbiblock.closedform import check_conditions, inverse_at
+from qbiblock.graph import Attachment, BlockSpec, build, graph_to_json, path_tree
 from qbiblock.oracle import CheckResult, VerificationReport
 from helpers import formulas_large_graphs
 
@@ -138,6 +140,36 @@ def test_inverse_at_singular_point_without_block_violation(capsys, tmp_path):
         assert code == 3 and out == "" and err.startswith("error:"), (fmt, out, err)
     code, out, _ = run_cli(capsys, "det", path, "--at=-5/3")
     assert code == 0 and out == "0\n"
+
+
+def test_c2_is_a_per_block_condition(capsys, tmp_path):
+    # at q = 1/2 the determinant core of K_{2,9} vanishes, (3/2)^2 * 8 = 18,
+    # but K_{1,1}'s term of the product rule does not: det and the inverse exist
+    specs = [BlockSpec(2, 9), BlockSpec(1, 1, Attachment(0, "X"))]
+    path = write_graph(tmp_path, "k29_k11.json", specs)
+    code, out, err = run_cli(capsys, "det", path, "--at", "1/2")
+    assert code == 0 and out == "59049/1024\n" and "C2" in err
+    g = build(specs)
+    q0 = Fraction(1, 2)
+    assert [v.condition for v in check_conditions(g, q0).violations] == ["C2"]
+    assert oracle.oracle_det(g).eval_at(q0) == Fraction(59049, 1024)
+    expected = [[e.eval_at(q0) for e in row] for row in oracle.oracle_inverse(g).rows]
+    assert inverse_at(g, q0) == expected
+    # the inverse command still refuses every C2 violation
+    code, out, err = run_cli(capsys, "inverse", path, "--at", "1/2")
+    assert code == 3 and out == "" and "C2" in err
+
+
+def test_at_accepts_only_ascii_rational_literals(capsys, p3):
+    for at in ("1_0", "\u0663", "3/\u0664", "1.5"):
+        code, out, err = run_cli(capsys, "det", p3, "--at", at)
+        assert code == 2 and out == "" and err.startswith("error:"), (at, out, err)
+    # det = 2 + 2q
+    for at, same in ((" 2 ", "2"), ("+3", "3"), ("3/-4", "-3/4"), ("-0", "0")):
+        for fmt in ("text", "json"):
+            got = run_cli(capsys, "det", p3, f"--at={at}", "--format", fmt)
+            assert got == run_cli(capsys, "det", p3, f"--at={same}", "--format", fmt), (at, fmt)
+    assert run_cli(capsys, "det", p3, "--at", "3/-4")[:2] == (0, "1/2\n")
 
 
 def test_input_errors(capsys, tmp_path, k11):

@@ -52,7 +52,13 @@ from qbiblock.graph import (
 from qbiblock.matrix import RingMatrix, det_bareiss, inverse_gauss, rf_matrix
 from qbiblock.oracle import default_corpus
 from qbiblock.qdist import q_distance_matrix, q_distance_rows
-from helpers import ReferenceClearedForms, formulas_large_graphs, identity
+from helpers import (
+    ReferenceClearedForms,
+    formulas_large_graphs,
+    identity,
+    reference_graph_cofactor,
+    reference_graph_det,
+)
 from helpers import diagonal_weight_vector as reference_y
 
 QP1 = Q + 1
@@ -361,23 +367,6 @@ def test_inverse_at_property_on_random_graphs():
 # -- shape counts and shared entries against the per-block reference ----------
 
 
-def reference_graph_det(g):
-    """The product rule block by block: total <- total cof_b + det_b cof."""
-    total, cof = Polynomial(), ONE
-    for b in g.blocks:
-        cof_b = block_cofactor(b.m, b.n)
-        total = total * cof_b + block_det(b.m, b.n) * cof
-        cof = cof * cof_b
-    return total
-
-
-def reference_graph_cofactor(g):
-    result = ONE
-    for b in g.blocks:
-        result = result * block_cofactor(b.m, b.n)
-    return result
-
-
 def reference_balance_constant(g):
     acc = RF_ZERO
     for b in g.blocks:
@@ -445,6 +434,24 @@ def test_factored_det_and_cofactor_on_a_long_path_match_the_tree_closed_form():
     sign = (-1) ** (n - 1)
     assert graph_det(g).coeffs == tuple(sign * (n - 1) * comb(n - 2, i) for i in range(n - 1))
     assert graph_cofactor(g).coeffs == tuple(sign * comb(n - 1, i) for i in range(n))
+
+
+def test_shared_sign_counts_each_block_with_a_constant_cofactor_core():
+    # a K_{1,t} block has a = 0 and the cofactor core -1, which P leaves
+    # out, so sigma' carries one more sign per such block; the K_{1,t} shapes
+    # and the repeated a != 0 shapes are chosen with both parities of m + n
+    constant = [(1, 1), (1, 2), (2, 1)]
+    repeated = [[], [(2, 2), (2, 2)], [(2, 3), (3, 2), (2, 2), (3, 3), (3, 3), (2, 3)]]
+    for c0 in range(4):
+        for others in repeated:
+            shapes = constant[:c0] + others
+            if not shapes:
+                continue
+            specs = [BlockSpec(*shapes[0])]
+            specs += [BlockSpec(m, n, graph_attach(0, "Y")) for m, n in shapes[1:]]
+            g = build(specs)
+            assert graph_det(g) == reference_graph_det(g), shapes
+            assert graph_cofactor(g) == reference_graph_cofactor(g), shapes
 
 
 def test_factored_det_and_cofactor_property_on_random_shapes():

@@ -184,8 +184,16 @@ def test_parse_rational():
     assert parse_rational("-1") == -1
     assert parse_rational("2/5") == Fraction(2, 5)
     assert parse_rational("4/2") == 2
-    with pytest.raises(ValueError):
-        parse_rational("1.5")
+    assert parse_rational(" 2 ") == 2
+    assert parse_rational("+3") == 3
+    assert parse_rational("3/-4") == Fraction(-3, 4)
+    assert parse_rational("-0") == 0
+    # only ASCII digits and signs: int() alone would read these as 10, 3 and 5
+    for text in ("1.5", "1_0", "\u0663", "2/\u0665", "", "/", "1/", "3/4/5", "+-1", "1 /2", "0x10"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
 
 
 def test_pow():

@@ -234,6 +234,38 @@ def test_unpack_reads_balanced_digits_and_refuses_digits_past_the_bound():
         _moddet.unpack(_moddet.pack([1, 12], k), k, 7)
 
 
+def repeated_pmul(factors) -> list[int]:
+    out = [1]
+    for e, p in factors:
+        for _ in range(p):
+            out = _fastpoly.pmul(out, e)
+    return out
+
+
+def test_power_product_matches_repeated_schoolbook_products():
+    rng = random.Random(1618)
+    cases = [
+        [],
+        [([3, -1], 0)],
+        [([], 0), ([1, 1], 3)],
+        [([], 2), ([1, 1], 3)],
+        [([1, 1], 3), ([], 1)],
+        [([-1], 1)],
+        [([-1], 5), ([-1, 0, 2], 2)],
+        [([-7], 1), ([-1, 0, 4], 0), ([-1, 0, 9], 3), ([5, -12, 0, 30], 1)],
+    ]
+    for _ in range(20):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            e = list(rand_poly(rng, max_deg=4, bound=50).coeffs)
+            factors.append((e, rng.randint(0, 6)))
+        cases.append(factors)
+    for factors in cases:
+        assert _moddet.power_product(factors) == repeated_pmul(factors), factors
+    assert _moddet.power_product([]) == [1]
+    assert _moddet.power_product([([], 2), ([1, 1], 3)]) == []
+
+
 def test_adjugate_matches_inverse_gauss():
     rng = random.Random(4242)
     # a zero leading entry forces a row swap in the first elimination step

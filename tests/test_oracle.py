@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -12,8 +13,7 @@ from helpers import (
     separate_det_and_cofactor,
 )
 
-from qbiblock import _moddet, closedform, oracle
-from qbiblock.closedform import cofactor_core
+from qbiblock import _fastpoly, _moddet, closedform, oracle
 from qbiblock.exactring import Polynomial, Q
 from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock, star_tree
 from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss, rf_matrix
@@ -173,10 +173,11 @@ def test_corner_split_with_a_negative_leading_determinant_coefficient():
 
 def test_a_wrong_closed_form_fails_only_its_own_check(monkeypatch):
     specs = [BlockSpec(2, 2), BlockSpec(1, 3, graph_attach(1))]
-    for name, check in (("graph_det", "det_vs_oracle"), ("graph_cofactor", "cofactor_vs_oracle")):
+    for name, check in (("det", "det_vs_oracle"), ("cofactor", "cofactor_vs_oracle")):
         with monkeypatch.context() as patch:
-            real = getattr(oracle, name)
-            patch.setattr(oracle, name, lambda g, real=real: real(g) + Q)
+            real = getattr(closedform.ClearedForms, name).func
+            wrong = property(lambda forms, real=real: _fastpoly.padd(real(forms), [0, 1]))
+            patch.setattr(closedform.ClearedForms, name, wrong)
             report = verify_graph(specs, "faulty")
         failed = [c for c in report.checks if not c.passed]
         assert [c.name for c in failed] == [check] and failed[0].witness, name
@@ -184,18 +185,21 @@ def test_a_wrong_closed_form_fails_only_its_own_check(monkeypatch):
 
 
 def test_both_oracle_checks_share_one_determinant(monkeypatch):
-    calls = {"oracle_det_and_cofactor": 0, "graph_det": 0, "graph_cofactor": 0}
+    calls = {"oracle_det_and_cofactor": 0}
     counting_wrappers(monkeypatch, calls, oracle)
+    expansions = {"det": 0, "cofactor": 0}
+    counting_properties(monkeypatch, expansions, closedform.ClearedForms)
     engine = {"det_int_poly_matrix": 0}
     counting_wrappers(monkeypatch, engine, _moddet)
     specs = random_biblock(5, 4, 3)
     assert verify_graph(specs, "g").passed
-    assert calls == {"oracle_det_and_cofactor": 1, "graph_det": 1, "graph_cofactor": 1}
+    assert {**calls, **expansions} == {"oracle_det_and_cofactor": 1, "det": 1, "cofactor": 1}
     assert engine == {"det_int_poly_matrix": 1}
     calls.update(dict.fromkeys(calls, 0))
+    expansions.update(dict.fromkeys(expansions, 0))
     report = verify_graph(specs, "g", select=["cofactor_vs_oracle"])
     assert [c.name for c in report.checks] == ["cofactor_vs_oracle"] and report.passed
-    assert calls == {"oracle_det_and_cofactor": 1, "graph_det": 0, "graph_cofactor": 1}
+    assert {**calls, **expansions} == {"oracle_det_and_cofactor": 1, "det": 0, "cofactor": 1}
 
 
 def one_norm(e: list[int]) -> int:
@@ -284,14 +288,10 @@ def test_verify_report_json_shape():
 
 
 def test_sign_flip_is_isolated_to_det_and_cofactor_checks(monkeypatch):
-    # flip the cofactor of one block shape only, so neither composed quantity
-    # can cancel the flip away: the factored det and cofactor read each
-    # shape's cofactor core, and negating the core negates the block cofactor
-    def flipped(s, t):
-        value = cofactor_core(s, t)
-        return -value if (s, t) == (2, 2) else value
-
-    monkeypatch.setattr(closedform, "cofactor_core", flipped)
+    # flip sigma', the sign of the factor F that the det and the cofactor
+    # share: both must fail, and no other cleared form reads that sign
+    sign = closedform._sign
+    monkeypatch.setattr(closedform, "_sign", lambda k: -sign(k))
     specs = [BlockSpec(1, 1), BlockSpec(2, 2, graph_attach(1))]
     report = verify_graph(specs, "flipped")
     failed = {c.name for c in report.checks if not c.passed}
@@ -360,6 +360,25 @@ def counting_wrappers(monkeypatch, calls: dict[str, int], module) -> None:
 
     for name in calls:
         monkeypatch.setattr(module, name, counting(name))
+
+
+def counting_properties(monkeypatch, calls: dict[str, int], cls) -> None:
+    """Replace each cached property cls.name in calls by one that counts how
+    often it is computed."""
+
+    def counting(name):
+        real = getattr(cls, name).func
+
+        def wrapper(self):
+            calls[name] += 1
+            return real(self)
+
+        prop = functools.cached_property(wrapper)
+        prop.__set_name__(cls, name)
+        return prop
+
+    for name in calls:
+        monkeypatch.setattr(cls, name, counting(name))
 
 
 def test_skipped_elimination_comparison_builds_nothing(monkeypatch):
