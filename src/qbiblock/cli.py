@@ -4,7 +4,11 @@ Subcommands
 -----------
 det / xi / lambda / vectors / inverse
     Closed forms of a graph given as a JSON file (or - for stdin), printed
-    symbolically, or evaluated exactly at a rational q via --at.
+    symbolically, or evaluated exactly at a rational q via --at.  All five
+    run through one driver, which renders each distinct value object once.
+    With --at, lambda, vectors and inverse refuse a point that violates C1;
+    every other condition violation is printed as a warning (text) or listed
+    under "violations" (JSON), and a pole of the value still exits 3.
 
 verify
     Run the oracle-backed identity checks over the default corpus or over
@@ -28,7 +32,6 @@ import sys
 
 from .closedform import (
     ClearedForms,
-    ConditionCheck,
     balance_constant,
     balance_vector,
     check_conditions,
@@ -120,131 +123,12 @@ def _parse_at(text: str):
     return q0
 
 
-def _violations_json(check: ConditionCheck) -> list[dict]:
-    return [
-        {"block": v.block, "condition": v.condition, "witness": v.witness}
-        for v in check.violations
-    ]
-
-
-def _warn_violations(check: ConditionCheck):
-    for v in check.violations:
-        print(f"warning: block {v.block} violates {v.condition}: {v.witness}", file=sys.stderr)
-
-
-def _gate(g, q0, refuse: tuple[str, ...]) -> ConditionCheck:
-    check = check_conditions(g, q0)
-    refused = [v for v in check.violations if v.condition in refuse]
-    if refused:
-        details = "; ".join(f"block {v.block} {v.condition}: {v.witness}" for v in refused)
-        raise _DomainError(f"q = {q0} violates admissibility conditions ({details})")
-    return check
-
-
 _to_json = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-
-
-def _emit_json(payload: dict):
-    print(_to_json(payload))
-
-
-def _scalar_command(g, args, name: str, symbolic, refuse: tuple[str, ...], at=None):
-    """Shared body of det/xi/lambda: print symbolic(g), or at(g, q0) for --at
-    (symbolic(g) evaluated at q0 when at is None)."""
-    if args.at is None:
-        value = symbolic(g)
-        if args.format == "json":
-            _emit_json({"schema": SCHEMA_VERSION, "command": name, "value": value.to_json()})
-        else:
-            print(str(value))
-        return EXIT_OK
-    q0 = _parse_at(args.at)
-    check = _gate(g, q0, refuse)
-    value = at(g, q0) if at else symbolic(g).eval_at(q0)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": name,
-                "at": rational_to_json(q0),
-                "value": rational_to_json(value),
-                "violations": _violations_json(check),
-            }
-        )
-    else:
-        _warn_violations(check)
-        print(str(value))
-    return EXIT_OK
-
-
-def cmd_det(args) -> int:
-    g = _build_graph(args.graph)
-    return _scalar_command(g, args, "det", graph_det, refuse=())
-
-
-def cmd_xi(args) -> int:
-    g = _build_graph(args.graph)
-    return _scalar_command(g, args, "xi", graph_cofactor, refuse=())
-
-
-def cmd_lambda(args) -> int:
-    g = _build_graph(args.graph)
-    return _scalar_command(g, args, "lambda", balance_constant, refuse=("C1",), at=_lambda_at)
-
-
-def _lambda_at(g, q0):
-    forms = ClearedForms(g)
-    return values_at([forms.lam], forms.delta, q0)[0]
-
-
-def cmd_vectors(args) -> int:
-    g = _build_graph(args.graph)
-    if args.at is None:
-        x = balance_vector(g)
-        y = diagonal_weight_vector(g)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "command": "vectors",
-                    "x": [e.to_json() for e in x],
-                    "y": [e.to_json() for e in y],
-                }
-            )
-        else:
-            for i, e in enumerate(x):
-                print(f"x[{i}] = {e}")
-            for i, e in enumerate(y):
-                print(f"y[{i}] = {e}")
-        return EXIT_OK
-    q0 = _parse_at(args.at)
-    check = _gate(g, q0, refuse=("C1",))
-    forms = ClearedForms(g)
-    x_vals = values_at(forms.x, forms.delta, q0)
-    y_vals = values_at(forms.y, forms.product, q0)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "vectors",
-                "at": rational_to_json(q0),
-                "x": [rational_to_json(v) for v in x_vals],
-                "y": [rational_to_json(v) for v in y_vals],
-                "violations": _violations_json(check),
-            }
-        )
-    else:
-        _warn_violations(check)
-        for i, v in enumerate(x_vals):
-            print(f"x[{i}] = {v}")
-        for i, v in enumerate(y_vals):
-            print(f"y[{i}] = {v}")
-    return EXIT_OK
 
 
 def _rendered(rows, render) -> list[list[str]]:
     """render(e) for each entry of rows, called once per distinct entry
-    object: the inverse shares one object among equal entries."""
+    object: the closed forms share one object among equal entries."""
     distinct: dict[int, object] = {}
     for row in rows:
         distinct.update(zip(map(id, row), row))
@@ -252,29 +136,88 @@ def _rendered(rows, render) -> list[list[str]]:
     return [list(map(texts.__getitem__, map(id, row))) for row in rows]
 
 
-def cmd_inverse(args) -> int:
+def _vectors_text(fields) -> str:
+    return "\n".join(f"{k}[{i}] = {s}" for k, (row,) in fields.items() for i, s in enumerate(row))
+
+
+# per formula command: the JSON depth of its fields (0 one value, 1 an array,
+# 2 an array of arrays) and its text layout of the rendered fields
+_SCALAR = (0, lambda fields: fields["value"][0][0])
+_LAYOUTS = {
+    "det": _SCALAR,
+    "xi": _SCALAR,
+    "lambda": _SCALAR,
+    "vectors": (1, _vectors_text),
+    "inverse": (2, lambda fields: "\n".join(map("\t".join, fields["value"]))),
+}
+
+
+def _formula_command(args, symbolic, at, refuse: tuple[str, ...]) -> int:
+    """Print symbolic(g), or at(g, q0) for --at (symbolic(g) evaluated entry
+    by entry when at is None): a dict of field name to rows of entries.  Each
+    distinct entry object is rendered once, as JSON or text, and the rendered
+    rows are laid out by the command's entry of _LAYOUTS."""
     g = _build_graph(args.graph)
-    as_json = args.format == "json"
-    payload = {"schema": SCHEMA_VERSION, "command": "inverse"}
+    payload = {"schema": SCHEMA_VERSION, "command": args.command}
+    violations = ()
     if args.at is None:
-        render = (lambda e: _to_json(e.to_json())) if as_json else str
-        lines = _rendered(graph_inverse(g).rows, render)
+        fields = symbolic(g)
+        to_json = lambda e: _to_json(e.to_json())
     else:
         q0 = _parse_at(args.at)
-        check = _gate(g, q0, refuse=("C1", "C2"))
-        render = (lambda v: _to_json(rational_to_json(v))) if as_json else str
-        lines = _rendered(inverse_at(g, q0), render)
-        payload.update(at=rational_to_json(q0), violations=_violations_json(check))
-        if not as_json:
-            _warn_violations(check)
+        violations = check_conditions(g, q0).violations
+        refused = [v for v in violations if v.condition in refuse]
+        if refused:
+            details = "; ".join(f"block {v.block} {v.condition}: {v.witness}" for v in refused)
+            raise _DomainError(f"q = {q0} violates admissibility conditions ({details})")
+        evaluated = lambda rows: [[e.eval_at(q0) for e in row] for row in rows]
+        fields = at(g, q0) if at else {k: evaluated(rows) for k, rows in symbolic(g).items()}
+        to_json = lambda v: _to_json(rational_to_json(v))
+        payload.update(at=rational_to_json(q0), violations=[vars(v) for v in violations])
+    depth, text = _LAYOUTS[args.command]
+    as_json = args.format == "json"
+    lines = {name: _rendered(rows, to_json if as_json else str) for name, rows in fields.items()}
     if not as_json:
-        print("\n".join(map("\t".join, lines)))
+        for v in violations:
+            print(f"warning: block {v.block} violates {v.condition}: {v.witness}", file=sys.stderr)
+        print(text(lines))
         return EXIT_OK
-    # the payload as JSON, with the rows spliced in under "value"
-    head, tail = _to_json({**payload, "value": None}).split('"value":null')
-    value = ",".join(["[" + ",".join(line) + "]" for line in lines])
-    print(f'{head}"value":[{value}]{tail}')
+    out = _to_json({**payload, **dict.fromkeys(lines)})
+    # each field spliced in over its null, nested depth deep; the JSON keys
+    # are sorted, so in reverse order each null comes before every field
+    # already spliced in and no replace scans one
+    for name in sorted(lines, reverse=True):
+        spliced = "[" * depth + "],[".join(map(",".join, lines[name])) + "]" * depth
+        out = out.replace(f'"{name}":null', f'"{name}":{spliced}', 1)
+    print(out)
     return EXIT_OK
+
+
+def cmd_det(args) -> int:
+    return _formula_command(args, lambda g: {"value": [[graph_det(g)]]}, None, refuse=())
+
+
+def cmd_xi(args) -> int:
+    return _formula_command(args, lambda g: {"value": [[graph_cofactor(g)]]}, None, refuse=())
+
+
+def cmd_lambda(args) -> int:
+    return _formula_command(args, lambda g: {"value": [[balance_constant(g)]]}, None, refuse=("C1",))
+
+
+def _vectors_at(g, q0):
+    forms = ClearedForms(g)
+    return {"x": [values_at(forms.x, forms.delta, q0)], "y": [values_at(forms.y, forms.product, q0)]}
+
+
+def cmd_vectors(args) -> int:
+    symbolic = lambda g: {"x": [balance_vector(g)], "y": [diagonal_weight_vector(g)]}
+    return _formula_command(args, symbolic, _vectors_at, refuse=("C1",))
+
+
+def cmd_inverse(args) -> int:
+    at = lambda g, q0: {"value": inverse_at(g, q0)}
+    return _formula_command(args, lambda g: {"value": graph_inverse(g).rows}, at, refuse=("C1",))
 
 
 def cmd_verify(args) -> int:
@@ -296,18 +239,14 @@ def cmd_verify(args) -> int:
         for report, _ in results:
             payload = report.to_json()
             payload["schema"] = SCHEMA_VERSION
-            _emit_json(payload)
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "summary": {
-                    "graphs": len(results),
-                    "checks": total_checks,
-                    "failures": len(failures),
-                    "seed": args.seed,
-                },
-            }
-        )
+            print(_to_json(payload))
+        summary = {
+            "graphs": len(results),
+            "checks": total_checks,
+            "failures": len(failures),
+            "seed": args.seed,
+        }
+        print(_to_json({"schema": SCHEMA_VERSION, "summary": summary}))
     else:
         for report, elapsed_ms in results:
             status = "ok" if report.passed else "FAIL"

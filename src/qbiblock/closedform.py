@@ -500,26 +500,27 @@ def check_conditions(g: BiBlockGraph, q0: Rational) -> ConditionCheck:
     vectors, weight matrices, the local matrix and the balance constant have
     poles).  C2 fails when q0 = -1 or (q0+1)^2 (m-1)(n-1) = m n (a determinant
     core vanishes: that block's determinant is zero, not the graph's, which
-    is 59049/1024 for K_{2,9} with K_{1,1} attached at q0 = 1/2).
-    Violations are data, not errors.
+    is 59049/1024 for K_{2,9} with K_{1,1} attached at q0 = 1/2).  With
+    q0 = p/r and a = (m-1)(n-1) the tests are p^2 a = r^2 and
+    (p+r)^2 a = m n r^2, in integers.  Violations are data, not errors.
     """
+    p, r = q0.numerator, q0.denominator
+    p2, r2, s2 = p * p, r * r, (p + r) * (p + r)
     violations = []
     for b in g.blocks:
-        mm = (b.m - 1) * (b.n - 1)
+        a = (b.m - 1) * (b.n - 1)
         if q0 == -1:
             violations.append(ConditionViolation(b.index, "C1", "q = -1"))
             violations.append(ConditionViolation(b.index, "C2", "q = -1"))
             continue
-        c1_val = q0 * q0 * mm
-        if c1_val == 1:
+        if p2 * a == r2:
             violations.append(
-                ConditionViolation(b.index, "C1", f"q^2 (m-1)(n-1) = {c1_val} = 1 for K_{{{b.m},{b.n}}}")
+                ConditionViolation(b.index, "C1", f"q^2 (m-1)(n-1) = 1 = 1 for K_{{{b.m},{b.n}}}")
             )
-        c2_val = (q0 + 1) * (q0 + 1) * mm
-        if c2_val == b.m * b.n:
+        if s2 * a == b.m * b.n * r2:
             violations.append(
                 ConditionViolation(
-                    b.index, "C2", f"(q+1)^2 (m-1)(n-1) = {c2_val} = m n for K_{{{b.m},{b.n}}}"
+                    b.index, "C2", f"(q+1)^2 (m-1)(n-1) = {b.m * b.n} = m n for K_{{{b.m},{b.n}}}"
                 )
             )
     return ConditionCheck(q0, tuple(violations))

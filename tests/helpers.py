@@ -18,6 +18,9 @@ reference_graph_det and reference_graph_cofactor compose the block
 determinants and cofactors block by block, by the product rule, with no
 shared factor: the route that ClearedForms.det and .cofactor are checked
 against.
+
+reference_check_conditions is closedform.check_conditions in Fraction
+arithmetic, q0^2 (m-1)(n-1) = 1 and (q0+1)^2 (m-1)(n-1) = m n as written.
 """
 
 from __future__ import annotations
@@ -25,7 +28,15 @@ from __future__ import annotations
 import functools
 
 from qbiblock import _fastpoly, _moddet
-from qbiblock.closedform import _shapes, block_cofactor, block_det, cofactor_core, det_core
+from qbiblock.closedform import (
+    ConditionCheck,
+    ConditionViolation,
+    _shapes,
+    block_cofactor,
+    block_det,
+    cofactor_core,
+    det_core,
+)
 from qbiblock.exactring import ONE, Polynomial, Q, RF_ZERO, RationalFunction
 from qbiblock.graph import build, distances, random_biblock, random_tree
 from qbiblock.matrix import DimensionError, RingMatrix
@@ -49,6 +60,29 @@ def reference_graph_cofactor(g):
     for b in g.blocks:
         result = result * block_cofactor(b.m, b.n)
     return result
+
+
+def reference_check_conditions(g, q0) -> ConditionCheck:
+    violations = []
+    for b in g.blocks:
+        mm = (b.m - 1) * (b.n - 1)
+        if q0 == -1:
+            violations.append(ConditionViolation(b.index, "C1", "q = -1"))
+            violations.append(ConditionViolation(b.index, "C2", "q = -1"))
+            continue
+        c1_val = q0 * q0 * mm
+        if c1_val == 1:
+            violations.append(
+                ConditionViolation(b.index, "C1", f"q^2 (m-1)(n-1) = {c1_val} = 1 for K_{{{b.m},{b.n}}}")
+            )
+        c2_val = (q0 + 1) * (q0 + 1) * mm
+        if c2_val == b.m * b.n:
+            violations.append(
+                ConditionViolation(
+                    b.index, "C2", f"(q+1)^2 (m-1)(n-1) = {c2_val} = m n for K_{{{b.m},{b.n}}}"
+                )
+            )
+    return ConditionCheck(q0, tuple(violations))
 
 
 def membership_sums(g, term) -> list[RationalFunction]:

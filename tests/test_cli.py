@@ -121,8 +121,9 @@ def test_inverse_text(capsys, k11):
 
 
 def test_inverse_refused_at_c2_violation(capsys, k22):
+    # K_{2,2} at q = 1 violates C1 and C2; inverse refuses it for C1 alone
     code, _, err = run_cli(capsys, "inverse", k22, "--at", "1")
-    assert code == 3
+    assert code == 3 and "C1" in err and "C2" not in err
 
 
 def test_inverse_at_value(capsys, k11):
@@ -155,9 +156,16 @@ def test_c2_is_a_per_block_condition(capsys, tmp_path):
     assert oracle.oracle_det(g).eval_at(q0) == Fraction(59049, 1024)
     expected = [[e.eval_at(q0) for e in row] for row in oracle.oracle_inverse(g).rows]
     assert inverse_at(g, q0) == expected
-    # the inverse command still refuses every C2 violation
+    # the inverse command refuses only C1: here it warns and prints
     code, out, err = run_cli(capsys, "inverse", path, "--at", "1/2")
-    assert code == 3 and out == "" and "C2" in err
+    assert code == 0 and "C2" in err
+    assert [line.split("\t") for line in out.splitlines()] == [[str(v) for v in row] for row in expected]
+    # K_{2,2} at q = -3 violates only C2, (-2)^2 * 1 = 4, and there the
+    # balance constant vanishes, Lambda(-3) = 0 with delta(-3) = -16: a pole
+    k22 = write_graph(tmp_path, "k22.json", [BlockSpec(2, 2)])
+    assert [v.condition for v in check_conditions(build([BlockSpec(2, 2)]), -3).violations] == ["C2"]
+    code, out, err = run_cli(capsys, "inverse", k22, "--at=-3")
+    assert code == 3 and out == "" and "balance constant vanishes" in err
 
 
 def test_at_accepts_only_ascii_rational_literals(capsys, p3):
@@ -463,8 +471,8 @@ FORMULA_SHA256 = {
     "inverse dense87 json 2/7": "d7cd1cf0612679253cc79b9d645050bfde4da2c287acd5b2bd3fda9f2ad12903",
     "inverse dense87 text -": "634707cb22dce313940f58199737716afb956002555f590de39c33004339aa86",
     "inverse dense87 text 2/7": "f7bd06ee5adc021352855e829bc65ea4d4616f7d49d212e82644252436e9cda2",
-    "inverse k22 json 1": "fbf0e521ac32f8d8d78c160a48045cea0cd43f25a9c88a33942c1b0fcf79193c",
-    "inverse k22 text 1": "fbf0e521ac32f8d8d78c160a48045cea0cd43f25a9c88a33942c1b0fcf79193c",
+    "inverse k22 json 1": "3183113bcb5da2db7e2769cf08285ab98450d4008da72ca48fa8a17d4d509139",
+    "inverse k22 text 1": "3183113bcb5da2db7e2769cf08285ab98450d4008da72ca48fa8a17d4d509139",
     "inverse tree180 json -": "5f0c84814a227bfb6dc97947b2150710e3150da974556ec00ae55549d33c27b9",
     "inverse tree180 json 2/7": "79193c90e90c4770fb2a38d25f0dff6c4bea72c146fed1ae9b62dbdcc0fdef51",
     "inverse tree180 text -": "e05df90140ba1e8f542eb2cf508e206c48e5578343fb39d15d05a8286a1a5d66",
@@ -518,6 +526,35 @@ def formula_digest(capsys, paths, key: str) -> str:
 @pytest.mark.parametrize("key", sorted(FORMULA_SHA256))
 def test_formula_outputs_are_pinned(capsys, formula_graphs, key):
     assert formula_digest(capsys, formula_graphs, key) == FORMULA_SHA256[key]
+
+
+def test_formula_commands_render_each_value_once(capsys, monkeypatch, formula_graphs):
+    from qbiblock.exactring import Polynomial, RationalFunction
+
+    counts = {}
+    for cls in (Polynomial, RationalFunction):
+        for method in ("to_json", "__str__"):
+            def counted(self, _original=getattr(cls, method), _key=(cls.__name__, method)):
+                counts[_key] = counts.get(_key, 0) + 1
+                return _original(self)
+
+            monkeypatch.setattr(cls, method, counted)
+
+    def renders(*argv):
+        counts.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return counts.copy()
+
+    # big299's closed forms share 58 distinct x and 58 distinct y entries; a
+    # RationalFunction renders its two Polynomials through their own methods
+    path = formula_graphs["big299"]
+    for command, distinct in (("vectors", 116), ("lambda", 1)):
+        assert renders(command, path, "--format", "json")[("RationalFunction", "to_json")] == distinct
+        assert renders(command, path)[("RationalFunction", "__str__")] == distinct
+    for command in ("det", "xi"):
+        assert renders(command, path, "--format", "json") == {("Polynomial", "to_json"): 1}
+        assert renders(command, path) == {("Polynomial", "__str__"): 1}
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch, k11):

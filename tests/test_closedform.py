@@ -56,6 +56,7 @@ from helpers import (
     ReferenceClearedForms,
     formulas_large_graphs,
     identity,
+    reference_check_conditions,
     reference_graph_cofactor,
     reference_graph_det,
 )
@@ -627,6 +628,23 @@ def test_conditions_minus_one_everywhere():
         check = check_conditions(g, -1)
         assert check.violated("C1") and check.violated("C2")
         assert len(check.violations) == 2 * len(g.blocks)
+
+
+def test_integer_conditions_match_the_fraction_reference():
+    # points where each condition holds: K_{2,2} violates C1 and C2 at 1 and
+    # C2 alone at -3, K_{3,3} C1 at +-1/2, K_{2,9} C2 at 1/2 and -5/2
+    points = (1, -1, -3, 0, 2) + tuple(map(Fraction, ("1/2", "-1/2", "-5/2", "2/7", "-3/2")))
+    k29_k11 = build([BlockSpec(2, 9), BlockSpec(1, 1, graph_attach(0, "X"))])
+    graphs = [build(specs) for _, specs in default_corpus(7)] + formulas_large_graphs()
+    graphs += [single_block(2, 2), single_block(3, 3), k29_k11]
+    seen = set()
+    for g in graphs:
+        for q0 in points:
+            check = check_conditions(g, q0)
+            assert check == reference_check_conditions(g, q0), (g.specs, q0)
+            seen.update((v.condition, q0) for v in check.violations)
+    assert {("C1", 1), ("C2", 1), ("C2", -3), ("C1", Fraction(1, 2)), ("C1", Fraction(-1, 2))} <= seen
+    assert {("C2", Fraction(1, 2)), ("C2", Fraction(-5, 2)), ("C1", -1), ("C2", -1)} <= seen
 
 
 def test_conditions_k11_at_one():
