@@ -12,7 +12,7 @@ det / xi / lambda / vectors / inverse
 
 verify
     Run the oracle-backed identity checks over the default corpus or over
-    explicit graph files; exit 1 if any identity fails.
+    graph files of at most MAX_VERIFY_VERTICES vertices; exit 1 on a failure.
 
 gen
     Emit a graph JSON (tree chain or seeded random bi-block graph) to stdout.
@@ -64,6 +64,10 @@ SCHEMA_VERSION = 1
 # Longest integer literal accepted in a graph file or in --at: CPython's
 # default int/str conversion limit, which main lifts for the exact output.
 MAX_DIGITS = 4300
+
+# Most vertices verify takes in a file: the oracles' q_distance_rows holds
+# sum d(u, v) list slots, cubic in n on a path (23 MiB at n = 200, 2.7 GiB at 1,000).
+MAX_VERIFY_VERTICES = 128
 
 
 class _InputError(Exception):
@@ -226,8 +230,12 @@ def cmd_verify(args) -> int:
     if args.corpus == ["default"] or not args.corpus:
         corpus = default_corpus(args.seed)
     else:
-        # each file is built here, so a graph that parses but does not build exits 2
-        corpus = [(path, _build_graph(path).specs) for path in args.corpus]
+        # each file is built here: one that does not build, or is above the cap, exits 2
+        graphs = [(path, _build_graph(path)) for path in args.corpus]
+        for path, g in graphs:
+            if g.n > MAX_VERIFY_VERTICES:
+                raise _InputError(f"{path}: n = {g.n}, above verify's cap of {MAX_VERIFY_VERTICES}")
+        corpus = [(path, g.specs) for path, g in graphs]
 
     results = verify_corpus(corpus, args.jobs)
 

@@ -87,17 +87,11 @@ def block_inverse(s: int, t: int) -> RingMatrix:
     tl = RationalFunction(_QP1**2 * (t - 1) - t) * scale
     br = RationalFunction(_QP1**2 * (s - 1) - s) * scale
     off = RationalFunction(-_QP1) * scale
-    grid = [
-        [RingMatrix.ones(s, s, tl), RingMatrix.ones(s, t, off)],
-        [RingMatrix.ones(t, s, off), RingMatrix.ones(t, t, br)],
-    ]
-    corner = RingMatrix.from_blocks(grid)
     diag = RationalFunction(ONE, _QP1)
-    rows = [
-        [corner[i, j] - diag if i == j else corner[i, j] for j in range(s + t)]
-        for i in range(s + t)
-    ]
-    return RingMatrix(rows)
+    tl_diag, br_diag = tl - diag, br - diag
+    top = [[tl_diag if i == j else tl for j in range(s)] + [off] * t for i in range(s)]
+    bottom = [[off] * s + [br_diag if i == j else br for j in range(t)] for i in range(t)]
+    return RingMatrix(top + bottom)
 
 
 def _shapes(g: BiBlockGraph) -> Counter:

@@ -77,12 +77,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def lead(self) -> Rational:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -164,24 +158,6 @@ class Polynomial:
         if any(rem[:db]):
             raise InexactDivisionError(f"({self}) is not divisible by ({other})")
         return Polynomial(quot)
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Greatest common divisor, returned primitive with positive leading coefficient.
-
-        Computed by the subresultant polynomial remainder sequence over the
-        integers after clearing coefficient denominators.
-        """
-        other = Polynomial._coerce(other)
-        if self.is_zero and other.is_zero:
-            return ZERO
-        if self.is_zero:
-            return Polynomial(_fastpoly.primitive(_fastpoly.int_pair(other.coeffs)[0]))
-        if other.is_zero:
-            return Polynomial(_fastpoly.primitive(_fastpoly.int_pair(self.coeffs)[0]))
-        g = _fastpoly.int_poly_gcd(
-            _fastpoly.int_pair(self.coeffs)[0], _fastpoly.int_pair(other.coeffs)[0]
-        )
-        return Polynomial(g)
 
     def eval_at(self, q0: Rational) -> Rational:
         """Exact Horner evaluation at q0 = p/r: Horner in p over the coefficients scaled by
@@ -343,11 +319,6 @@ class RationalFunction:
     def __rtruediv__(self, other):
         return RationalFunction._coerce(other) * self.inv()
 
-    def exact_div(self, other) -> "RationalFunction":
-        """Division in the field; present so field elements satisfy the
-        exact-division interface that fraction-free eliminations expect."""
-        return self / other
-
     def eval_at(self, q0: Rational) -> Rational:
         den_val = self.den.eval_at(q0)
         if den_val == 0:
@@ -378,8 +349,3 @@ class RationalFunction:
 
 RF_ZERO = RationalFunction(ZERO)
 RF_ONE = RationalFunction(ONE)
-
-
-def eval_at(value: Union[Polynomial, RationalFunction], q0: Rational) -> Rational:
-    """Exact evaluation of a polynomial or rational function at a rational point."""
-    return value.eval_at(q0)

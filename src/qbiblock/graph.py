@@ -153,13 +153,6 @@ def distances(g: BiBlockGraph) -> list[list[int]]:
     return table
 
 
-def block_degree(g: BiBlockGraph, v: int) -> int:
-    """Number of blocks containing v; at least 2 exactly for cut vertices."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"unknown vertex {v}")
-    return len(g.membership[v])
-
-
 # -- generators --------------------------------------------------------------
 
 

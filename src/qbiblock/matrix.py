@@ -1,11 +1,12 @@
 """Dense matrices over an exact ring, with exact determinant and inverse.
 
 Matrices are immutable value types generic over the entry ring: entries only
-need the arithmetic the chosen operation uses (``+``, ``-``, ``*``, and for
-eliminations ``is_zero`` plus ``exact_div``).  Determinants use fraction-free
-Bareiss condensation and inverses Gauss-Jordan elimination over the
-rational-function field; matrices of integer-coefficient polynomials have a
-faster determinant engine in ``_moddet``.
+need the arithmetic the chosen operation uses (``+``, ``-``, ``*``, and
+``is_zero`` for eliminations).  Determinants use fraction-free Bareiss
+condensation, which needs ``exact_div`` and so takes polynomial entries, and
+inverses Gauss-Jordan elimination over the rational-function field;
+matrices of integer-coefficient polynomials have a faster determinant engine
+in ``_moddet``.
 """
 
 from __future__ import annotations
@@ -70,26 +71,6 @@ class RingMatrix:
     def ones(cls, nrows: int, ncols: int, one) -> "RingMatrix":
         return cls([[one] * ncols for _ in range(nrows)])
 
-    @classmethod
-    def from_blocks(cls, grid: Sequence[Sequence["RingMatrix"]]) -> "RingMatrix":
-        """Assemble a matrix from a 2D grid of conformal blocks."""
-        if not grid or not grid[0]:
-            raise DimensionError("empty block grid")
-        ncols_per_block = [block.ncols for block in grid[0]]
-        rows: list[list] = []
-        for block_row in grid:
-            if len(block_row) != len(ncols_per_block):
-                raise DimensionError("ragged block grid")
-            height = block_row[0].nrows
-            for b, block in enumerate(block_row):
-                if block.nrows != height:
-                    raise DimensionError("block heights differ within a block row")
-                if block.ncols != ncols_per_block[b]:
-                    raise DimensionError("block widths differ within a block column")
-            for i in range(height):
-                rows.append([entry for block in block_row for entry in block.rows[i]])
-        return cls(rows)
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_shape(self, other: "RingMatrix"):
@@ -145,9 +126,6 @@ class RingMatrix:
         if not isinstance(other, RingMatrix):
             return NotImplemented
         return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"RingMatrix({[list(r) for r in self.rows]!r})"

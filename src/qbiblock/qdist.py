@@ -24,14 +24,9 @@ from .graph import BiBlockGraph, distances
 from .matrix import DimensionError, RingMatrix
 
 
-def q_matrix_from_distances(dist: list[list[int]]) -> RingMatrix:
-    """Entrywise q-integer lift of any distance table (no bi-block validation)."""
-    return RingMatrix([[q_integer(d) for d in row] for row in dist])
-
-
 def q_distance_matrix(g: BiBlockGraph) -> RingMatrix:
     """The q-distance matrix of a bi-block graph in builder vertex order."""
-    return q_matrix_from_distances(distances(g))
+    return RingMatrix([[q_integer(d) for d in row] for row in distances(g)])
 
 
 def bfs_parents(dist: list[list[int]]) -> list[int]:

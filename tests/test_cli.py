@@ -441,6 +441,18 @@ def test_verify_corpus_file_that_parses_but_does_not_build_exits_2(capsys, tmp_p
         assert code == 2 and out == "" and err.startswith("error:") and name in err, (name, err)
 
 
+def test_verify_refuses_a_graph_above_the_vertex_cap_before_any_check(capsys, monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setattr(cli, "verify_corpus", lambda corpus, jobs: seen.append(corpus) or [])
+    big = write_graph(tmp_path, "path129.json", path_tree(129))
+    code, out, err = run_cli(capsys, "verify", "--corpus", big)
+    assert code == 2 and out == "" and seen == []
+    assert err.startswith("error:") and "path129.json" in err and "n = 129" in err and "128" in err
+    at_cap = write_graph(tmp_path, "path128.json", path_tree(128))
+    code, _, _ = run_cli(capsys, "verify", "--corpus", at_cap)
+    assert code == 0 and [name for name, _ in seen[0]] == [at_cap]
+
+
 # sha256 of the stdout of `verify --seed 7 --json`: the default corpus's report
 # stream, which every change to the closed forms or the checks must keep
 VERIFY_SEED_7_SHA256 = "551f0318729233e5cfa790edd198bc19bffdf9f8aaecaf39f3decd49f3cedd6c"

@@ -8,7 +8,6 @@ from qbiblock.graph import (
     Attachment,
     BlockSpec,
     GraphError,
-    block_degree,
     build,
     distances,
     graph_to_json,
@@ -91,16 +90,6 @@ def test_path_on_four_vertices():
     d = distances(g)
     assert max(max(row) for row in d) == 3
     assert d[0][3] == 3
-
-
-def test_block_degree():
-    g = build(star_tree(4))
-    assert block_degree(g, 0) == 3
-    assert all(block_degree(g, v) == 1 for v in range(1, 4))
-    two = build([BlockSpec(1, 1), BlockSpec(1, 1, Attachment(1, "X"))])
-    assert block_degree(two, 1) == 2
-    with pytest.raises(GraphError):
-        block_degree(g, 99)
 
 
 def test_distance_table_invariants_on_random_graphs():

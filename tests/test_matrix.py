@@ -32,28 +32,6 @@ def test_constructors():
     j = RingMatrix.ones(2, 3, ONE)
     assert j.nrows == 2 and j.ncols == 3
     assert all(e == ONE for row in j.rows for e in row)
-    i2 = identity(2, ZERO, ONE)
-    i3 = identity(3, ZERO, ONE)
-    z23 = RingMatrix.zeros(2, 3, ZERO)
-    z32 = RingMatrix.zeros(3, 2, ZERO)
-    assert RingMatrix.from_blocks([[i2, z23], [z32, i3]]) == identity(5, ZERO, ONE)
-
-
-def test_from_blocks_two_by_two_grid_shape():
-    s, t = 3, 2
-    grid = [
-        [RingMatrix.ones(s, s, ONE), RingMatrix.ones(s, t, ONE)],
-        [RingMatrix.ones(t, s, ONE), RingMatrix.ones(t, t, ONE)],
-    ]
-    m = RingMatrix.from_blocks(grid)
-    assert m.nrows == s + t and m.ncols == s + t
-
-
-def test_from_blocks_nonconformal():
-    with pytest.raises(DimensionError):
-        RingMatrix.from_blocks(
-            [[RingMatrix.ones(2, 2, ONE), RingMatrix.ones(3, 2, ONE)]]
-        )
 
 
 def test_outer_and_products():

@@ -10,7 +10,6 @@ from qbiblock.qdist import (
     bordered_rows,
     cofactor_matrix,
     q_distance_matrix,
-    q_matrix_from_distances,
 )
 
 
@@ -74,14 +73,6 @@ def test_cofactor_determinant_is_pivot_independent():
         base = det_bareiss(cofactor_matrix(m, d, pivot=0))
         for pivot in range(1, g.n):
             assert det_bareiss(cofactor_matrix(m, d, pivot=pivot)) == base
-
-
-def test_non_biblock_distance_tables_are_accepted():
-    # the lift itself works for any metric table, e.g. a 5-cycle
-    cycle = [[min(abs(i - j), 5 - abs(i - j)) for j in range(5)] for i in range(5)]
-    m = q_matrix_from_distances(cycle)
-    assert m[0, 2] == Q + 1
-    assert m[0, 1] == ONE
 
 
 def test_errors():
