@@ -227,7 +227,7 @@ def cmd_inverse(args) -> int:
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise _InputError("verify --jobs needs at least 1")
-    if args.corpus == ["default"] or not args.corpus:
+    if args.corpus == ["default"]:
         corpus = default_corpus(args.seed)
     else:
         # each file is built here: one that does not build, or is above the cap, exits 2
@@ -285,7 +285,7 @@ def cmd_gen(args) -> int:
                 f"gen --kind random: --blocks and --part-max allow more than {MAX_VERTICES} vertices"
             )
         specs = random_biblock(args.seed, args.blocks, args.part_max)
-    print(json.dumps(graph_to_json(specs), sort_keys=True, separators=(",", ":")))
+    print(_to_json(graph_to_json(specs)))
     return EXIT_OK
 
 
@@ -312,9 +312,9 @@ def _parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the identity checks over a corpus")
     verify.add_argument(
         "--corpus",
-        nargs="*",
+        nargs="+",
         default=["default"],
-        help="'default' or a list of graph JSON files",
+        help="'default' or one or more graph JSON files",
     )
     verify.add_argument("--seed", type=int, default=7, help="seed for the default corpus")
     verify.add_argument("--json", action="store_true", help="emit a JSON report stream")

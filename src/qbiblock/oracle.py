@@ -27,12 +27,14 @@ entry by entry.
 
 verify_corpus fans the graphs out over a process pool when asked for more
 than one job; reports come back in corpus order with per-graph wall times.
+
+all_trees grows the corpus trees a leaf at a time, keeping the first extension
+of each isomorphism class, told by its least bracket encoding over all roots.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import random
 import time
@@ -261,53 +263,43 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
 # -- corpus -------------------------------------------------------------------
 
 
-def _tree_specs_from_parents(parents: tuple[int, ...]) -> list[BlockSpec]:
-    specs = [BlockSpec(1, 1)]
-    for parent in parents[1:]:
-        specs.append(BlockSpec(1, 1, Attachment(parent, "X")))
-    return specs
+def _tree_specs_from_parents(parents: tuple[int, ...]) -> tuple[BlockSpec, ...]:
+    return (BlockSpec(1, 1),) + tuple(BlockSpec(1, 1, Attachment(p, "X")) for p in parents[1:])
 
 
 def _canonical_tree_code(parents: tuple[int, ...]) -> str:
+    """Least nested-bracket encoding over all roots: equal iff the trees are isomorphic."""
     n = len(parents) + 1
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for child, parent in enumerate(parents, start=1):
         neighbors[child].append(parent)
         neighbors[parent].append(child)
-    # find the 1 or 2 centers by peeling leaves
-    degree = [len(nb) for nb in neighbors]
-    layer = [v for v in range(n) if degree[v] <= 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            degree[v] = 0
-            for u in neighbors[v]:
-                if degree[u] > 1:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-        layer = nxt
 
     def encode(v: int, parent: int) -> str:
-        childs = sorted(encode(u, v) for u in neighbors[v] if u != parent)
-        return "(" + "".join(childs) + ")"
+        return "(" + "".join(sorted(encode(u, v) for u in neighbors[v] if u != parent)) + ")"
 
-    return min(encode(c, -1) for c in layer)
+    return min(encode(root, -1) for root in range(n))
 
 
 @functools.cache
 def all_trees(max_n: int) -> tuple[tuple[BlockSpec, ...], ...]:
-    """All pairwise non-isomorphic trees on 2..max_n vertices as build sequences."""
+    """All pairwise non-isomorphic trees on 2..max_n vertices as build sequences.
+
+    The trees on n vertices are the first-seen one-leaf extensions
+    parents + (p,), p < n - 1, of those on n - 1, in order: each is the
+    lexicographically first parent sequence of its class, as a sweep of all
+    sequences keeps.  A first sequence's prefix is first in its class (were T'
+    smaller and isomorphic by phi, T' + (phi(p),) would be smaller than the
+    whole), and the extensions of sorted prefixes come in lexicographic order.
+    """
     out: list[tuple[BlockSpec, ...]] = []
+    layer: list[tuple[int, ...]] = [()]  # the tree on one vertex
     for n in range(2, max_n + 1):
-        seen: set[str] = set()
-        for parents in itertools.product(*(range(v) for v in range(1, n))):
-            code = _canonical_tree_code(parents)
-            if code not in seen:
-                seen.add(code)
-                out.append(tuple(_tree_specs_from_parents(parents)))
+        firsts: dict[str, tuple[int, ...]] = {}
+        for tree in (parents + (p,) for parents in layer for p in range(n - 1)):
+            firsts.setdefault(_canonical_tree_code(tree), tree)
+        layer = list(firsts.values())
+        out.extend(map(_tree_specs_from_parents, layer))
     return tuple(out)
 
 

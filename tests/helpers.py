@@ -21,11 +21,17 @@ against.
 
 reference_check_conditions is closedform.check_conditions in Fraction
 arithmetic, q0^2 (m-1)(n-1) = 1 and (q0+1)^2 (m-1)(n-1) = m n as written.
+
+first_of_class_trees is the exhaustive route to oracle.all_trees: it sweeps
+every parent sequence in lexicographic order and keeps the first of each
+isomorphism class, told apart by center_tree_code, the bracket encoding
+rooted at the tree's center(s).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 from qbiblock import _fastpoly, _moddet
 from qbiblock.closedform import (
@@ -38,7 +44,7 @@ from qbiblock.closedform import (
     det_core,
 )
 from qbiblock.exactring import ONE, Polynomial, Q, RF_ZERO, RationalFunction
-from qbiblock.graph import build, distances, random_biblock, random_tree
+from qbiblock.graph import Attachment, BlockSpec, build, distances, random_biblock, random_tree
 from qbiblock.matrix import DimensionError, RingMatrix
 from qbiblock.qdist import bfs_parents, q_distance_rows
 
@@ -279,3 +285,49 @@ def separate_det_and_cofactor(g) -> tuple[Polynomial, Polynomial]:
         for rows in (q_distance_rows(dist), cofactor_rows(dist))
     )
     return Polynomial(det), Polynomial(cof)
+
+
+def center_tree_code(parents: tuple[int, ...]) -> str:
+    """Bracket encoding of the tree whose vertex v > 0 hangs from
+    parents[v - 1], rooted at its 1 or 2 centers (found by peeling leaves),
+    the least of the two."""
+    n = len(parents) + 1
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for child, parent in enumerate(parents, start=1):
+        neighbors[child].append(parent)
+        neighbors[parent].append(child)
+    degree = [len(nb) for nb in neighbors]
+    layer = [v for v in range(n) if degree[v] <= 1]
+    remaining = n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            degree[v] = 0
+            for u in neighbors[v]:
+                if degree[u] > 1:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+
+    def encode(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(encode(u, v) for u in neighbors[v] if u != parent)) + ")"
+
+    return min(encode(c, -1) for c in layer)
+
+
+def first_of_class_trees(max_n: int) -> tuple[tuple[BlockSpec, ...], ...]:
+    """The lexicographically first parent sequence of each class of trees on
+    2..max_n vertices, from a sweep of all (n - 1)! sequences per n, as build
+    sequences."""
+    out = []
+    for n in range(2, max_n + 1):
+        seen: set[str] = set()
+        for parents in itertools.product(*(range(v) for v in range(1, n))):
+            code = center_tree_code(parents)
+            if code not in seen:
+                seen.add(code)
+                leaves = (BlockSpec(1, 1, Attachment(p, "X")) for p in parents[1:])
+                out.append((BlockSpec(1, 1), *leaves))
+    return tuple(out)

@@ -453,6 +453,20 @@ def test_verify_refuses_a_graph_above_the_vertex_cap_before_any_check(capsys, mo
     assert code == 0 and [name for name, _ in seen[0]] == [at_cap]
 
 
+def test_verify_corpus_needs_at_least_one_file(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "verify_corpus", lambda corpus, jobs: seen.append(corpus) or [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--corpus"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and seen == []
+    assert "--corpus" in captured.err
+    # leaving --corpus out and --corpus default both mean the default corpus
+    for argv in (["verify"], ["verify", "--corpus", "default"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert [len(corpus) for corpus in seen] == [172, 172]
+
+
 # sha256 of the stdout of `verify --seed 7 --json`: the default corpus's report
 # stream, which every change to the closed forms or the checks must keep
 VERIFY_SEED_7_SHA256 = "551f0318729233e5cfa790edd198bc19bffdf9f8aaecaf39f3decd49f3cedd6c"

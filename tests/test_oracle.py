@@ -7,7 +7,9 @@ import random
 
 import pytest
 from helpers import (
+    center_tree_code,
     cofactor_rows,
+    first_of_class_trees,
     oracle_large_graphs,
     parent_differenced,
     separate_det_and_cofactor,
@@ -301,13 +303,21 @@ def test_sign_flip_is_isolated_to_det_and_cofactor_checks(monkeypatch):
 
 
 def test_tree_enumeration_counts():
-    trees = all_trees(8)
+    # OEIS A000055 for n = 2..10, each tree in a class of its own under the
+    # center-rooted encoding: no class is merged, split or missed
+    trees = all_trees(10)
     counts: dict[int, int] = {}
     for tree in trees:
         n = len(tree) + 1
         counts[n] = counts.get(n, 0) + 1
-    assert counts == {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
-    assert len(trees) == 47
+    assert counts == {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+    codes = {center_tree_code((0,) + tuple(s.attach.vertex for s in tree[1:])) for tree in trees}
+    assert len(codes) == len(trees) == 200
+    assert all_trees(8) == trees[:47]
+
+
+def test_tree_enumeration_matches_the_exhaustive_first_of_class_sweep():
+    assert all_trees(8) == first_of_class_trees(8)
 
 
 def test_default_corpus_composition():
