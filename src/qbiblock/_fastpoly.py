@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
+from ._moddet import pack, unpack
+
 
 def pstrip(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
@@ -92,63 +94,43 @@ def int_pair(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def content(coeffs: list[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    return g or 1
-
-
 def primitive(coeffs: list[int]) -> list[int]:
     """Divide out the content; the sign is chosen to make the lead positive."""
-    g = content(coeffs)
+    g = gcd(*coeffs) or 1
     if coeffs and coeffs[-1] < 0:
         g = -g
     return [c // g for c in coeffs]
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over the integers."""
-    da, db = len(a) - 1, len(b) - 1
-    lead = b[-1]
-    rem = list(a)
-    for k in range(da - db, -1, -1):
-        c = rem[k + db]
-        for i in range(len(rem)):
-            rem[i] *= lead
-        if c:
-            for i, bc in enumerate(b):
-                rem[k + i] -= c * bc
-        del rem[k + db :]
-    return pstrip(rem)
+def gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, a / h, b / h) for nonzero integer lists, h their primitive positive-lead
+    gcd: the heuristic gcd of Char, Geddes and Gonnet at B = 2^k.
 
-
-def int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive positive-lead gcd of two nonzero integer coefficient lists
-    (subresultant polynomial remainder sequence)."""
-    if len(a) < len(b):
-        a, b = b, a
-    a, b = primitive(a), primitive(b)
-    g, h = 1, 1
+    h is pp of the balanced base-B digits of g = igcd(a'(B), b'(B)), a' and b'
+    the primitive parts, and a cofactor the digits of a'(B) // h(B).  Accepted
+    when ||h||_1 ||cofactor||_inf < B/2 for both, h * cofactor = a': both have
+    coefficients below B/2 and one value at B.  Every k has B/2 > 2M + 2 (M:
+    the largest coefficient of a', b'), so h is the gcd: the gcd is h r, r(B)
+    divides the digits' content c <= B/2, and a nonconstant r, its roots within
+    1 + M, has |r(B)| > B - 1 - M > c.  Else k doubles; that ends once B/2
+    exceeds ||gcd||_1 times the cofactors' coefficients and the gcd's times
+    g / gcd(B), a divisor of the cofactors' resultant.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return [1], list(a), list(b)
+    a, b, ca, cb = primitive(a), primitive(b), a[-1], b[-1]
+    ca, cb = ca // a[-1], cb // b[-1]
+    k = 2 * (2 * max(map(abs, a + b)) + 2).bit_length()
     while True:
-        delta = (len(a) - 1) - (len(b) - 1)
-        rem = _pseudo_rem(a, b)
-        if not rem:
-            return primitive(b)
-        if len(rem) == 1:
-            return [1]
-        divisor = g * h**delta
-        quotient = []
-        for c in rem:
-            q, r = divmod(c, divisor)
-            if r:
-                raise ArithmeticError("subresultant sequence division was not exact")
-            quotient.append(q)
-        a, b = b, quotient
-        g = a[-1]
-        h = g**delta // h ** (delta - 1) if delta > 0 else h
+        av, bv = pack(a, k), pack(b, k)
+        h = primitive(unpack(gcd(av, bv), k, 1 << k))
+        if len(h) == 1:
+            return h, pscale(a, ca), pscale(b, cb)
+        hv, limit = pack(h, k), ((1 << (k - 1)) - 1) // sum(map(abs, h))
+        try:
+            return h, pscale(unpack(av // hv, k, limit), ca), pscale(unpack(bv // hv, k, limit), cb)
+        except ArithmeticError:
+            k *= 2
 
 
 def cleared(rf, scale: list[int]) -> list[int]:

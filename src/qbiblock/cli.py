@@ -157,10 +157,10 @@ _LAYOUTS = {
 
 
 def _formula_command(args, symbolic, at, refuse: tuple[str, ...]) -> int:
-    """Print symbolic(g), or at(g, q0) for --at (symbolic(g) evaluated entry
-    by entry when at is None): a dict of field name to rows of entries.  Each
-    distinct entry object is rendered once, as JSON or text, and the rendered
-    rows are laid out by the command's entry of _LAYOUTS."""
+    """Print symbolic(g), or at(g, q0) for --at: a dict of field name to rows
+    of entries.  Each distinct entry object is rendered once, as JSON or
+    text, and the rendered rows are laid out by the command's entry of
+    _LAYOUTS."""
     g = _build_graph(args.graph)
     payload = {"schema": SCHEMA_VERSION, "command": args.command}
     violations = ()
@@ -174,8 +174,7 @@ def _formula_command(args, symbolic, at, refuse: tuple[str, ...]) -> int:
         if refused:
             details = "; ".join(f"block {v.block} {v.condition}: {v.witness}" for v in refused)
             raise _DomainError(f"q = {q0} violates admissibility conditions ({details})")
-        evaluated = lambda rows: [[e.eval_at(q0) for e in row] for row in rows]
-        fields = at(g, q0) if at else {k: evaluated(rows) for k, rows in symbolic(g).items()}
+        fields = at(g, q0)
         to_json = lambda v: _to_json(rational_to_json(v))
         payload.update(at=rational_to_json(q0), violations=[vars(v) for v in violations])
     depth, text = _LAYOUTS[args.command]
@@ -198,15 +197,23 @@ def _formula_command(args, symbolic, at, refuse: tuple[str, ...]) -> int:
 
 
 def cmd_det(args) -> int:
-    return _formula_command(args, lambda g: {"value": [[graph_det(g)]]}, None, refuse=())
+    at = lambda g, q0: {"value": [[ClearedForms(g).det_at(q0)]]}
+    return _formula_command(args, lambda g: {"value": [[graph_det(g)]]}, at, refuse=())
 
 
 def cmd_xi(args) -> int:
-    return _formula_command(args, lambda g: {"value": [[graph_cofactor(g)]]}, None, refuse=())
+    at = lambda g, q0: {"value": [[ClearedForms(g).cofactor_at(q0)]]}
+    return _formula_command(args, lambda g: {"value": [[graph_cofactor(g)]]}, at, refuse=())
+
+
+def _lambda_at(g, q0):
+    forms = ClearedForms(g)
+    return {"value": [values_at([forms.lam], forms.delta, q0)]}
 
 
 def cmd_lambda(args) -> int:
-    return _formula_command(args, lambda g: {"value": [[balance_constant(g)]]}, None, refuse=("C1",))
+    symbolic = lambda g: {"value": [[balance_constant(g)]]}
+    return _formula_command(args, symbolic, _lambda_at, refuse=("C1",))
 
 
 def _vectors_at(g, q0):

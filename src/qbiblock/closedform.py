@@ -294,24 +294,37 @@ def _inverse_rows(g: BiBlockGraph, x: list, local: dict, entry) -> list[list]:
 
     Entry (i, j) depends only on x_i, x_j and the local entry L_ij, and both x
     and the local matrix repeat few distinct values.  So entry(x_a, x_b, L)
-    is called once per distinct key (class of x_i, class of x_j, L_ij or None),
-    with a <= b, and shared by every pair with that key; the result is
-    symmetric, so only j >= i is looked up.
+    is called once per distinct key (class a of x_i, class b of x_j, L_ij or
+    None), a <= b, in the order the pairs j >= i first reach it.  Row i looks
+    up each column by class in plain[a], then sets its few local columns.
     """
     classes: dict = {}
     ids = [classes.setdefault(e, len(classes)) for e in x]
     reps = list(classes)
+    plain: list[list[int]] = [[0] * len(reps) for _ in reps]
+    local_columns: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in sorted(local):
+        local_columns[i].append(j)
     memo: dict = {}
-    rows: list[list] = [[None] * g.n for _ in range(g.n)]
-    for i in range(g.n):
-        row_i = rows[i]
-        for j in range(i, g.n):
-            a, b = ids[i], ids[j]
-            key = (a, b, local.get((i, j))) if a <= b else (b, a, local.get((i, j)))
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = entry(reps[key[0]], reps[key[1]], key[2])
-            row_i[j] = rows[j][i] = value
+    rows, values = [], [None]  # plain[a][b] = 0: not made yet, values[0] unused
+    for i, a in enumerate(ids):
+        by_class, columns, own, start = plain[a], local_columns[i], {}, i
+        for j in [j for j in columns if j >= i] + [g.n]:
+            missing = start < j and 0 in map(by_class.__getitem__, ids[start:j])
+            for b in dict.fromkeys(ids[start:j]) if missing else ():
+                if not by_class[b]:
+                    by_class[b] = plain[b][a] = len(values)
+                    values.append(entry(reps[min(a, b)], reps[max(a, b)], None))
+            if j < g.n:
+                key = (a, ids[j], local[i, j]) if a <= ids[j] else (ids[j], a, local[i, j])
+                if key not in memo:
+                    memo[key] = entry(reps[key[0]], reps[key[1]], key[2])
+                own[j] = memo[key]
+            start = j + 1
+        row = list(map(values.__getitem__, map(by_class.__getitem__, ids)))
+        for j in columns:
+            row[j] = own[j] if j >= i else rows[j][i]
+        rows.append(row)
     return rows
 
 
@@ -325,9 +338,10 @@ class ClearedForms:
     local_matrix(g) times delta, and inverse the numerators
     N = X_a X_b - L_ab Lambda of graph_inverse(g) over inverse_den =
     delta * Lambda, and det and cofactor are graph_det(g) = F (q+1)^(n-2) Lambda
-    and graph_cofactor(g) = F (q+1)^(n-1) P, F their shared factor (_expanded).
-    All are built in integer-list arithmetic from the per-shape quotients
-    R_a = P / core_a; x, y, local, inverse, det and cofactor on first use.
+    and graph_cofactor(g) = F (q+1)^(n-1) P, F their shared factor (_factors),
+    which det_at and cofactor_at evaluate at q0 factor by factor.  All are
+    built in integer-list arithmetic from the per-shape quotients R_a =
+    P / core_a; x, y, local, inverse, det and cofactor on first use.
     """
 
     def __init__(self, g: BiBlockGraph):
@@ -338,20 +352,30 @@ class ClearedForms:
         self.lam = _cleared_lambda(self._shapes, self._quotients)
         self.inverse_den = _fastpoly.pmul(self.delta, self.lam)
 
-    def _expanded(self, last: list[int], power: int) -> list[int]:
-        """F last (q+1)^power, F = sigma' prod over a != 0 of core_a^(c_a - 1)
-        for the c_a blocks with a = (m-1)(n-1) and sigma' = (-1)^(c_0 + the
-        sum of m + n over the blocks): one Kronecker product, then power
-        passes of Pascal's rule c_i + c_(i-1)."""
+    @functools.cached_property
+    def _factors(self) -> list[tuple[list[int], int]]:
+        """F as (e, p) factors: sigma' = (-1)^(c_0 + the sum of m + n over the
+        blocks), and core_a^(c_a - 1) for the c_a blocks of each a != 0."""
         counts: Counter = Counter()
         for (m, n), count in self._shapes.items():
             counts[(m - 1) * (n - 1)] += count
         parity = sum(count * (m + n) for (m, n), count in self._shapes.items()) + counts[0]
-        powers = [([-1, 0, a], c - 1) for a, c in counts.items() if a]
-        coeffs = _moddet.power_product([([_sign(parity)], 1), (last, 1), *powers])
+        return [([_sign(parity)], 1)] + [([-1, 0, a], c - 1) for a, c in counts.items() if a]
+
+    def _expanded(self, last: list[int], power: int) -> list[int]:
+        """F last (q+1)^power: one Kronecker product, then power passes of
+        Pascal's rule c_i + c_(i-1)."""
+        coeffs = _moddet.power_product([(last, 1), *self._factors])
         for _ in range(power if coeffs else 0):
             coeffs = list(map(add, coeffs + [0], [0] + coeffs))
         return coeffs
+
+    def _value_at(self, last: list[int], power: int, q0: Rational) -> Rational:
+        """F(q0) last(q0) (q0+1)^power, factor by factor in exact rationals."""
+        value = Fraction(Polynomial(last).eval_at(q0)) * (q0 + 1) ** power
+        for e, p in self._factors:
+            value *= Polynomial(e).eval_at(q0) ** p
+        return _demote(value)
 
     @functools.cached_property
     def det(self) -> list[int]:
@@ -360,6 +384,14 @@ class ClearedForms:
     @functools.cached_property
     def cofactor(self) -> list[int]:
         return self._expanded(self.product, self._g.n - 1)
+
+    def det_at(self, q0: Rational) -> Rational:
+        """graph_det(g) at q0, without expanding it."""
+        return self._value_at(self.lam, self._g.n - 2, q0)
+
+    def cofactor_at(self, q0: Rational) -> Rational:
+        """graph_cofactor(g) at q0, without expanding it."""
+        return self._value_at(self.product, self._g.n - 1, q0)
 
     @functools.cached_property
     def x(self) -> list[list[int]]:

@@ -4,8 +4,9 @@ Everything here is exact; no floating point is used anywhere in the package.
 Rational scalars are plain ``int`` or ``fractions.Fraction`` values (integral
 results are demoted to ``int``).  Polynomials are dense ascending coefficient
 tuples; rational functions are kept in canonical form (gcd-reduced, monic
-denominator) so that equality is structural.  Canonicalisation tests for an
-exact ``int`` first: int coefficients skip ``Fraction`` arithmetic entirely.
+denominator) so that equality is structural.  Canonicalisation reduces
+integer lists to their gcd's cofactors (_fastpoly.gcd_cofactors), then
+divides each coefficient by one collected scalar.
 """
 
 from __future__ import annotations
@@ -229,8 +230,9 @@ def q_integer(alpha: int) -> Polynomial:
 class RationalFunction:
     """An element of the field of rational functions in q, in canonical form.
 
-    Invariants: the denominator is nonzero and monic, gcd(num, den) = 1, and
-    zero is stored as 0/1.  Equality and hashing are therefore structural.
+    Invariants: the denominator is nonzero and monic, gcd(num, den) = 1 (the
+    parts are scaled cofactors of the integer gcd), and zero is stored as
+    0/1.  Equality and hashing are therefore structural.
     """
 
     __slots__ = ("num", "den")
@@ -243,18 +245,15 @@ class RationalFunction:
         if num.is_zero:
             num, den = ZERO, ONE
         else:
-            # reduce on integer coefficient lists, then apply the collected
-            # scalar and make the denominator monic in one pass
+            # reduce on integer coefficient lists to the gcd's cofactors, then
+            # apply the collected scalar and make the denominator monic
             num_int, num_den = _fastpoly.int_pair(num.coeffs)
             den_int, den_den = _fastpoly.int_pair(den.coeffs)
             if len(num_int) > 1 or len(den_int) > 1:
-                g = _fastpoly.int_poly_gcd(num_int, den_int)
-                if len(g) > 1:
-                    num_int = _fastpoly.pdiv_exact(num_int, g)
-                    den_int = _fastpoly.pdiv_exact(den_int, g)
+                _, num_int, den_int = _fastpoly.gcd_cofactors(num_int, den_int)
             lead = den_int[-1]
-            scalar = _demote(Fraction(den_den, num_den * lead))
-            num = Polynomial([c * scalar for c in num_int])
+            num_int, down = [c * den_den for c in num_int], num_den * lead
+            num = Polynomial(num_int if down == 1 else [Fraction(c, down) for c in num_int])
             den = Polynomial(den_int if lead == 1 else [Fraction(c, lead) for c in den_int])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)

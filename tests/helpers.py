@@ -19,6 +19,9 @@ determinants and cofactors block by block, by the product rule, with no
 shared factor: the route that ClearedForms.det and .cofactor are checked
 against.
 
+subresultant_gcd is the subresultant polynomial remainder sequence, the
+independent route that _fastpoly.gcd_cofactors is checked against.
+
 reference_check_conditions is closedform.check_conditions in Fraction
 arithmetic, q0^2 (m-1)(n-1) = 1 and (q0+1)^2 (m-1)(n-1) = m n as written.
 
@@ -66,6 +69,49 @@ def reference_graph_cofactor(g):
     for b in g.blocks:
         result = result * block_cofactor(b.m, b.n)
     return result
+
+
+def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over the integers."""
+    da, db = len(a) - 1, len(b) - 1
+    lead = b[-1]
+    rem = list(a)
+    for k in range(da - db, -1, -1):
+        c = rem[k + db]
+        for i in range(len(rem)):
+            rem[i] *= lead
+        if c:
+            for i, bc in enumerate(b):
+                rem[k + i] -= c * bc
+        del rem[k + db :]
+    return _fastpoly.pstrip(rem)
+
+
+def subresultant_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive positive-lead gcd of two nonzero integer coefficient lists
+    (subresultant polynomial remainder sequence)."""
+    primitive = _fastpoly.primitive
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = primitive(a), primitive(b)
+    g, h = 1, 1
+    while True:
+        delta = (len(a) - 1) - (len(b) - 1)
+        rem = pseudo_rem(a, b)
+        if not rem:
+            return primitive(b)
+        if len(rem) == 1:
+            return [1]
+        divisor = g * h**delta
+        quotient = []
+        for c in rem:
+            q, r = divmod(c, divisor)
+            if r:
+                raise ArithmeticError("subresultant sequence division was not exact")
+            quotient.append(q)
+        a, b = b, quotient
+        g = a[-1]
+        h = g**delta // h ** (delta - 1) if delta > 0 else h
 
 
 def reference_check_conditions(g, q0) -> ConditionCheck:

@@ -64,6 +64,26 @@ def test_det_json(capsys, p3):
     assert payload["value"] == [["2", "1"], ["2", "1"]]
 
 
+def test_det_and_xi_at_on_a_path_at_the_vertex_cap_match_the_tree_formulas(capsys, tmp_path):
+    # det = (-1)^(n-1) (n-1) (q+1)^(n-2) and xi = (-1)^(n-1) (q+1)^(n-1),
+    # evaluated factor by factor without expanding either polynomial
+    n, q0 = 5000, Fraction(2, 7)
+    path = write_graph(tmp_path, "path.json", path_tree(n))
+    sign = (-1) ** (n - 1)
+    wants = {"det": sign * (n - 1) * (q0 + 1) ** (n - 2), "xi": sign * (q0 + 1) ** (n - 1)}
+    for command, want in wants.items():
+        code, out, _ = run_cli(capsys, command, path, "--at", "2/7")
+        # the values have about 4,900 digits, above CPython's default str() limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        try:
+            if limit:
+                sys.set_int_max_str_digits(0)
+            assert code == 0 and out == f"{want}\n", command
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+
 def test_det_at_with_condition_violations_warns_but_prints(capsys, k22):
     code, out, err = run_cli(capsys, "det", k22, "--at", "1")
     assert code == 0

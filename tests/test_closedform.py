@@ -30,6 +30,7 @@ from qbiblock.closedform import (
     local_matrix,
     nonedge_weight_matrix,
 )
+from qbiblock.cli import _lambda_at
 from qbiblock.exactring import (
     ONE,
     PoleError,
@@ -435,6 +436,29 @@ def test_factored_det_and_cofactor_on_a_long_path_match_the_tree_closed_form():
     sign = (-1) ** (n - 1)
     assert graph_det(g).coeffs == tuple(sign * (n - 1) * comb(n - 2, i) for i in range(n - 1))
     assert graph_cofactor(g).coeffs == tuple(sign * comb(n - 1, i) for i in range(n))
+
+
+FACTORED_POINTS = (0, Fraction(2, 7), Fraction(-3, 5), Fraction(5, 3), 1, Fraction(1, 2))
+
+
+def test_factored_values_at_q0_match_the_expanded_values():
+    # det_at, cofactor_at and lambda --at against the expanded symbolic
+    # values, at points where some core vanishes with exponent 0 in F (a
+    # lone K_{2,2} at q0 = 1) and with a positive exponent (two K_{2,2})
+    graphs = [build(specs) for _, specs in default_corpus(7)] + formulas_large_graphs()
+    vanishing = set()
+    for g in graphs:
+        forms = ClearedForms(g)
+        det, cofactor, lam = graph_det(g), graph_cofactor(g), balance_constant(g)
+        for q0 in FACTORED_POINTS:
+            pairs = [(forms.det_at(q0), det), (forms.cofactor_at(q0), cofactor)]
+            if not check_conditions(g, q0).violated("C1"):
+                pairs.append((_lambda_at(g, q0)["value"][0][0], lam))
+            for got, symbolic in pairs:
+                want = symbolic.eval_at(q0)
+                assert (type(got), got) == (type(want), want), (g.specs, q0)
+            vanishing |= {p > 0 for e, p in forms._factors if not Polynomial(e).eval_at(q0)}
+    assert vanishing == {False, True}
 
 
 def test_shared_sign_counts_each_block_with_a_constant_cofactor_core():

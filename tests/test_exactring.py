@@ -7,6 +7,7 @@ from math import lcm
 
 import pytest
 
+from helpers import subresultant_gcd
 from qbiblock import _fastpoly
 from qbiblock.exactring import (
     ONE,
@@ -97,12 +98,24 @@ def test_integer_horner_matches_fraction_horner():
 
 
 def test_gcd_examples():
-    gcd = _fastpoly.int_poly_gcd
+    gcd = lambda a, b: _fastpoly.gcd_cofactors(a, b)[0]
     assert gcd([-1, 0, 1], [1, 1]) == [1, 1]
     assert gcd([2, 2], [4, 4]) == [1, 1]
     assert gcd([1, 1], [2, 1]) == [1]
     # a negative content must not flip the positive leading coefficient
     assert gcd([2, -4], [-6, 12]) == [-1, 2]
+    assert _fastpoly.gcd_cofactors([2, -4], [-6, 12]) == ([-1, 2], [-2], [6])
+
+
+def test_gcd_rejects_a_spurious_factor_at_the_first_base():
+    # the first base is B = 2^22 for coefficients up to 1000; these coprime
+    # quadratics share the factor 2446649 > B/2 of their values at B, whose
+    # digits read as q - 1747655, and only the cofactor bound rejects it
+    a, b = [-999, 1000, 1], [701, 965, 1]
+    assert _fastpoly.gcd_cofactors(a, b) == ([1], a, b)
+    f = [3, -2, 5]
+    h, a_h, b_h = _fastpoly.gcd_cofactors(_fastpoly.pmul(a, f), _fastpoly.pmul(b, f))
+    assert (h, a_h, b_h) == (f, a, b)
 
 
 def test_gcd_of_random_products():
@@ -112,12 +125,60 @@ def test_gcd_of_random_products():
         a = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] + [1]
         b = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] + [1]
         fa, fb = _fastpoly.pmul(f, a), _fastpoly.pmul(f, b)
-        g = _fastpoly.int_poly_gcd(fa, fb)
+        g, _, _ = _fastpoly.gcd_cofactors(fa, fb)
         # f is monic and divides both products, so it must divide the
         # primitive gcd; the gcd must divide both products
         _fastpoly.pdiv_exact(g, f)
         _fastpoly.pdiv_exact(fa, g)
         _fastpoly.pdiv_exact(fb, g)
+
+
+def random_gcd_case(rng: random.Random) -> tuple[list[int], list[int]]:
+    """Two nonzero integer lists for the gcd sweep: a planted common factor
+    (or none), cofactors with coefficients of 1 to 60 bits, and by turns
+    scaled by a signed content, shifted by a power of q, or constant."""
+    bits = rng.choice((1, 2, 4, 16, 60))
+
+    def poly(degree):
+        lead = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+        return [rng.randint(-(2**bits), 2**bits) for _ in range(degree)] + [lead]
+
+    common = poly(rng.randint(1, 4)) if rng.random() < 0.7 else [1]
+    pair = []
+    for _ in range(2):
+        value = _fastpoly.pmul(common, poly(rng.randint(0, 5)))
+        if rng.random() < 0.2:
+            value = [0] * rng.randint(1, 3) + value
+        if rng.random() < 0.3:
+            value = _fastpoly.pscale(value, rng.choice((-1, 2, -6, 15)))
+        if rng.random() < 0.05:
+            value = [rng.choice((-4, -1, 1, 3))]
+        pair.append(value)
+    return pair[0], pair[1]
+
+
+def test_gcd_cofactors_match_the_subresultant_reference():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        a, b = random_gcd_case(rng)
+        h, a_h, b_h = _fastpoly.gcd_cofactors(a, b)
+        assert h == subresultant_gcd(a, b), (a, b)
+        assert _fastpoly.pmul(h, a_h) == a and _fastpoly.pmul(h, b_h) == b, (a, b)
+
+
+def test_gcd_cofactors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.symbols("q")
+    rng = random.Random(4477)
+    for _ in range(60):
+        a, b = random_gcd_case(rng)
+        as_poly = lambda c: sympy.Poly(list(reversed(c)), q, domain="ZZ")
+        # sympy's gcd carries the gcd of the contents; compare primitive parts
+        _, want = sympy.gcd(as_poly(a), as_poly(b)).primitive()
+        if want.LC() < 0:
+            want = -want
+        h, _, _ = _fastpoly.gcd_cofactors(a, b)
+        assert as_poly(h) == want, (a, b)
 
 
 def test_rational_function_canonical_form():
@@ -301,14 +362,14 @@ def test_polynomial_ring_axioms_and_coefficient_types_property():
 
 def reference_canonical_json(num: Polynomial, den: Polynomial) -> dict:
     """RationalFunction's canonical form, computed with Fraction arithmetic
-    throughout: reduce by the integer gcd, fold both coefficient denominators
+    throughout: reduce by the subresultant gcd, fold both coefficient denominators
     and the denominator's lead into one Fraction, divide by the lead."""
     if num.is_zero:
         return {"num": [], "den": [["1", "1"]]}
     num_int, num_den = reference_int_pair(num.coeffs)
     den_int, den_den = reference_int_pair(den.coeffs)
     if len(num_int) > 1 or len(den_int) > 1:
-        g = _fastpoly.int_poly_gcd(num_int, den_int)
+        g = subresultant_gcd(num_int, den_int)
         if len(g) > 1:
             num_int = _fastpoly.pdiv_exact(num_int, g)
             den_int = _fastpoly.pdiv_exact(den_int, g)
