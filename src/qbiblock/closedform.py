@@ -289,43 +289,36 @@ def clearing_poly(g: BiBlockGraph) -> Polynomial:
     return Polynomial(ClearedForms(g).delta)
 
 
-def _inverse_rows(g: BiBlockGraph, x: list, local: dict, entry) -> list[list]:
-    """Rows of -local_matrix + outer(x, x) / balance_constant, entry by entry.
+def _inverse_rows(forms: ClearedForms, entry) -> tuple[list, list[list[int]]]:
+    """(values, index): entry (i, j) of -local_matrix + outer(x, x) /
+    balance_constant is values[index[i][j]].
 
-    Entry (i, j) depends only on x_i, x_j and the local entry L_ij, and both x
-    and the local matrix repeat few distinct values.  So entry(x_a, x_b, L)
-    is called once per distinct key (class a of x_i, class b of x_j, L_ij or
-    None), a <= b, in the order the pairs j >= i first reach it.  Row i looks
-    up each column by class in plain[a], then sets its few local columns.
+    Entry (i, j) depends only on x_i, x_j and the local entry L_ij, so
+    entry(x_a, x_b, L) is called once per distinct key (a, b, L): a <= b the
+    classes of equal x values of i and j, L = L_ij, or None where i and j
+    share no block.  A class pair has such a vertex pair when fewer than
+    |a| |b| of its ordered pairs are local.  Each row is filled by class,
+    then its local entries are overwritten.
     """
     classes: dict = {}
-    ids = [classes.setdefault(e, len(classes)) for e in x]
-    reps = list(classes)
-    plain: list[list[int]] = [[0] * len(reps) for _ in reps]
-    local_columns: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in sorted(local):
-        local_columns[i].append(j)
-    memo: dict = {}
-    rows, values = [], [None]  # plain[a][b] = 0: not made yet, values[0] unused
-    for i, a in enumerate(ids):
-        by_class, columns, own, start = plain[a], local_columns[i], {}, i
-        for j in [j for j in columns if j >= i] + [g.n]:
-            missing = start < j and 0 in map(by_class.__getitem__, ids[start:j])
-            for b in dict.fromkeys(ids[start:j]) if missing else ():
-                if not by_class[b]:
-                    by_class[b] = plain[b][a] = len(values)
-                    values.append(entry(reps[min(a, b)], reps[max(a, b)], None))
-            if j < g.n:
-                key = (a, ids[j], local[i, j]) if a <= ids[j] else (ids[j], a, local[i, j])
-                if key not in memo:
-                    memo[key] = entry(reps[key[0]], reps[key[1]], key[2])
-                own[j] = memo[key]
-            start = j + 1
-        row = list(map(values.__getitem__, map(by_class.__getitem__, ids)))
-        for j in columns:
-            row[j] = own[j] if j >= i else rows[j][i]
-        rows.append(row)
-    return rows
+    ids = [classes.setdefault(tuple(e), len(classes)) for e in forms.x]
+    reps, sizes = list(classes), Counter(ids)
+    local_pairs = Counter((ids[i], ids[j]) for i, j in forms._local)
+    plain: list[list] = [[None] * len(reps) for _ in reps]
+    values = []
+    for a in range(len(reps)):
+        for b in range(a, len(reps)):
+            if local_pairs[a, b] < sizes[a] * sizes[b]:
+                plain[a][b] = plain[b][a] = len(values)
+                values.append(entry(reps[a], reps[b], None))
+    by_class = [list(map(row.__getitem__, ids)) for row in plain]
+    index = [by_class[a].copy() for a in ids]
+    keys: dict = {}
+    for (i, j), loc in forms._local.items():
+        a, b = sorted((ids[i], ids[j]))
+        index[i][j] = keys.setdefault((a, b, loc), len(values) + len(keys))
+    values += [entry(reps[a], reps[b], loc) for a, b, loc in keys]
+    return values, index
 
 
 class ClearedForms:
@@ -415,19 +408,15 @@ class ClearedForms:
 
     @functools.cached_property
     def inverse(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(numerators, index): entry (i, j) of graph_inverse(g) is
-        numerators[index[i][j]] / inverse_den, one numerator per distinct
-        key of _inverse_rows."""
-        numerators: list[list[int]] = []
+        """(numerators, index) from _inverse_rows: entry (i, j) of
+        graph_inverse(g) is numerators[index[i][j]] / inverse_den, one
+        numerator X_a X_b - L Lambda per distinct key (a, b, L)."""
 
-        def entry(xa: tuple[int, ...], xb: tuple[int, ...], loc: tuple[int, ...] | None):
+        def numerator(xa: tuple[int, ...], xb: tuple[int, ...], loc: tuple[int, ...] | None):
             num = _fastpoly.pmul(xa, xb)
-            if loc is not None:
-                num = _fastpoly.psub(num, _fastpoly.pmul(loc, self.lam))
-            numerators.append(num)
-            return len(numerators) - 1
+            return num if loc is None else _fastpoly.psub(num, _fastpoly.pmul(loc, self.lam))
 
-        return numerators, _inverse_rows(self._g, list(map(tuple, self.x)), self._local, entry)
+        return _inverse_rows(self, numerator)
 
 
 def _per_object(values, make) -> list:
@@ -493,7 +482,8 @@ def inverse_at(g: BiBlockGraph, q0: Rational) -> list[list[Rational]]:
             num -= at(loc) * lam
         return _demote(num / den)
 
-    return _inverse_rows(g, list(map(tuple, forms.x)), forms._local, entry)
+    values, index = _inverse_rows(forms, entry)
+    return [list(map(values.__getitem__, row)) for row in index]
 
 
 # -- admissibility of concrete q values ---------------------------------------

@@ -209,37 +209,26 @@ def clearing_poly(g) -> Polynomial:
 
 class ReferenceClearedForms:
     """delta, lam, x, local and inverse as closedform.ClearedForms defines
-    them, each value built as a RationalFunction and cleared over delta."""
+    them, each value built as a RationalFunction and cleared over delta;
+    inverse is the plain n x n matrix of numerators over inverse_den."""
 
     def __init__(self, g):
         self.delta = delta = list(clearing_poly(g).coeffs)
         clear = functools.cache(lambda value: _fastpoly.cleared(value, delta))
         self.lam = clear(balance_constant(g))
         self.inverse_den = _fastpoly.pmul(delta, self.lam)
-        x = balance_vector(g)
-        self.x = [clear(e) for e in x]
+        self.x = [clear(e) for e in balance_vector(g)]
         local = local_entries(g)
         n = g.n
         self.local = [[clear(local[i, j]) if (i, j) in local else [] for j in range(n)] for i in range(n)]
-        # inverse numerators, one per distinct (class of x_i, class of x_j, L_ij)
-        classes: dict = {}
-        ids = [classes.setdefault(e, len(classes)) for e in x]
-        reps = list(classes)
-        memo: dict = {}
-        numerators: list[list[int]] = []
-        index = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                a, b = sorted((ids[i], ids[j]))
-                key = (a, b, local.get((i, j)))
-                if key not in memo:
-                    num = _fastpoly.pmul(clear(reps[a]), clear(reps[b]))
-                    if key[2] is not None:
-                        num = _fastpoly.psub(num, _fastpoly.pmul(clear(key[2]), self.lam))
-                    memo[key] = len(numerators)
-                    numerators.append(num)
-                index[i][j] = index[j][i] = memo[key]
-        self.inverse = numerators, index
+        # inverse numerators X_i X_j - L_ij Lambda, entry by entry
+        self.inverse = [
+            [
+                _fastpoly.psub(_fastpoly.pmul(xi, xj), _fastpoly.pmul(loc, self.lam))
+                for xj, loc in zip(self.x, row)
+            ]
+            for xi, row in zip(self.x, self.local)
+        ]
 
 
 def det_cofactor(m: RingMatrix):

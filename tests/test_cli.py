@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from qbiblock import cli, oracle
-from qbiblock.closedform import check_conditions, inverse_at
+from qbiblock.closedform import check_conditions, graph_inverse, inverse_at
 from qbiblock.graph import Attachment, BlockSpec, build, graph_to_json, path_tree
 from qbiblock.oracle import CheckResult, VerificationReport
 from helpers import formulas_large_graphs
@@ -601,6 +601,20 @@ def test_formula_commands_render_each_value_once(capsys, monkeypatch, formula_gr
     for command in ("det", "xi"):
         assert renders(command, path, "--format", "json") == {("Polynomial", "to_json"): 1}
         assert renders(command, path) == {("Polynomial", "__str__"): 1}
+
+    # dense87's inverse shares 266 distinct entry objects among its 87^2 entries
+    g, path = formulas_large_graphs()[2], formula_graphs["dense87"]
+    distinct = len({id(e) for row in graph_inverse(g).rows for e in row})
+    assert distinct == 266
+    assert renders("inverse", path, "--format", "json")[("RationalFunction", "to_json")] == distinct
+    assert renders("inverse", path)[("RationalFunction", "__str__")] == distinct
+    rationals = []
+    original = cli.rational_to_json
+    monkeypatch.setattr(cli, "rational_to_json", lambda v: rationals.append(v) or original(v))
+    assert renders("inverse", path, "--at", "2/7", "--format", "json") == {}
+    # one call renders the "at" field, the others one distinct entry each
+    distinct = len({id(e) for row in inverse_at(g, Fraction(2, 7)) for e in row})
+    assert len(rationals) - 1 == distinct
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch, k11):

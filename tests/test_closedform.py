@@ -540,7 +540,8 @@ def assert_cleared_forms_match_the_reference(g):
     assert forms.x == ref.x, g
     assert forms.y == [_fastpoly.cleared(e, forms.product) for e in reference_y(g)], g
     assert forms.local == ref.local, g
-    assert forms.inverse == ref.inverse, g
+    numerators, index = forms.inverse
+    assert [[numerators[k] for k in row] for row in index] == ref.inverse, g
 
 
 def test_cleared_forms_match_the_rational_function_route():
@@ -548,6 +549,24 @@ def test_cleared_forms_match_the_rational_function_route():
     assert len(graphs) == 176
     for g in graphs:
         assert_cleared_forms_match_the_reference(g)
+
+
+def test_inverse_has_one_numerator_per_distinct_key():
+    # entry (i, j) depends only on x_i, x_j and L_ij; every numerator is used
+    counts = []
+    for g in formulas_large_graphs():
+        forms = ClearedForms(g)
+        numerators, index = forms.inverse
+        x = list(map(tuple, forms.x))
+        keys = {
+            (frozenset((x[i], x[j])), forms._local.get((i, j)))
+            for i in range(g.n)
+            for j in range(g.n)
+        }
+        assert {k for row in index for k in row} == set(range(len(numerators))), g
+        assert len(numerators) == len(keys), g
+        counts.append(len(numerators))
+    assert counts == [949, 945, 266, 55]
 
 
 def test_cleared_forms_match_the_rational_function_route_property():
