@@ -19,6 +19,18 @@ unique, and ``unpack`` raises ``ArithmeticError`` on a digit past ``C``.
 * ``adjugate``: one fraction-free Gauss-Jordan elimination of ``[A | I]``
   gives ``det(A)`` and ``adj(A)``; the Hadamard bound of ``A`` covers every
   (n-1)-minor when no row is zero, since each row factor is then at least 1.
+
+Two checks compare packed values and read back only a failing entry.  A
+nonzero integer polynomial with coefficients at most ``C`` is not 0 at
+``2^k > 2C``: divided by ``2^(k m)``, ``m`` the degree of its lowest term,
+its value is that term's coefficient, nonzero and smaller than ``2^k``, plus
+a multiple of ``2^k``.  So two polynomials equal at such a ``2^k`` are equal,
+for ``C`` a bound on the coefficients of their difference:
+
+* ``rank_one_mismatches``: ``D B = 1 r^T + d I`` for ``D`` the q-distance
+  matrix of a distance table, ``C = maxᵢ Σₖ dist(i, k) · max ‖bₖⱼ‖₁ +
+  maxⱼ ‖rⱼ‖₁ + ‖d‖₁``, the ``matmul`` bound plus the expected side's;
+* ``cross_mismatch``: ``vᵢⱼ a = b wᵢⱼ``, ``C = max ‖vᵢⱼ‖₁ ‖a‖₁ + ‖b‖₁ max ‖wᵢⱼ‖₁``.
 """
 
 from __future__ import annotations
@@ -162,3 +174,67 @@ def adjugate(entries: list[list[list[int]]]) -> tuple[list[int], list[list[list[
     sign, pivot = _eliminate(aug, jordan=True)
     adj = [[unpack(sign * v, k, bound) for v in row[n:]] for row in aug]
     return unpack(sign * pivot, k, bound), adj
+
+
+
+def rank_one_mismatches(
+    dist: list[list[int]], identities: list
+) -> list[tuple[int, int, list[int]] | None]:
+    """Check D B = 1 r^T + d I, D the q-distance matrix of the distance table
+    dist, for each (values, index, r, d) in identities: entry (i, j) of B is
+    values[index[i][j]], r has one integer list per column of B, and d is an
+    integer list, zero unless B is square.
+
+    Each result is None when its identity holds, else (i, j, (D B)_ij) at
+    the first failing entry in row order.  D is packed once, at the 2^k of
+    the largest C over the identities: (D B)_ij has coefficients at most
+    C_prod = maxᵢ Σₖ dist(i, k) · max ‖values‖₁, since ‖[d]_q‖₁ = d, and
+    r_j + d [i = j] at most maxⱼ ‖r_j‖₁ + ‖d‖₁; C is their sum, so 2^k > 2C
+    makes equal values equal polynomials and reads (D B)_ij back exactly.
+    """
+    row_norm = max(map(sum, dist))
+    bounds = [
+        (row_norm * max(map(_norm, values)), max(map(_norm, r)) + _norm(d))
+        for values, _, r, d in identities
+    ]
+    k = _digit_bits(max(map(sum, bounds)))
+    # [d]_q at 2^k is 1 + 2^k + ... + 2^(k (d-1))
+    q_integers = [0]
+    for _ in range(max(map(max, dist))):
+        q_integers.append((q_integers[-1] << k) + 1)
+    rows = [[q_integers[d] for d in row] for row in dist]
+    return [
+        _first_rank_one_mismatch(rows, k, product_bound, *identity)
+        for (product_bound, _), identity in zip(bounds, identities)
+    ]
+
+
+def _first_rank_one_mismatch(rows, k, product_bound, values, index, r, d):
+    """rank_one_mismatches of one identity, on the packed rows of D."""
+    packed = [pack(v, k) for v in values]
+    columns = list(zip(*([packed[t] for t in row] for row in index)))
+    expected, diagonal = [pack(e, k) for e in r], pack(d, k)
+    for i, row in enumerate(rows):
+        got = [sum(map(mul, row, col)) for col in columns]
+        if diagonal:
+            got[i] -= diagonal
+        if got != expected:
+            j = next(j for j, (a, b) in enumerate(zip(got, expected)) if a != b)
+            value = got[j] + diagonal if i == j else got[j]
+            return i, j, unpack(value, k, product_bound)
+    return None
+
+
+def cross_mismatch(values, index, a: list[int], b: list[int], rows) -> tuple[int, int] | None:
+    """First (i, j) in row order where values[index[i][j]] * a != b * rows[i][j],
+    or None.  Compared at 2^k > 2 (max ‖values‖₁ ‖a‖₁ + ‖b‖₁ max ‖rows‖₁), a
+    bound on every coefficient of each difference."""
+    cells = max(_norm(e) for row in rows for e in row)
+    k = _digit_bits(max(map(_norm, values)) * _norm(a) + _norm(b) * cells)
+    a_value, b_value = pack(a, k), pack(b, k)
+    left = [pack(v, k) * a_value for v in values]
+    for i, (row, cells) in enumerate(zip(index, rows)):
+        for j, (t, e) in enumerate(zip(row, cells)):
+            if left[t] != b_value * pack(e, k):
+                return i, j
+    return None

@@ -65,8 +65,8 @@ SCHEMA_VERSION = 1
 # default int/str conversion limit, which main lifts for the exact output.
 MAX_DIGITS = 4300
 
-# Most vertices verify takes in a file: the oracles' q_distance_rows holds
-# sum d(u, v) list slots, cubic in n on a path (23 MiB at n = 200, 2.7 GiB at 1,000).
+# Most vertices verify takes in a file: the oracle's bordered rows hold integer
+# lists whose slots grow as n^3 on a path (64 MiB at n = 200).
 MAX_VERIFY_VERTICES = 128
 
 

@@ -143,8 +143,10 @@ def _cleared_sums(g: BiBlockGraph, base: list[int], quotients, factor) -> list[l
     each block containing v, own and opp being the part sizes on v's side and
     on the other side and a = (own-1)(opp-1).  The entry depends only on v's
     signature, the sorted tuple of those pairs, so it is built once per
-    signature and the one list is shared by every vertex with that signature."""
+    signature, and signatures with equal entries (all (own, 1) terms are
+    equal) share one list."""
     sizes = [{"X": (b.m, b.n), "Y": (b.n, b.m)} for b in g.blocks]
+    shared: dict[tuple[int, ...], list[int]] = {}
 
     @functools.cache
     def entry(sig):
@@ -152,7 +154,7 @@ def _cleared_sums(g: BiBlockGraph, base: list[int], quotients, factor) -> list[l
         for own, opp in sig:
             term = _fastpoly.pmul(factor(opp), quotients[(own - 1) * (opp - 1)])
             total = _fastpoly.padd(total, term)
-        return total
+        return shared.setdefault(tuple(total), total)
 
     return [
         entry(tuple(sorted(sizes[index][side] for index, side in members)))
@@ -235,26 +237,22 @@ def _cleared_local(g: BiBlockGraph, product: list[int], quotients, y) -> dict:
     """The nonzero entries of delta * local_matrix(g) as coefficient tuples,
     keyed by (row, column): q R_a across a K_{m,n} block, -(n-1) q^2 R_a and
     -(m-1) q^2 R_a within its X and Y sides (two vertices share at most one
-    block), and P - q^2 Y_v on the diagonal, Y_v = P y_v.  Each shape's three
-    entries and each distinct diagonal entry are built once."""
-
-    @functools.cache
-    def shape_entries(m: int, n: int):
-        r = quotients[(m - 1) * (n - 1)]
-        within = [0, 0, *r]
-        return (
-            (0, *r),
-            tuple(_fastpoly.pscale(within, 1 - n)),
-            tuple(_fastpoly.pscale(within, 1 - m)),
-        )
+    block), and P - q^2 Y_v on the diagonal, Y_v = P y_v.  Equal entries are
+    one tuple: the edge entry is built once per a = (m-1)(n-1), a within-side
+    entry once per a and opposite part size, and a diagonal entry once per
+    value of y_v; no two of these keys give equal entries."""
+    edge = functools.cache(lambda a: (0, *quotients[a]))
+    within = functools.cache(lambda a, opp: tuple(_fastpoly.pscale([0, 0, *quotients[a]], 1 - opp)))
 
     entries: dict[tuple[int, int], tuple[int, ...]] = {}
     for b in g.blocks:
-        w, x_entry, y_entry = shape_entries(b.m, b.n)
+        a = (b.m - 1) * (b.n - 1)
+        w = edge(a)
         for u in b.x:
             for v in b.y:
                 entries[u, v] = entries[v, u] = w
-        for vertices, w in ((b.x, x_entry), (b.y, y_entry)):
+        for vertices, opp in ((b.x, b.n), (b.y, b.m)):
+            w = within(a, opp)
             if not w:
                 continue
             for u in vertices:
@@ -269,7 +267,7 @@ def _cleared_local(g: BiBlockGraph, product: list[int], quotients, y) -> dict:
 
 def _local_entries(g: BiBlockGraph) -> dict[tuple[int, int], RationalFunction]:
     """The nonzero entries of local_matrix(g), keyed by (row, column); equal
-    entries of one block shape, and equal diagonal entries, share one object."""
+    entries share one object."""
     forms = ClearedForms(g)
     return dict(zip(forms._local, _shared_rfs(forms._local.values(), forms.delta)))
 
@@ -327,8 +325,8 @@ class ClearedForms:
     nonconstant cofactor cores.
 
     lam is Lambda = delta * balance_constant(g), x the balance vector times
-    delta, y the diagonal weight vector times P, local the rows of
-    local_matrix(g) times delta, and inverse the numerators
+    delta, y the diagonal weight vector times P, local the distinct entries
+    of local_matrix(g) times delta with their index, and inverse the numerators
     N = X_a X_b - L_ab Lambda of graph_inverse(g) over inverse_den =
     delta * Lambda, and det and cofactor are graph_det(g) = F (q+1)^(n-2) Lambda
     and graph_cofactor(g) = F (q+1)^(n-1) P, F their shared factor (_factors),
@@ -401,10 +399,15 @@ class ClearedForms:
         return _cleared_local(self._g, self.product, self._quotients, self.y)
 
     @functools.cached_property
-    def local(self) -> list[list[list[int]]]:
+    def local(self) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+        """(values, index): entry (i, j) of delta * local_matrix(g) is
+        values[index[i][j]], one value per distinct entry, () first."""
         n = self._g.n
-        as_list = functools.cache(list)
-        return [[as_list(self._local.get((i, j), ())) for j in range(n)] for i in range(n)]
+        numbers = {(): 0}
+        index = [[0] * n for _ in range(n)]
+        for (i, j), e in self._local.items():
+            index[i][j] = numbers.setdefault(e, len(numbers))
+        return list(numbers), index
 
     @functools.cached_property
     def inverse(self) -> tuple[list[list[int]], list[list[int]]]:

@@ -20,10 +20,15 @@ which builds them in integer-list arithmetic without a RationalFunction: the
 balance vector, the balance constant, the local matrix, the numerators of
 the inverse over its denominator, and the determinant and cofactor that the
 oracle's are compared with.  One ClearedForms serves every check of a
-graph.  The matrix products and the elimination inverse of those checks run
-on Kronecker-packed integers (_moddet.matmul, _moddet.adjugate); the
-elimination comparison checks numerator * det == denominator * adjugate
-entry by entry.
+graph, and one distance table serves the oracle and every check.  The three
+matrix identities, D X = Lambda 1, D (delta L) = 1 X^T - delta I and
+D N = delta Lambda I with X = delta x, share the shape D B = 1 r^T + d I;
+_moddet.rank_one_mismatches checks all three as equalities of packed
+integers on one D packed from the distance table, each distinct entry of B
+packed once, and reads back only a failing entry, for its witness.  The
+elimination comparison checks N * det == delta Lambda * adj(D) the same way
+(_moddet.adjugate, _moddet.cross_mismatch), and the anchor sums are one
+_moddet.matmul.
 
 verify_corpus fans the graphs out over a process pool when asked for more
 than one job; reports come back in corpus order with per-graph wall times.
@@ -77,9 +82,15 @@ _CHECK_NAMES = (
 def oracle_det_and_cofactor(g: BiBlockGraph) -> tuple[Polynomial, Polynomial]:
     """(det D, reduced cofactor), straight from the distance table: the first
     M coefficients of the bordered determinant and the rest."""
-    rows, m = bordered_rows(distances(g))
+    return tuple(map(Polynomial, _det_and_cofactor(distances(g))))
+
+
+def _det_and_cofactor(dist: list[list[int]]) -> tuple[list[int], list[int]]:
+    """oracle_det_and_cofactor of the graph with distance table dist, as
+    coefficient lists."""
+    rows, m = bordered_rows(dist)
     coeffs = _moddet.det_int_poly_matrix(rows)
-    return Polynomial(coeffs[:m]), Polynomial(coeffs[m:])
+    return _fastpoly.pstrip(coeffs[:m]), coeffs[m:]
 
 
 def oracle_det(g: BiBlockGraph) -> Polynomial:
@@ -142,16 +153,6 @@ def _mismatch(where: str, got: list[int], want: list[int]) -> str | None:
     return f"{where}: {_clip(str(Polynomial(got)))} != {_clip(str(Polynomial(want)))}"
 
 
-def _first_mismatch(rows: list[list[list[int]]], expected) -> str | None:
-    """Witness for the first entry (i, j) of rows that differs from expected(i, j)."""
-    cells = (
-        _mismatch(f"entry ({i},{j})", got, expected(i, j))
-        for i, row in enumerate(rows)
-        for j, got in enumerate(row)
-    )
-    return next(filter(None, cells), None)
-
-
 def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
     """Run the identity checks on one graph; failures carry a first-mismatch witness.
 
@@ -168,11 +169,8 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
         # the comparison does not run here, so nothing is built for it below
         wanted.discard("inverse_vs_elimination")
     dist = distances(g)
-    d_int = q_distance_rows(dist)
-    checks: list[CheckResult] = []
-
-    def record(check_name: str, witness: str | None):
-        checks.append(CheckResult(check_name, witness is None, witness))
+    # the witness of each check that runs; None when it passes
+    witnesses: dict[str, str | None] = {}
 
     # the cleared closed forms shared by every check below; det, cofactor,
     # x, the local entries and the inverse numerators are built only when a
@@ -182,82 +180,92 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
 
     # determinant and cofactor against the elimination oracles
     if wanted & {"det_vs_oracle", "cofactor_vs_oracle"}:
-        odet, ocof = oracle_det_and_cofactor(g)
-
-    if "det_vs_oracle" in wanted:
-        record("det_vs_oracle", _mismatch("det", forms.det, list(odet.coeffs)))
-
-    if "cofactor_vs_oracle" in wanted:
-        record("cofactor_vs_oracle", _mismatch("cofactor", forms.cofactor, list(ocof.coeffs)))
-
-    if wanted - {"det_vs_oracle", "cofactor_vs_oracle"}:
-        x_column = [[e] for e in forms.x]
+        odet, ocof = _det_and_cofactor(dist)
+        if "det_vs_oracle" in wanted:
+            witnesses["det_vs_oracle"] = _mismatch("det", forms.det, odet)
+        if "cofactor_vs_oracle" in wanted:
+            witnesses["cofactor_vs_oracle"] = _mismatch("cofactor", forms.cofactor, ocof)
 
     if "balance_constant_nonzero" in wanted:
-        record(
-            "balance_constant_nonzero",
-            None if forms.lam else f"balance constant is zero for {name}",
+        witnesses["balance_constant_nonzero"] = (
+            None if forms.lam else f"balance constant is zero for {name}"
         )
 
+    # the identities D B = 1 r^T + d I, each with the renderer of the
+    # witness of its first failing entry (i, j, (D B)_ij)
+    identities = {}
     if "matrix_times_balance_is_constant" in wanted:
-        rows = _moddet.matmul(d_int, x_column)
-        cells = (_mismatch(f"row {i}", r, forms.lam) for i, (r,) in enumerate(rows))
-        record("matrix_times_balance_is_constant", next(filter(None, cells), None))
+        identities["matrix_times_balance_is_constant"] = (
+            (forms.x, [[i] for i in range(n)], [forms.lam], []),
+            lambda i, j, got: _mismatch(f"row {i}", got, forms.lam),
+        )
+    if "local_matrix_product" in wanted:
+        # shown as (D L + delta I)_ij against x_j
+        identities["local_matrix_product"] = (
+            (*forms.local, forms.x, _fastpoly.pscale(forms.delta, -1)),
+            lambda i, j, got: _mismatch(
+                f"entry ({i},{j})", _fastpoly.padd(got, forms.delta) if i == j else got, forms.x[j]
+            ),
+        )
+    if "inverse_product" in wanted:
+        # entry (i, j) of the inverse is numerators[index[i][j]] / forms.inverse_den
+        identities["inverse_product"] = (
+            (*forms.inverse, [[]] * n, forms.inverse_den),
+            lambda i, j, got: _mismatch(
+                f"entry ({i},{j})", got, forms.inverse_den if i == j else []
+            ),
+        )
+    if identities:
+        found = _moddet.rank_one_mismatches(dist, [identity for identity, _ in identities.values()])
+        for (check_name, (_, render)), mismatch in zip(identities.items(), found):
+            witnesses[check_name] = mismatch and render(*mismatch)
 
     if "balance_vector_sum" in wanted:
         total: list[int] = []
         for e in forms.x:
             total = _fastpoly.padd(total, e)
         expected = _fastpoly.psub(forms.delta, _fastpoly.pmul([-1, 1], forms.lam))
-        record("balance_vector_sum", _mismatch("sum", total, expected))
+        witnesses["balance_vector_sum"] = _mismatch("sum", total, expected)
 
     if wanted & {"anchor_weighted_sum", "anchor_affine_sum"}:
         # sum_i w_i x_i and sum_i a_i x_i, with d_i = q^dist(i, anchor),
         # w_i = 1 + q + (q^2 - 1) d_i and a_i = 1 + (q - 1) d_i
-        anchor_d = [row[n - 1] for row in d_int]
+        anchor_d = [[1] * row[n - 1] for row in dist]
         weights = [
             [_fastpoly.padd([1, 1], _fastpoly.pmul([-1, 0, 1], d)) for d in anchor_d],
             [_fastpoly.padd([1], _fastpoly.pmul([-1, 1], d)) for d in anchor_d],
         ]
-        (weighted,), (affine,) = _moddet.matmul(weights, x_column)
+        (weighted,), (affine,) = _moddet.matmul(weights, [[e] for e in forms.x])
         if "anchor_weighted_sum" in wanted:
             expected = _fastpoly.pmul([1, 1], forms.delta)
-            record("anchor_weighted_sum", _mismatch("anchor sum", weighted, expected))
+            witnesses["anchor_weighted_sum"] = _mismatch("anchor sum", weighted, expected)
         if "anchor_affine_sum" in wanted:
-            record("anchor_affine_sum", _mismatch("anchor sum", affine, forms.delta))
-
-    if "local_matrix_product" in wanted:
-        product = _moddet.matmul(d_int, forms.local)
-        for i in range(n):
-            product[i][i] = _fastpoly.padd(product[i][i], forms.delta)
-        record("local_matrix_product", _first_mismatch(product, lambda i, j: forms.x[j]))
-
-    if wanted & {"inverse_product", "inverse_vs_elimination"}:
-        # entry (i, j) of the inverse is inverse[i][j] / forms.inverse_den
-        numerators, index = forms.inverse
-        inverse = [[numerators[k] for k in row] for row in index]
-
-    if "inverse_product" in wanted:
-        product = _moddet.matmul(d_int, inverse)
-        record(
-            "inverse_product",
-            _first_mismatch(product, lambda i, j: forms.inverse_den if i == j else []),
-        )
+            witnesses["anchor_affine_sum"] = _mismatch("anchor sum", affine, forms.delta)
 
     if "inverse_vs_elimination" in wanted:
         try:
-            elim_det, elim_adj = _moddet.adjugate(d_int)
+            elim_det, elim_adj = _moddet.adjugate(q_distance_rows(dist))
         except _moddet.SingularError as exc:
             witness = f"elimination failed: {exc}"
         else:
             # inverse / inverse_den == adj / det, cross-multiplied
-            witness = _first_mismatch(
-                [[_fastpoly.pmul(e, elim_det) for e in row] for row in inverse],
-                lambda i, j: _fastpoly.pmul(forms.inverse_den, elim_adj[i][j]),
-            )
-        record("inverse_vs_elimination", witness)
+            numerators, index = forms.inverse
+            found = _moddet.cross_mismatch(numerators, index, elim_det, forms.inverse_den, elim_adj)
+            if found:
+                i, j = found
+                witness = _mismatch(
+                    f"entry ({i},{j})",
+                    _fastpoly.pmul(numerators[index[i][j]], elim_det),
+                    _fastpoly.pmul(forms.inverse_den, elim_adj[i][j]),
+                )
+            else:
+                witness = None
+        witnesses["inverse_vs_elimination"] = witness
 
-    return VerificationReport(name, tuple(specs), n, tuple(checks))
+    checks = tuple(
+        CheckResult(c, witnesses[c] is None, witnesses[c]) for c in _CHECK_NAMES if c in witnesses
+    )
+    return VerificationReport(name, tuple(specs), n, checks)
 
 
 # -- corpus -------------------------------------------------------------------

@@ -515,9 +515,22 @@ def test_vector_entries_are_shared_per_membership_signature():
             for signature, entry in zip(signatures, vector):
                 assert by_signature.setdefault(signature, entry) is entry, (g, signature)
             assert len({id(e) for e in vector}) <= len(by_signature)
-    # 58 signatures among the 299 vertices of the largest benchmark graph
+    # 58 signatures, sorted (own part, other part) pairs, among the 299
+    # vertices of the largest benchmark graph, and 38 distinct values of x
     g = build(random_biblock(23, 100, 3))
-    assert len({id(e) for e in balance_vector(g)}) == 58
+    sizes = [{"X": (b.m, b.n), "Y": (b.n, b.m)} for b in g.blocks]
+    signatures = {tuple(sorted(sizes[i][side] for i, side in members)) for members in g.membership}
+    assert len(signatures) == 58
+    assert len({id(e) for e in balance_vector(g)}) == 38
+
+
+def test_equal_cleared_entries_are_one_object():
+    # x and the local entries are keyed by value, so that every per-object
+    # consumer (canonicalisation, rendering) meets each value once
+    for g in [build(specs) for _, specs in default_corpus(7)] + formulas_large_graphs():
+        forms = ClearedForms(g)
+        for values in (forms.x, forms.y, list(forms._local.values())):
+            assert len({id(v) for v in values}) == len({tuple(v) for v in values}), g
 
 
 def test_clearing_poly_clears_every_entry_over_distinct_cores():
@@ -539,7 +552,8 @@ def assert_cleared_forms_match_the_reference(g):
     assert forms.lam == ref.lam and forms.inverse_den == ref.inverse_den, g
     assert forms.x == ref.x, g
     assert forms.y == [_fastpoly.cleared(e, forms.product) for e in reference_y(g)], g
-    assert forms.local == ref.local, g
+    values, index = forms.local
+    assert [[list(values[k]) for k in row] for row in index] == ref.local, g
     numerators, index = forms.inverse
     assert [[numerators[k] for k in row] for row in index] == ref.inverse, g
 

@@ -187,7 +187,8 @@ def test_a_wrong_closed_form_fails_only_its_own_check(monkeypatch):
 
 
 def test_both_oracle_checks_share_one_determinant(monkeypatch):
-    calls = {"oracle_det_and_cofactor": 0}
+    # verify_graph reads the oracle off the one distance table it builds
+    calls = {"_det_and_cofactor": 0, "distances": 0}
     counting_wrappers(monkeypatch, calls, oracle)
     expansions = {"det": 0, "cofactor": 0}
     counting_properties(monkeypatch, expansions, closedform.ClearedForms)
@@ -195,13 +196,14 @@ def test_both_oracle_checks_share_one_determinant(monkeypatch):
     counting_wrappers(monkeypatch, engine, _moddet)
     specs = random_biblock(5, 4, 3)
     assert verify_graph(specs, "g").passed
-    assert {**calls, **expansions} == {"oracle_det_and_cofactor": 1, "det": 1, "cofactor": 1}
+    expected = {"_det_and_cofactor": 1, "distances": 1, "det": 1, "cofactor": 1}
+    assert {**calls, **expansions} == expected
     assert engine == {"det_int_poly_matrix": 1}
     calls.update(dict.fromkeys(calls, 0))
     expansions.update(dict.fromkeys(expansions, 0))
     report = verify_graph(specs, "g", select=["cofactor_vs_oracle"])
     assert [c.name for c in report.checks] == ["cofactor_vs_oracle"] and report.passed
-    assert {**calls, **expansions} == {"oracle_det_and_cofactor": 1, "det": 0, "cofactor": 1}
+    assert {**calls, **expansions} == {**expected, "det": 0}
 
 
 def one_norm(e: list[int]) -> int:
@@ -419,6 +421,132 @@ def test_verify_graph_builds_the_clearing_poly_and_balance_constant_once(monkeyp
         assert report.passed and "inverse_product" in [c.name for c in report.checks]
         assert calls == dict(zip(pieces, (1, 1, 2, 1))), specs
         calls.update(dict.fromkeys(pieces, 0))
+
+
+def first_rank_one_mismatch(dist, values, index, r, d):
+    """The first failing entry of D B = 1 r^T + d I, read back through matmul."""
+    b = [[list(values[t]) for t in row] for row in index]
+    for i, row in enumerate(_moddet.matmul(q_distance_rows(dist), b)):
+        for j, got in enumerate(row):
+            if got != (_fastpoly.padd(r[j], d) if i == j else r[j]):
+                return i, j, got
+    return None
+
+
+def test_rank_one_mismatches_agree_with_the_matmul_readout():
+    rng = random.Random(1618)
+    for seed in range(8):
+        g = build(random_biblock(seed, 3, 3))
+        dist, forms, n = distances(g), closedform.ClearedForms(g), g.n
+        identities = [
+            (forms.x, [[i] for i in range(n)], [forms.lam], []),
+            (*forms.local, forms.x, _fastpoly.pscale(forms.delta, -1)),
+            (*forms.inverse, [[]] * n, forms.inverse_den),
+        ]
+        assert _moddet.rank_one_mismatches(dist, identities) == [None] * 3
+        # one entry of B, of r or of d off by a nonzero term
+        changed = []
+        for values, index, r, d in identities:
+            term = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [rng.choice((-1, 1))]
+            where = rng.choice(("b", "r", "d") if len(index[0]) == n else ("b", "r"))
+            if where == "b":
+                i, j = rng.randrange(n), rng.randrange(len(index[0]))
+                index = [row.copy() for row in index]
+                values = [*values, _fastpoly.padd(list(values[index[i][j]]), term)]
+                index[i][j] = len(values) - 1
+            elif where == "r":
+                r = bumped_list(r, rng.randrange(len(r)), term)
+            else:
+                d = _fastpoly.padd(d, term)
+            changed.append((values, index, r, d))
+        expected = [first_rank_one_mismatch(dist, *identity) for identity in changed]
+        assert None not in expected
+        assert _moddet.rank_one_mismatches(dist, changed) == expected, seed
+
+
+def changed_property(monkeypatch, cls, name, change) -> None:
+    """Replace the cached property cls.name by change(its value)."""
+    real = getattr(cls, name).func
+    prop = functools.cached_property(lambda self: change(real(self)))
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+
+
+def bumped_list(values: list, i: int, term: list[int]) -> list:
+    values = list(values)
+    values[i] = _fastpoly.padd(list(values[i]), term)
+    return values
+
+
+def bumped_local(key, term: list[int]):
+    def change(local):
+        local = dict(local)
+        local[key] = tuple(_fastpoly.padd(list(local.get(key, ())), term))
+        return local
+
+    return change
+
+
+def bumped_inverse(i: int, j: int, term: list[int]):
+    """Entry (i, j) of the inverse numerators plus term, no other entry changed."""
+
+    def change(inverse):
+        values, index = inverse
+        index = [row.copy() for row in index]
+        values = values + [_fastpoly.padd(values[index[i][j]], term)]
+        index[i][j] = len(values) - 1
+        return values, index
+
+    return change
+
+
+# the witness of each packed check with one closed-form entry off, on a
+# 7-vertex graph; recorded from the entry-by-entry comparison that read every
+# product back into coefficient lists
+WITNESS_PINS = [
+    ("matrix_times_balance_is_constant", "x", lambda x: bumped_list(x, 2, [0, 1]),
+     "row 0: -6 + 3q + 4q^2 != -6 + 2q + 4q^2"),
+    ("local_matrix_product", "_local", bumped_local((1, 1), [0, 0, 1]),
+     "entry (0,1): -1 + 4q + q^2 - 2q^3 != -1 + 4q - 3q^3"),
+    ("local_matrix_product", "_local", bumped_local((1, 0), [0, 1]),
+     "entry (0,0): -1 + 2q + q^2 != -1 + q"),
+    ("inverse_product", "inverse", bumped_inverse(2, 3, [1]), "entry (0,3): 1 != 0"),
+    ("inverse_product", "inverse", bumped_inverse(1, 0, [0, 0, 1]),
+     "entry (0,0): 6 + 4q - 11q^2 - 7q^3 + 6q^4 + 4q^5 != 6 + 4q - 12q^2 - 8q^3 + 6q^4 + 4q^5"),
+    ("inverse_vs_elimination", "inverse", bumped_inverse(2, 3, [1]),
+     "entry (2,3): 12 + 44q + 6q^2 - 180q^3 - 250q^4 + 76q^5 + 418q^6 + 276q^7 - 90q^8"
+     " - 200q^9 - 96q^10 - 16q^11 != 6 + 16q - 40q^2 - 200q^3 - 220q^4 + 120q^5 + 440q^6"
+     " + 280q^7 - 90q^8 - 200q^9 - 96q^10 - 16q^11"),
+    ("inverse_vs_elimination", "inverse", bumped_inverse(1, 0, [0, 0, 1]),
+     "entry (1,0): 6 - 2q - 100q^2 - 208q^3 - 30q^4 + 344q^5 + 374q^6 + 20q^7 - 208q^8"
+     " - 150q^9 - 42q^10 - 4q^11 != 6 - 2q - 106q^2 - 236q^3 - 76q^4 + 324q^5 + 404q^6"
+     " + 64q^7 - 186q^8 - 146q^9 - 42q^10 - 4q^11"),
+]
+
+
+@pytest.mark.parametrize("check, name, change, witness", WITNESS_PINS)
+def test_packed_checks_render_the_pinned_witness(monkeypatch, check, name, change, witness):
+    changed_property(monkeypatch, closedform.ClearedForms, name, change)
+    specs = [BlockSpec(2, 2), BlockSpec(1, 3, graph_attach(1))]
+    (result,) = verify_graph(specs, "g", select=[check]).checks
+    assert (result.name, result.passed, result.witness) == (check, False, witness)
+
+
+def test_packed_check_width_covers_the_expected_side(monkeypatch):
+    # p = 2^k0 - q vanishes at 2^k0 for the width k0 of the product bound
+    # alone, so a check packed at 2^k0 would take Lambda + p for Lambda
+    specs = [BlockSpec(2, 2), BlockSpec(1, 3, graph_attach(1))]
+    g = build(specs)
+    forms = closedform.ClearedForms(g)
+    product_bound = max(map(sum, distances(g))) * max(map(one_norm, forms.x))
+    k0 = (2 * product_bound).bit_length()
+    p = [1 << k0, -1]
+    assert _moddet.pack(p, k0) == 0
+    real = closedform._cleared_lambda
+    monkeypatch.setattr(closedform, "_cleared_lambda", lambda *args: _fastpoly.padd(real(*args), p))
+    (result,) = verify_graph(specs, "g", select=["matrix_times_balance_is_constant"]).checks
+    wrong = Polynomial(_fastpoly.padd(forms.lam, p))
+    assert not result.passed and result.witness == f"row 0: {Polynomial(forms.lam)} != {wrong}"
 
 
 def test_zero_balance_constant_fails_a_check_and_refuses_only_the_inverse(monkeypatch):
