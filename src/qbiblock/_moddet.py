@@ -20,6 +20,15 @@ unique, and ``unpack`` raises ``ArithmeticError`` on a digit past ``C``.
   gives ``det(A)`` and ``adj(A)``; the Hadamard bound of ``A`` covers every
   (n-1)-minor when no row is zero, since each row factor is then at least 1.
 
+Both eliminations (``_eliminate``) update only the rows whose entry in the
+pivot column is nonzero.  The dense fraction-free step would rescale such a
+row by ``pₜ/pₜ₋₁``, the ratio of successive pivots; these ratios telescope,
+so by Sylvester's identity the dense row after a run of skipped steps is the
+stored row times ``pₜ/den[i]``, ``den[i]`` the pivot of the row's last
+update.  So the next update divides by ``den[i]`` instead of ``pₜ₋₁`` and
+gives the dense minor exactly, a stored zero is a dense zero, and the
+pivots, row swaps, results and bounds are those of the dense loop.
+
 Two checks compare packed values and read back only a failing entry.  A
 nonzero integer polynomial with coefficients at most ``C`` is not 0 at
 ``2^k > 2C``: divided by ``2^(k m)``, ``m`` the degree of its lowest term,
@@ -91,30 +100,43 @@ def unpack(value: int, k: int, bound: int) -> list[int]:
 def _eliminate(mat: list[list[int]], jordan: bool) -> tuple[int, int]:
     """Fraction-free elimination of the leading square block of an integer
     matrix, in place: Bareiss (rows below each pivot) or Gauss-Jordan (every
-    other row).  Each update (pivot * entry - multiplier * pivot_row_entry) is
-    exactly divisible by the previous pivot.  Returns the sign of the row
-    swaps and the last pivot, whose product is the block's determinant;
-    raises SingularError."""
+    other row).  Only rows with a nonzero multiplier are updated; den[i] is
+    the pivot of row i's last update (1 before any), and each update
+    (pivot * entry - multiplier * pivot_row_entry) is exactly divisible by it.
+    A skipped row is the dense row over prev / den[i] (module docstring): a
+    pivot row, and in Gauss-Jordan mode every row's right block at the end,
+    is brought up to date by that factor.  Returns the sign of the row swaps
+    and the last pivot, whose product is the block's determinant; raises
+    SingularError."""
     n = len(mat)
     sign = prev = 1
+    den = [1] * n
     for k in range(n):
         piv = next((i for i in range(k, n) if mat[i][k]), None)
         if piv is None:
             raise SingularError(f"matrix is singular (no pivot at elimination step {k})")
         if piv != k:
             mat[k], mat[piv] = mat[piv], mat[k]
+            den[k], den[piv] = den[piv], den[k]
             sign = -sign
         row_k = mat[k]
+        if den[k] != prev:
+            d = den[k]
+            row_k[k:] = [a * prev // d for a in row_k[k:]]
         pivot = row_k[k]
         tail = row_k[k + 1:]
         for i in range(0 if jordan else k + 1, n):
-            if i != k:
-                row_i = mat[i]
-                f = row_i[k]
-                row_i[k + 1:] = [
-                    (a * pivot - f * b) // prev for a, b in zip(row_i[k + 1:], tail)
-                ]
-        prev = pivot
+            row_i = mat[i]
+            f = row_i[k]
+            if f and i != k:
+                d = den[i]
+                row_i[k + 1:] = [(a * pivot - f * b) // d for a, b in zip(row_i[k + 1:], tail)]
+                den[i] = pivot
+        den[k] = prev = pivot
+    if jordan:
+        for row, d in zip(mat, den):
+            if d != prev:
+                row[n:] = [a * prev // d for a in row[n:]]
     return sign, prev
 
 

@@ -22,6 +22,12 @@ against.
 subresultant_gcd is the subresultant polynomial remainder sequence, the
 independent route that _fastpoly.gcd_cofactors is checked against.
 
+dense_eliminate is the fraction-free elimination that updates every row at
+every step, dividing each update by the previous pivot: the route that
+_moddet._eliminate, which skips rows with a zero multiplier, is checked
+against.  psub_bordered_rows builds qdist.bordered_rows with psub from
+[1] * d lists, the route the table-read entries are checked against.
+
 reference_check_conditions is closedform.check_conditions in Fraction
 arithmetic, q0^2 (m-1)(n-1) = 1 and (q0+1)^2 (m-1)(n-1) = m n as written.
 
@@ -366,3 +372,51 @@ def first_of_class_trees(max_n: int) -> tuple[tuple[BlockSpec, ...], ...]:
                 leaves = (BlockSpec(1, 1, Attachment(p, "X")) for p in parents[1:])
                 out.append((BlockSpec(1, 1), *leaves))
     return tuple(out)
+
+
+def dense_eliminate(mat: list[list[int]], jordan: bool) -> tuple[int, int]:
+    """_moddet._eliminate with every row updated at every step: each update
+    (pivot * entry - multiplier * pivot_row_entry) is exactly divisible by
+    the previous pivot.  Returns the sign of the row swaps and the last
+    pivot; raises _moddet.SingularError."""
+    n = len(mat)
+    sign = prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if mat[i][k]), None)
+        if piv is None:
+            raise _moddet.SingularError(f"matrix is singular (no pivot at elimination step {k})")
+        if piv != k:
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        row_k = mat[k]
+        pivot = row_k[k]
+        tail = row_k[k + 1:]
+        for i in range(0 if jordan else k + 1, n):
+            if i != k:
+                row_i = mat[i]
+                f = row_i[k]
+                row_i[k + 1:] = [
+                    (a * pivot - f * b) // prev for a, b in zip(row_i[k + 1:], tail)
+                ]
+        prev = pivot
+    return sign, prev
+
+
+def psub_bordered_rows(dist: list[list[int]]) -> tuple[list[list[list[int]]], int]:
+    """qdist.bordered_rows from [1] * d lists and psub: each cofactor entry
+    [d(u, v)]_q - [d(u, 0) + d(0, v)]_q, then each row less its BFS parent's
+    row when that parent is not vertex 0."""
+    psub = _fastpoly.psub
+    alpha = dist[0][1:]
+    rows = [
+        [psub([1] * d, [1] * (row[0] + a)) for d, a in zip(row[1:], alpha)] + [[1] * row[0]]
+        for row in dist[1:]
+    ]
+    rows = [
+        row if p == 0 else [psub(a, b) for a, b in zip(row, rows[p - 1])]
+        for row, p in zip(rows, bfs_parents(dist)[1:])
+    ]
+    rows.append([[1] * a for a in alpha] + [[]])
+    m = 1 + sum(max(map(len, row)) - 1 for row in rows)
+    rows[-1][-1] = [0] * m + [1]
+    return rows, m

@@ -17,7 +17,7 @@ from qbiblock.matrix import (
     outer,
     rf_matrix,
 )
-from helpers import det_cofactor, identity
+from helpers import dense_eliminate, det_cofactor, identity
 
 
 def rand_poly(rng: random.Random, max_deg: int = 2, bound: int = 3) -> Polynomial:
@@ -295,6 +295,124 @@ def test_adjugate_of_a_singular_matrix_raises():
     for m in (equal_rows, zero_row):
         with pytest.raises(_moddet.SingularError):
             _moddet.adjugate(int_rows(m))
+
+
+def nonzero(rng: random.Random) -> int:
+    return rng.choice((-3, -2, -1, 1, 2, 3))
+
+
+def arrow(blocks: list[list[list[int]]], border: list[int] | None) -> list[list[int]]:
+    """The block-diagonal matrix of blocks, bordered by a last row and column
+    that take border's entries in order, corner last, when border is given."""
+    n = sum(map(len, blocks))
+    mat, at = [], 0
+    for block in blocks:
+        for row in block:
+            mat.append([0] * at + row + [0] * (n - at - len(row)))
+        at += len(block)
+    if border is None:
+        return mat
+    for row, e in zip(mat, border):
+        row.append(e)
+    mat.append(border[n:])
+    return mat
+
+
+def structured_matrices(rng: random.Random) -> list[list[list[int]]]:
+    def block(size, density=1.0):
+        return [[nonzero(rng) if rng.random() < density else 0 for _ in range(size)]
+                for _ in range(size)]
+
+    def sizes():
+        return [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+
+    diagonal = arrow([block(s) for s in sizes()], None)
+    blocks = [block(s) for s in sizes()]
+    bordered = arrow(blocks, [nonzero(rng) for _ in range(2 * sum(map(len, blocks)) + 1)])
+    n = rng.randint(2, 7)
+    patterned = block(n, rng.uniform(0.1, 0.9))
+    zero_column = [[0] + row[1:] for row in block(n)]
+    # the rows of a bordered matrix out of order need row swaps
+    swapped = rng.sample(bordered, len(bordered))
+    repeated = [list(row) for row in patterned] + [list(patterned[rng.randrange(n)])]
+    singular = [row + [0] for row in repeated]
+    return [diagonal, bordered, patterned, zero_column, swapped, singular]
+
+
+def eliminated(engine, mat: list[list[int]], jordan: bool):
+    """(sign, last pivot) and, for Gauss-Jordan, the right block of [A | I],
+    or the SingularError text."""
+    n = len(mat)
+    work = [list(row) + ([int(i == j) for j in range(n)] if jordan else [])
+            for i, row in enumerate(mat)]
+    try:
+        result = engine(work, jordan)
+    except _moddet.SingularError as error:
+        return str(error)
+    return result, [row[n:] for row in work]
+
+
+def test_elimination_skipping_zero_multipliers_matches_the_dense_loop():
+    singular = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        for mat in structured_matrices(rng):
+            for jordan in (False, True):
+                expected = eliminated(dense_eliminate, mat, jordan)
+                assert eliminated(_moddet._eliminate, mat, jordan) == expected, (seed, mat)
+                singular += isinstance(expected, str)
+    # the zero-column and repeated-row cases, at least, raise
+    assert singular >= 2 * 2 * 300
+
+
+class CountingRow(list):
+    """A matrix row that counts the elimination's row updates: the writes of
+    the entries right of the current step's column, the last column index
+    read from any row."""
+
+    def __init__(self, values, counter):
+        super().__init__(values)
+        self.counter = counter
+
+    def __getitem__(self, index):
+        if isinstance(index, int):
+            self.counter["step"] = index
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        if isinstance(index, slice) and index.start == self.counter["step"] + 1:
+            self.counter["updates"] += 1
+        super().__setitem__(index, value)
+
+
+def row_updates(engine, mat: list[list[int]]) -> int:
+    counter = {"step": -1, "updates": 0}
+    engine([CountingRow(row, counter) for row in mat], False)
+    return counter["updates"]
+
+
+def test_elimination_updates_a_bordered_block_diagonal_matrix_block_by_block():
+    rng = random.Random(2024)
+    blocks = []
+    while len(blocks) < 5:
+        size = rng.randint(1, 5)
+        block = [[nonzero(rng) for _ in range(size)] for _ in range(size)]
+        if not isinstance(eliminated(dense_eliminate, block, False), str):
+            blocks.append(block)
+    border = [nonzero(rng) for _ in range(2 * sum(map(len, blocks)))] + [1000]
+    mat = arrow(blocks, border)
+    n = len(mat)
+    # the counter sees every update of the dense loop
+    assert row_updates(dense_eliminate, mat) == n * (n - 1) // 2
+    # each block's rows and the border row, as if each block were alone
+    per_block = []
+    at = 0
+    for block in blocks:
+        size = len(block)
+        alone = border[at:at + size] + border[n - 1 + at:n - 1 + at + size] + [1000]
+        per_block.append(row_updates(_moddet._eliminate, arrow([block], alone)))
+        at += size
+    assert row_updates(_moddet._eliminate, mat) == sum(per_block) < n * (n - 1) // 2
 
 
 def test_hadamard_bound_covers_the_determinant_and_undercuts_the_permanent_bound():

@@ -17,7 +17,15 @@ from helpers import (
 
 from qbiblock import _fastpoly, _moddet, closedform, oracle
 from qbiblock.exactring import Polynomial, Q
-from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock, star_tree
+from qbiblock.graph import (
+    BlockSpec,
+    build,
+    distances,
+    path_tree,
+    random_biblock,
+    random_tree,
+    star_tree,
+)
 from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss, rf_matrix
 from qbiblock.oracle import (
     all_trees,
@@ -280,6 +288,19 @@ def test_verify_single_edge_all_checks_pass():
 def test_verify_random_graph_passes():
     report = verify_graph(random_biblock(1, 4, 3), "seeded")
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "specs, n",
+    [(random_tree(3, 60), 60), (random_biblock(5, 30, 3), 51)],
+    ids=["random_tree_60", "random_biblock_30_blocks"],
+)
+def test_verify_passes_past_the_corpus_sizes(specs, n):
+    # most of the elimination's row updates are skipped at these sizes; the
+    # elimination comparison does not run past _ELIMINATION_COMPARE_MAX
+    assert build(specs).n == n
+    report = verify_graph(specs)
+    assert [c.name for c in report.checks if c.passed] == list(oracle._CHECK_NAMES[:-1])
 
 
 def test_verify_report_json_shape():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from helpers import oracle_large_graphs, psub_bordered_rows
 
 from qbiblock.exactring import ONE, Q, ZERO, q_integer
 from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock, star_tree
 from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss
+from qbiblock.oracle import default_corpus
 from qbiblock.qdist import (
     bfs_parents,
     bordered_rows,
@@ -115,6 +117,14 @@ def test_bordered_rows_of_the_single_edge():
     rows, m = bordered_rows(distances(build([BlockSpec(1, 1)])))
     assert m == 2
     assert rows == [[[-1, -1], [1]], [[1], [0, 0, 1]]]
+
+
+def test_bordered_rows_equal_the_psub_construction():
+    graphs = [build(specs) for _, specs in default_corpus(7)] + oracle_large_graphs()
+    assert len(graphs) == 175
+    for g in graphs:
+        dist = distances(g)
+        assert bordered_rows(dist) == psub_bordered_rows(dist), g.n
 
 
 def test_bordered_rows_are_the_parent_differenced_ring_construction():
