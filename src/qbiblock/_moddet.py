@@ -39,7 +39,27 @@ for ``C`` a bound on the coefficients of their difference:
 * ``rank_one_mismatches``: ``D B = 1 r^T + d I`` for ``D`` the q-distance
   matrix of a distance table, ``C = maxᵢ Σₖ dist(i, k) · max ‖bₖⱼ‖₁ +
   maxⱼ ‖rⱼ‖₁ + ‖d‖₁``, the ``matmul`` bound plus the expected side's;
-* ``cross_mismatch``: ``vᵢⱼ a = b wᵢⱼ``, ``C = max ‖vᵢⱼ‖₁ ‖a‖₁ + ‖b‖₁ max ‖wᵢⱼ‖₁``.
+* ``adjugate_mismatch``: ``vᵢⱼ det(A) = b adj(A)ᵢⱼ`` on one Gauss-Jordan of
+  ``[A | I]``, ``C = C_A (max ‖vᵢⱼ‖₁ + ‖b‖₁)`` for ``C_A`` the Hadamard bound
+  of ``A``, which bounds ``det(A)`` and every ``adj(A)ᵢⱼ`` as above.
+
+``rank_one_mismatches`` packs once more, a whole row into one integer of
+signed ``s``-bit slots: row ``t`` of ``B`` is ``Wₜ = Σⱼ bₜⱼ(2^k) 2^(s j)``
+and the expected row ``i`` is ``Rᵢ = Σⱼ (rⱼ + d [i = j])(2^k) 2^(s j)``.
+Entry ``(i, t)`` of ``D`` is ``[e]_q = Σ_{u<e} q^u``, ``e = dist(i, t)``,
+so row ``i`` of ``D B`` is ``Σₑ [e]_q(2^k) Gₑ``, ``Gₑ`` the sum of the
+``Wₜ`` with ``dist(i, t) = e``, and by Horner on the suffix sums
+``Sₑ = Σ_{e' ≥ e} Gₑ'`` it is ``Σₑ Sₑ 2^(k (e-1))``: additions and shifts,
+no product.  Its difference from ``Rᵢ`` has the slots
+``δⱼ = (D B - 1 r^T - d I)ᵢⱼ(2^k)``, and ``|δⱼ| ≤ C_s = n [diam]_q(2^k)
+max |bₜⱼ(2^k)| + max |rⱼ(2^k)| + |d(2^k)|``, since no entry of ``D`` at
+``2^k`` exceeds ``[diam]_q(2^k)``.  With ``2^s > 2 C_s`` the difference is
+0 only when every slot is: divided by ``2^(s j)``, ``j`` its lowest nonzero
+slot, it is ``δⱼ`` plus a multiple of ``2^s``, and ``0 < |δⱼ| < 2^s``.  So
+the row identity holds at ``2^k``, hence as polynomials by the argument
+above; and the slots of a nonzero difference are its balanced base-``2^s``
+digits, which give the first failing ``j`` and
+``(D B)ᵢⱼ(2^k) = δⱼ + rⱼ(2^k) + d(2^k) [i = j]``.
 """
 
 from __future__ import annotations
@@ -174,9 +194,10 @@ def power_product(factors: list[tuple[list[int], int]]) -> list[int]:
     return unpack(prod(pack(e, k) ** p for e, p in factors), k, bound)
 
 
-def adjugate(entries: list[list[list[int]]]) -> tuple[list[int], list[list[list[int]]]]:
-    """(det(A), adj(A)) of a square matrix of integer polynomial lists, so that
-    adj(A) / det(A) is its inverse over the rational-function field.
+def _jordan(entries: list[list[list[int]]], factor: int = 1):
+    """(C, k, det(A) at 2^k, rows of adj(A) at 2^k) of a square matrix A of
+    integer polynomial lists, by one Gauss-Jordan at 2^k > 2 C factor, C the
+    Hadamard bound of A.
 
     Gauss-Jordan on [A | I] ends at [d I | d A^-1] with d = det(P A), for the
     row permutation P of the pivot swaps.  Raises SingularError for a singular
@@ -190,13 +211,38 @@ def adjugate(entries: list[list[list[int]]]) -> tuple[list[int], list[list[list[
         raise SingularError(f"matrix is singular (row {norms.index(0)} is zero)")
     # every row factor is at least 1, so every minor is within the bound
     bound = hadamard_bound(entries)
-    k = _digit_bits(bound)
+    k = _digit_bits(bound * factor)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     aug = [[pack(e, k) for e in row] + unit for row, unit in zip(entries, identity)]
     sign, pivot = _eliminate(aug, jordan=True)
-    adj = [[unpack(sign * v, k, bound) for v in row[n:]] for row in aug]
-    return unpack(sign * pivot, k, bound), adj
+    return bound, k, sign * pivot, [[sign * v for v in row[n:]] for row in aug]
 
+
+def adjugate(entries: list[list[list[int]]]) -> tuple[list[int], list[list[list[int]]]]:
+    """(det(A), adj(A)) of a square matrix of integer polynomial lists, so that
+    adj(A) / det(A) is its inverse over the rational-function field; raises
+    SingularError for a singular matrix (_jordan)."""
+    bound, k, det, adj = _jordan(entries)
+    return unpack(det, k, bound), [[unpack(v, k, bound) for v in row] for row in adj]
+
+
+def adjugate_mismatch(entries: list[list[list[int]]], values, index, den: list[int]):
+    """First (i, j) in row order where values[index[i][j]] det(A) != den adj(A)_ij,
+    as (i, j, det(A), adj(A)_ij), or None; raises SingularError (_jordan).
+
+    Compared at 2^k > 2 C (max ‖values‖₁ + ‖den‖₁), C the Hadamard bound of A,
+    which bounds det(A) and adj(A)_ij, so also every coefficient of each
+    difference; det(A) and adj(A)_ij are read back only for the failing entry.
+    """
+    factor = max(map(_norm, values)) + _norm(den)
+    bound, k, det, adj = _jordan(entries, max(factor, 1))
+    den_value = pack(den, k)
+    left = [pack(v, k) * det for v in values]
+    for i, (row, cells) in enumerate(zip(index, adj)):
+        for j, (t, a) in enumerate(zip(row, cells)):
+            if left[t] != den_value * a:
+                return i, j, unpack(det, k, bound), unpack(a, k, bound)
+    return None
 
 
 def rank_one_mismatches(
@@ -208,55 +254,53 @@ def rank_one_mismatches(
     integer list, zero unless B is square.
 
     Each result is None when its identity holds, else (i, j, (D B)_ij) at
-    the first failing entry in row order.  D is packed once, at the 2^k of
-    the largest C over the identities: (D B)_ij has coefficients at most
-    C_prod = maxᵢ Σₖ dist(i, k) · max ‖values‖₁, since ‖[d]_q‖₁ = d, and
-    r_j + d [i = j] at most maxⱼ ‖r_j‖₁ + ‖d‖₁; C is their sum, so 2^k > 2C
-    makes equal values equal polynomials and reads (D B)_ij back exactly.
+    the first failing entry in row order.  Each identity is packed at its own
+    2^k: (D B)_ij has coefficients at most C_prod = maxᵢ Σₖ dist(i, k) ·
+    max ‖values‖₁, since ‖[d]_q‖₁ = d, and r_j + d [i = j] at most
+    maxⱼ ‖r_j‖₁ + ‖d‖₁; C is their sum, so 2^k > 2C makes equal values
+    equal polynomials and reads (D B)_ij back exactly.  Each row of D B at
+    2^k is then one integer of slots, summed over the distance classes of
+    its row of D (module docstring).
     """
     row_norm = max(map(sum, dist))
-    bounds = [
-        (row_norm * max(map(_norm, values)), max(map(_norm, r)) + _norm(d))
-        for values, _, r, d in identities
-    ]
-    k = _digit_bits(max(map(sum, bounds)))
-    # [d]_q at 2^k is 1 + 2^k + ... + 2^(k (d-1))
-    q_integers = [0]
-    for _ in range(max(map(max, dist))):
-        q_integers.append((q_integers[-1] << k) + 1)
-    rows = [[q_integers[d] for d in row] for row in dist]
+    # classes[i][e - 1]: the vertices at distance e from i, for e = 1 .. ecc(i)
+    classes = []
+    for row in dist:
+        groups = [[] for _ in range(max(row) + 1)]
+        for v, e in enumerate(row):
+            groups[e].append(v)
+        classes.append(groups[1:])
+    diameter = max(map(max, dist))
     return [
-        _first_rank_one_mismatch(rows, k, product_bound, *identity)
-        for (product_bound, _), identity in zip(bounds, identities)
+        _first_rank_one_mismatch(classes, row_norm, diameter, *identity)
+        for identity in identities
     ]
 
 
-def _first_rank_one_mismatch(rows, k, product_bound, values, index, r, d):
-    """rank_one_mismatches of one identity, on the packed rows of D."""
+def _first_rank_one_mismatch(classes, row_norm, diameter, values, index, r, d):
+    """rank_one_mismatches of one identity, one packed row of D B at a time."""
+    product_bound = row_norm * max(map(_norm, values))
+    k = _digit_bits(product_bound + max(map(_norm, r)) + _norm(d))
     packed = [pack(v, k) for v in values]
-    columns = list(zip(*([packed[t] for t in row] for row in index)))
     expected, diagonal = [pack(e, k) for e in r], pack(d, k)
-    for i, row in enumerate(rows):
-        got = [sum(map(mul, row, col)) for col in columns]
-        if diagonal:
-            got[i] -= diagonal
-        if got != expected:
-            j = next(j for j, (a, b) in enumerate(zip(got, expected)) if a != b)
-            value = got[j] + diagonal if i == j else got[j]
+    # every slot of a row's difference is at most n [diam]_q(2^k) max |B|
+    # + max |r| + |d| at 2^k; 2^s > 2 slot_bound
+    top = pack([1] * diameter, k)
+    slot_bound = len(classes) * top * max(map(abs, packed))
+    slot_bound += max(map(abs, expected)) + abs(diagonal)
+    s = _digit_bits(slot_bound)
+    rows = [pack([packed[t] for t in row], s) for row in index]
+    want = pack(expected, s)
+    for i, groups in enumerate(classes):
+        # Σ_e [e]_q(2^k) G_e, G_e the sum of rows[v] over dist(i, v) = e,
+        # by Horner on the suffix sums Σ_{e' >= e} G_e'
+        acc = suffix = 0
+        for group in reversed(groups):
+            suffix = sum(map(rows.__getitem__, group), suffix)
+            acc = (acc << k) + suffix
+        slots = unpack(acc - want - (diagonal << s * i), s, slot_bound)
+        if slots:
+            j = next(j for j, v in enumerate(slots) if v)
+            value = slots[j] + expected[j] + (diagonal if i == j else 0)
             return i, j, unpack(value, k, product_bound)
-    return None
-
-
-def cross_mismatch(values, index, a: list[int], b: list[int], rows) -> tuple[int, int] | None:
-    """First (i, j) in row order where values[index[i][j]] * a != b * rows[i][j],
-    or None.  Compared at 2^k > 2 (max ‖values‖₁ ‖a‖₁ + ‖b‖₁ max ‖rows‖₁), a
-    bound on every coefficient of each difference."""
-    cells = max(_norm(e) for row in rows for e in row)
-    k = _digit_bits(max(map(_norm, values)) * _norm(a) + _norm(b) * cells)
-    a_value, b_value = pack(a, k), pack(b, k)
-    left = [pack(v, k) * a_value for v in values]
-    for i, (row, cells) in enumerate(zip(index, rows)):
-        for j, (t, e) in enumerate(zip(row, cells)):
-            if left[t] != b_value * pack(e, k):
-                return i, j
     return None

@@ -23,12 +23,13 @@ oracle's are compared with.  One ClearedForms serves every check of a
 graph, and one distance table serves the oracle and every check.  The three
 matrix identities, D X = Lambda 1, D (delta L) = 1 X^T - delta I and
 D N = delta Lambda I with X = delta x, share the shape D B = 1 r^T + d I;
-_moddet.rank_one_mismatches checks all three as equalities of packed
-integers on one D packed from the distance table, each distinct entry of B
-packed once, and reads back only a failing entry, for its witness.  The
-elimination comparison checks N * det == delta Lambda * adj(D) the same way
-(_moddet.adjugate, _moddet.cross_mismatch), and the anchor sums are one
-_moddet.matmul.
+_moddet.rank_one_mismatches checks each at its own 2^k, each distinct entry
+of B packed once.  Each row of D B is one integer of slots, the rows of B
+summed over the distance classes of the distance table, with no product,
+and only a failing entry is read back, for its witness.  The
+elimination comparison checks N * det == delta Lambda * adj(D) on the packed
+values of one Gauss-Jordan (_moddet.adjugate_mismatch), and the anchor sums
+are one _moddet.matmul.
 
 verify_corpus fans the graphs out over a process pool when asked for more
 than one job; reports come back in corpus order with per-graph wall times.
@@ -243,23 +244,23 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
             witnesses["anchor_affine_sum"] = _mismatch("anchor sum", affine, forms.delta)
 
     if "inverse_vs_elimination" in wanted:
+        # inverse / inverse_den == adj / det, cross-multiplied
+        numerators, index = forms.inverse
         try:
-            elim_det, elim_adj = _moddet.adjugate(q_distance_rows(dist))
+            found = _moddet.adjugate_mismatch(
+                q_distance_rows(dist), numerators, index, forms.inverse_den
+            )
         except _moddet.SingularError as exc:
             witness = f"elimination failed: {exc}"
         else:
-            # inverse / inverse_den == adj / det, cross-multiplied
-            numerators, index = forms.inverse
-            found = _moddet.cross_mismatch(numerators, index, elim_det, forms.inverse_den, elim_adj)
+            witness = None
             if found:
-                i, j = found
+                i, j, elim_det, elim_adj = found
                 witness = _mismatch(
                     f"entry ({i},{j})",
                     _fastpoly.pmul(numerators[index[i][j]], elim_det),
-                    _fastpoly.pmul(forms.inverse_den, elim_adj[i][j]),
+                    _fastpoly.pmul(forms.inverse_den, elim_adj),
                 )
-            else:
-                witness = None
         witnesses["inverse_vs_elimination"] = witness
 
     checks = tuple(

@@ -51,7 +51,7 @@ from qbiblock.graph import (
     star_tree,
 )
 from qbiblock.matrix import RingMatrix, det_bareiss, inverse_gauss, rf_matrix
-from qbiblock.oracle import default_corpus
+from qbiblock.oracle import all_trees, default_corpus
 from qbiblock.qdist import q_distance_matrix, q_distance_rows
 from helpers import (
     ReferenceClearedForms,
@@ -306,6 +306,26 @@ def test_local_matrix_matches_dense_reference():
                 if i == j:
                     expected = expected - y[i] * qq2 + inv_qp1
                 assert loc[i, j] == expected, (g, i, j)
+
+
+def test_local_matrix_of_a_tree_is_the_bapat_lal_pati_q_laplacian():
+    # the paper's tree case: L = (I - qA + q^2 (Delta - I)) / (1 + q), A the
+    # adjacency and Delta the degree matrix (Bapat, Lal and Pati, "A q-analogue
+    # of the distance matrix of a tree", Linear Algebra Appl. 416, 2006)
+    trees = all_trees(8)
+    assert len(trees) == 47
+    for specs in trees:
+        g = build(specs)
+        dist = distances(g)
+        loc = local_matrix(g)
+        for i, row in enumerate(dist):
+            degree = row.count(1)
+            for j, d in enumerate(row):
+                if i == j:
+                    numerator = Polynomial((1, 0, degree - 1))
+                else:
+                    numerator = -Q if d == 1 else ZERO
+                assert loc[i, j] == RationalFunction(numerator, QP1), (specs, i, j)
 
 
 def test_inverse_at_matches_evaluated_graph_inverse_on_corpus():

@@ -199,27 +199,31 @@ def test_packed_matmul_matches_schoolbook_product():
         assert _moddet.matmul(a, b) == expected
 
 
-def test_cross_mismatch_finds_the_first_unequal_cross_product():
-    # rows = values * c and a = b * c, so values * a = b * rows entrywise
+def test_adjugate_mismatch_finds_the_first_unequal_cross_product():
+    # values = adj * c and den = det * c, so values * det = den * adj entrywise
     rng = random.Random(3141)
+    c = [2, 0, -5]
     for n in (1, 2, 5):
-        values = [list(rand_poly(rng, 4, 30).coeffs) for _ in range(3)]
-        index = [[rng.randrange(3) for _ in range(n)] for _ in range(n)]
-        b, c = [rng.randint(1, 9), -3, 7], [2, 0, -5]
-        a = _fastpoly.pmul(b, c)
-        rows = [[_fastpoly.pmul(values[t], c) for t in row] for row in index]
-        assert _moddet.cross_mismatch(values, index, a, b, rows) is None
+        m = poly_matrix(rng, n, max_deg=1)
+        while det_bareiss(m).is_zero:
+            m = poly_matrix(rng, n, max_deg=1)
+        rows = int_rows(m)
+        det, adj = _moddet.adjugate(rows)
+        values = [_fastpoly.pmul(e, c) for row in adj for e in row]
+        index = [[i * n + j for j in range(n)] for i in range(n)]
+        den = _fastpoly.pmul(det, c)
+        assert _moddet.adjugate_mismatch(rows, values, index, den) is None
         for i, j in ((n - 1, n - 1), (0, n - 1)):
-            wrong = [row.copy() for row in rows]
-            wrong[i][j] = _fastpoly.padd(wrong[i][j], [0, 1])
-            assert _moddet.cross_mismatch(values, index, a, b, wrong) == (i, j)
-    # p = 2^k0 - q vanishes at 2^k0, the width of the left side's bound alone
-    values, index, a, b = [[5, -2]], [[0]], [3, 1], [1]
-    k0 = (2 * 7 * 4).bit_length()
+            wrong = list(values)
+            wrong[index[i][j]] = _fastpoly.padd(values[index[i][j]], [0, 1])
+            assert _moddet.adjugate_mismatch(rows, wrong, index, den) == (i, j, det, adj[i][j])
+    # p = 2^k0 - q vanishes at 2^k0, the width of the Hadamard bound 7 alone
+    a, values = [5, -2], [[3, 1]]
+    k0 = (2 * 7).bit_length()
     p = [1 << k0, -1]
     assert _moddet.pack(p, k0) == 0
-    rows = [[_fastpoly.padd(_fastpoly.pmul(values[0], a), p)]]
-    assert _moddet.cross_mismatch(values, index, a, b, rows) == (0, 0)
+    den = _fastpoly.padd(_fastpoly.pmul(values[0], a), p)
+    assert _moddet.adjugate_mismatch([[a]], values, [[0]], den) == (0, 0, a, [1])
 
 
 def test_unpack_reads_balanced_digits_and_refuses_digits_past_the_bound():

@@ -454,16 +454,32 @@ def first_rank_one_mismatch(dist, values, index, r, d):
     return None
 
 
+def rank_one_identities(g) -> list[tuple]:
+    """verify's three identities D B = 1 r^T + d I of g, as (values, index, r, d)."""
+    forms, n = closedform.ClearedForms(g), g.n
+    return [
+        (forms.x, [[i] for i in range(n)], [forms.lam], []),
+        (*forms.local, forms.x, _fastpoly.pscale(forms.delta, -1)),
+        (*forms.inverse, [[]] * n, forms.inverse_den),
+    ]
+
+
+def with_entries(values, index, cells, change) -> tuple[list, list[list[int]]]:
+    """(values, index) with entry (i, j) of B replaced by change(B_ij) for each
+    (i, j) in cells, each new entry a value of its own."""
+    values, index = list(values), [row.copy() for row in index]
+    for i, j in cells:
+        values.append(change(list(values[index[i][j]])))
+        index[i][j] = len(values) - 1
+    return values, index
+
+
 def test_rank_one_mismatches_agree_with_the_matmul_readout():
     rng = random.Random(1618)
     for seed in range(8):
         g = build(random_biblock(seed, 3, 3))
-        dist, forms, n = distances(g), closedform.ClearedForms(g), g.n
-        identities = [
-            (forms.x, [[i] for i in range(n)], [forms.lam], []),
-            (*forms.local, forms.x, _fastpoly.pscale(forms.delta, -1)),
-            (*forms.inverse, [[]] * n, forms.inverse_den),
-        ]
+        dist, n = distances(g), g.n
+        identities = rank_one_identities(g)
         assert _moddet.rank_one_mismatches(dist, identities) == [None] * 3
         # one entry of B, of r or of d off by a nonzero term
         changed = []
@@ -471,10 +487,8 @@ def test_rank_one_mismatches_agree_with_the_matmul_readout():
             term = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [rng.choice((-1, 1))]
             where = rng.choice(("b", "r", "d") if len(index[0]) == n else ("b", "r"))
             if where == "b":
-                i, j = rng.randrange(n), rng.randrange(len(index[0]))
-                index = [row.copy() for row in index]
-                values = [*values, _fastpoly.padd(list(values[index[i][j]]), term)]
-                index[i][j] = len(values) - 1
+                cell = rng.randrange(n), rng.randrange(len(index[0]))
+                values, index = with_entries(values, index, [cell], lambda e: _fastpoly.padd(e, term))
             elif where == "r":
                 r = bumped_list(r, rng.randrange(len(r)), term)
             else:
@@ -483,6 +497,49 @@ def test_rank_one_mismatches_agree_with_the_matmul_readout():
         expected = [first_rank_one_mismatch(dist, *identity) for identity in changed]
         assert None not in expected
         assert _moddet.rank_one_mismatches(dist, changed) == expected, seed
+
+
+def test_rank_one_mismatches_on_the_oracle_large_graphs_and_a_long_path():
+    # path_tree(40) has the most distance classes: 39 on its end rows
+    rng = random.Random(2718)
+
+    def negate(e):
+        return _fastpoly.pscale(e, -1)
+
+    def bump(e):
+        return _fastpoly.padd(e, [rng.randint(-4, 4), rng.choice((-1, 1))])
+
+    for g in [*oracle_large_graphs(), build(path_tree(40))]:
+        dist, n = distances(g), g.n
+        identities = rank_one_identities(g)
+        assert _moddet.rank_one_mismatches(dist, identities) == [None] * 3
+        # D (-B) = 1 (-r)^T - d I holds with every slot of a row negated
+        negated = [
+            (list(map(negate, values)), index, list(map(negate, r)), negate(d))
+            for values, index, r, d in identities
+        ]
+        assert _moddet.rank_one_mismatches(dist, negated) == [None] * 3
+        for values, index, r, d in identities:
+            m = len(index[0])
+            changed = [
+                # the last row and the last column of B
+                (*with_entries(values, index, [(n - 1, m - 1)], bump), r, d),
+                # an all-zero column of B, the last
+                (*with_entries(values, index, [(i, m - 1) for i in range(n)], lambda e: []), r, d),
+                # -B against r and d
+                (list(map(negate, values)), index, r, d),
+                # the expected side alone
+                (values, index, bumped_list(r, m - 1, [0, -1]), d),
+            ]
+            if m > 1:
+                # two entries of one row; the diagonal term alone
+                row = rng.randrange(n)
+                cells = [(row, 0), (row, m - 1)]
+                changed.append((*with_entries(values, index, cells, bump), r, d))
+                changed.append((values, index, r, bump(d)))
+            expected = [first_rank_one_mismatch(dist, *identity) for identity in changed]
+            assert None not in expected
+            assert _moddet.rank_one_mismatches(dist, changed) == expected, (n, m)
 
 
 def changed_property(monkeypatch, cls, name, change) -> None:
