@@ -7,12 +7,25 @@ integers, and reads each result back as balanced base-``B`` digits
 an a-priori bound ``C`` on every result coefficient, which makes the digits
 unique, and ``unpack`` raises ``ArithmeticError`` on a digit past ``C``.
 
-* ``det_int_poly_matrix``: one fraction-free Bareiss determinant, with the
-  Hadamard bound ``C = ⌈(∏ᵢ Σⱼ ‖aᵢⱼ‖₁²)^½⌉``.  A coefficient of ``det A(q)``
-  is a Fourier coefficient of ``det A`` on the unit circle, so it is at most
-  ``max |det A(z)|`` there, which Hadamard's inequality bounds by the
-  product of the row 2-norms, and ``|aᵢⱼ(z)| ≤ ‖aᵢⱼ‖₁``.  ``C`` is never
-  larger than the permanent bound ``∏ᵢ Σⱼ ‖aᵢⱼ‖₁``.
+* ``det_int_poly_matrix``: one fraction-free determinant that never updates
+  the last row, with the Hadamard bound ``C = ⌈(∏ᵢ Σⱼ ‖aᵢⱼ‖₁²)^½⌉``.  A
+  coefficient of ``det A(q)`` is a Fourier coefficient of ``det A`` on the
+  unit circle, so it is at most ``max |det A(z)|`` there, which Hadamard's
+  inequality bounds by the product of the row 2-norms, and
+  ``|aᵢⱼ(z)| ≤ ‖aᵢⱼ‖₁``.  ``C`` is never larger than the permanent bound
+  ``∏ᵢ Σⱼ ‖aᵢⱼ‖₁``.  With ``A = [[A₁₁, c], [rᵀ, a]]`` at ``2^k`` and
+  ``m = n - 1``, Bareiss on the upper rows ``[A₁₁ | c]`` ends at the pivot
+  ``p = det(P A₁₁)``, ``P`` the row swaps of sign ``s``, with each row ``u``
+  as it was at its own pivot.  Fraction-free back-substitution,
+  ``xᵢ = (p uᵢₘ - Σ_{i<j<m} uᵢⱼ xⱼ) / uᵢᵢ``, gives ``x = adj(P A₁₁) P c``,
+  every division exact: by Cramer's rule ``xᵢ`` is ``det(P A₁₁)`` with
+  column ``i`` replaced by ``P c``, an integer, and each ``u`` is a rational
+  combination of rows of ``P [A₁₁ | c]``, so ``Σⱼ uᵢⱼ xⱼ = p uᵢₘ`` (Bareiss,
+  Math. Comp. 22, 1968).  Then ``det A = s (p a - rᵀ x)`` by the Schur
+  complement, ``det A₁₁ · a - rᵀ adj(A₁₁) c``: the integer that eliminating
+  the whole matrix gives, so ``C`` and the readout are unchanged.  When
+  ``A₁₁`` is singular there is no pivot for the route, and the whole matrix
+  is eliminated instead.
 * ``matmul``: one integer dot product per entry,
   ``C = maxᵢ Σₖ ‖aᵢₖ‖₁ · maxₖⱼ ‖bₖⱼ‖₁ ≥ Σₖ ‖aᵢₖ‖₁·‖bₖⱼ‖₁``.
 * ``power_product``: one product of packed powers, ``C = ∏ ‖eᵢ‖₁^pᵢ ≥ ‖∏ eᵢ^pᵢ‖₁``.
@@ -169,10 +182,32 @@ def det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
     bound = hadamard_bound(entries)
     k = _digit_bits(bound)
     try:
-        sign, pivot = _eliminate([[pack(e, k) for e in row] for row in entries], jordan=False)
+        det = _bordered_det([[pack(e, k) for e in row] for row in entries])
     except SingularError:
-        return []
-    return unpack(sign * pivot, k, bound)
+        # no pivot in the leading block: eliminate the whole matrix
+        try:
+            sign, pivot = _eliminate([[pack(e, k) for e in row] for row in entries], jordan=False)
+        except SingularError:
+            return []
+        det = sign * pivot
+    return unpack(det, k, bound)
+
+
+def _bordered_det(mat: list[list[int]]) -> int:
+    """Determinant of a square integer matrix [[A₁₁, c], [rᵀ, a]] that never
+    updates its last row: det A = det A₁₁ · a − rᵀ adj(A₁₁) c.  Bareiss on the
+    upper rows [A₁₁ | c] (module docstring) leaves each pivot row as it was at
+    its pivot, and fraction-free back-substitution on those rows gives
+    x = adj(P A₁₁) P c = s adj(A₁₁) c, s the sign of the row swaps P.  Raises
+    SingularError, with the upper rows modified, when A₁₁ is singular."""
+    *upper, last = mat
+    m = len(upper)
+    sign, pivot = _eliminate(upper, jordan=False)
+    x = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = upper[i]
+        x[i] = (pivot * row[m] - sum(map(mul, row[i + 1:m], x[i + 1:]))) // row[i]
+    return sign * (pivot * last[m] - sum(map(mul, last, x)))
 
 
 def matmul(a: list[list[list[int]]], b: list[list[list[int]]]) -> list[list[list[int]]]:

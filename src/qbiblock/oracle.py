@@ -7,8 +7,9 @@ determinant, of the q-distance matrix bordered at pivot 0 with corner q^M
 (qdist.bordered_rows, rows differenced against their BFS parents' rows): it
 is det D + q^M * cofactor, and M, one more than the row-degree sum, bounds
 deg det D a priori, so the coefficients below q^M are det D and the rest the
-cofactor.  The engine's Hadamard bound covers both readouts.  The inverse
-oracle is Gauss-Jordan elimination.
+cofactor.  The engine's Hadamard bound covers both readouts.  Vertex 0's
+row, dense and with the corner, comes last, where the engine reads it once
+and never updates it.  The inverse oracle is Gauss-Jordan elimination.
 
 verify_graph runs a fixed list of identity checks per graph.  The matrix
 identities are verified over a cleared structural common denominator

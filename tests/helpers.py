@@ -25,6 +25,9 @@ independent route that _fastpoly.gcd_cofactors is checked against.
 dense_eliminate is the fraction-free elimination that updates every row at
 every step, dividing each update by the previous pivot: the route that
 _moddet._eliminate, which skips rows with a zero multiplier, is checked
+against, and whole_det_int_poly_matrix is the determinant by that
+elimination of the whole packed matrix, last row included: the route that
+_moddet.det_int_poly_matrix, which never updates the last row, is checked
 against.  psub_bordered_rows builds qdist.bordered_rows with psub from
 [1] * d lists, the route the table-read entries are checked against.
 
@@ -400,6 +403,23 @@ def dense_eliminate(mat: list[list[int]], jordan: bool) -> tuple[int, int]:
                 ]
         prev = pivot
     return sign, prev
+
+
+def whole_det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
+    """Exact determinant (ascending int coefficient list) of a square matrix of
+    integer polynomial lists."""
+    n = len(entries)
+    if n == 0 or any(len(row) != n for row in entries):
+        raise ValueError("determinant requires a nonempty square matrix")
+    bound = _moddet.hadamard_bound(entries)
+    k = _moddet._digit_bits(bound)
+    try:
+        sign, pivot = _moddet._eliminate(
+            [[_moddet.pack(e, k) for e in row] for row in entries], jordan=False
+        )
+    except _moddet.SingularError:
+        return []
+    return _moddet.unpack(sign * pivot, k, bound)
 
 
 def psub_bordered_rows(dist: list[list[int]]) -> tuple[list[list[list[int]]], int]:

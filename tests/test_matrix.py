@@ -17,7 +17,7 @@ from qbiblock.matrix import (
     outer,
     rf_matrix,
 )
-from helpers import dense_eliminate, det_cofactor, identity
+from helpers import dense_eliminate, det_cofactor, identity, whole_det_int_poly_matrix
 
 
 def rand_poly(rng: random.Random, max_deg: int = 2, bound: int = 3) -> Polynomial:
@@ -372,11 +372,13 @@ def test_elimination_skipping_zero_multipliers_matches_the_dense_loop():
 class CountingRow(list):
     """A matrix row that counts the elimination's row updates: the writes of
     the entries right of the current step's column, the last column index
-    read from any row."""
+    read from any row.  counter sums them over the rows sharing it, updates
+    counts this row's."""
 
     def __init__(self, values, counter):
         super().__init__(values)
         self.counter = counter
+        self.updates = 0
 
     def __getitem__(self, index):
         if isinstance(index, int):
@@ -386,6 +388,7 @@ class CountingRow(list):
     def __setitem__(self, index, value):
         if isinstance(index, slice) and index.start == self.counter["step"] + 1:
             self.counter["updates"] += 1
+            self.updates += 1
         super().__setitem__(index, value)
 
 
@@ -395,8 +398,8 @@ def row_updates(engine, mat: list[list[int]]) -> int:
     return counter["updates"]
 
 
-def test_elimination_updates_a_bordered_block_diagonal_matrix_block_by_block():
-    rng = random.Random(2024)
+def nonsingular_blocks_and_border(rng: random.Random):
+    """Five nonsingular dense blocks of sizes 1-5 and a dense border, corner 1000."""
     blocks = []
     while len(blocks) < 5:
         size = rng.randint(1, 5)
@@ -404,6 +407,11 @@ def test_elimination_updates_a_bordered_block_diagonal_matrix_block_by_block():
         if not isinstance(eliminated(dense_eliminate, block, False), str):
             blocks.append(block)
     border = [nonzero(rng) for _ in range(2 * sum(map(len, blocks)))] + [1000]
+    return blocks, border
+
+
+def test_elimination_updates_a_bordered_block_diagonal_matrix_block_by_block():
+    blocks, border = nonsingular_blocks_and_border(random.Random(2024))
     mat = arrow(blocks, border)
     n = len(mat)
     # the counter sees every update of the dense loop
@@ -417,6 +425,62 @@ def test_elimination_updates_a_bordered_block_diagonal_matrix_block_by_block():
         per_block.append(row_updates(_moddet._eliminate, arrow([block], alone)))
         at += size
     assert row_updates(_moddet._eliminate, mat) == sum(per_block) < n * (n - 1) // 2
+
+
+def test_bordered_determinant_never_updates_the_last_row():
+    mat = arrow(*nonsingular_blocks_and_border(random.Random(4096)))
+    n = len(mat)
+    counter = {"step": -1, "updates": 0}
+    rows = [CountingRow(row, counter) for row in mat]
+    det = _moddet._bordered_det(rows)
+    sign, pivot = dense_eliminate([list(row) for row in mat], False)
+    assert det == sign * pivot != 0
+    # the dense border row is read, never written
+    assert rows[-1].updates == 0 and rows[-1] == mat[-1]
+    upper = row_updates(_moddet._eliminate, mat[:-1])
+    assert counter["updates"] == upper == row_updates(_moddet._eliminate, mat) - (n - 1)
+
+
+def constant_rows(mat: list[list[int]]) -> list[list[list[int]]]:
+    return [[[v] if v else [] for v in row] for row in mat]
+
+
+def test_bordered_determinant_matches_the_whole_matrix_elimination():
+    fallbacks = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        for mat in structured_matrices(rng):
+            entries = constant_rows(mat)
+            assert _moddet.det_int_poly_matrix(entries) == whole_det_int_poly_matrix(entries)
+            fallbacks += isinstance(eliminated(_moddet._eliminate, mat[:-1], False), str)
+    # every zero-column case, and others, has a singular leading block
+    assert fallbacks > 300
+    rng = random.Random(8128)
+    for n in range(1, 9):
+        for _ in range(12):
+            entries = int_rows(poly_matrix(rng, n, max_deg=rng.randint(0, 3)))
+            assert _moddet.det_int_poly_matrix(entries) == whole_det_int_poly_matrix(entries)
+
+
+def test_bordered_determinant_named_cases():
+    det = _moddet.det_int_poly_matrix
+    # singular leading block, nonsingular matrix: the whole matrix is eliminated
+    assert det([[[], [1]], [[1], []]]) == [-1]
+    assert det(constant_rows([[1, 2, 3], [1, 2, 4], [0, 1, 0]])) == [-1]
+    # two equal upper rows: the leading block and the matrix are singular
+    assert det([[[1, 1], [2], [0, 3]], [[1, 1], [2], [0, 3]], [[5], [], [1]]]) == []
+    # nonsingular leading block, last row 1 * row 0 + q * row 1: singular
+    rows = [[[1, 1], [2], []], [[1], [0, 3], [1]]]
+    last = [_fastpoly.padd(a, _fastpoly.pmul([0, 1], b)) for a, b in zip(*rows)]
+    assert det(rows + [last]) == []
+    # n = 1
+    assert det([[[3, 0, -2]]]) == [3, 0, -2]
+    assert det([[[]]]) == []
+    # a zero last row
+    assert det(rows + [[[], [], []]]) == []
+    # a last row zero but in its corner: det A11 times the corner
+    leading = det([row[:2] for row in rows])
+    assert det(rows + [[[], [], [0, 0, 5]]]) == _fastpoly.pmul(leading, [0, 0, 5]) != []
 
 
 def test_hadamard_bound_covers_the_determinant_and_undercuts_the_permanent_bound():

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from helpers import oracle_large_graphs, psub_bordered_rows
+from helpers import oracle_large_graphs, psub_bordered_rows, whole_det_int_poly_matrix
 
+from qbiblock import _moddet
 from qbiblock.exactring import ONE, Q, ZERO, q_integer
 from qbiblock.graph import BlockSpec, build, distances, path_tree, random_biblock, star_tree
 from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss
@@ -125,6 +126,15 @@ def test_bordered_rows_equal_the_psub_construction():
     for g in graphs:
         dist = distances(g)
         assert bordered_rows(dist) == psub_bordered_rows(dist), g.n
+
+
+def test_bordered_determinant_equals_the_whole_elimination_on_the_oracle_graphs():
+    graphs = [build(specs) for _, specs in default_corpus(7)] + oracle_large_graphs()
+    graphs.append(build(path_tree(24)))
+    assert len(graphs) == 176
+    for g in graphs:
+        rows, _ = bordered_rows(distances(g))
+        assert _moddet.det_int_poly_matrix(rows) == whole_det_int_poly_matrix(rows), g.n
 
 
 def test_bordered_rows_are_the_parent_differenced_ring_construction():
