@@ -157,5 +157,6 @@ def cleared(rf, scale: list[int]) -> list[int]:
 
 
 # bench/tracer.py traces the packed matmul and the adjugate of _moddet under
-# these two names; nothing else in the package calls them through here
+# these two names; ffgj_inverse names the fraction-free Gauss-Jordan that the
+# adjugate no longer runs.  Nothing else in the package calls them through here
 from ._moddet import adjugate as ffgj_inverse, matmul  # noqa: E402,F401

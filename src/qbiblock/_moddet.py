@@ -13,30 +13,36 @@ unique, and ``unpack`` raises ``ArithmeticError`` on a digit past ``C``.
   unit circle, so it is at most ``max |det A(z)|`` there, which Hadamard's
   inequality bounds by the product of the row 2-norms, and
   ``|aᵢⱼ(z)| ≤ ‖aᵢⱼ‖₁``.  ``C`` is never larger than the permanent bound
-  ``∏ᵢ Σⱼ ‖aᵢⱼ‖₁``.  With ``A = [[A₁₁, c], [rᵀ, a]]`` at ``2^k`` and
-  ``m = n - 1``, Bareiss on the upper rows ``[A₁₁ | c]`` ends at the pivot
-  ``p = det(P A₁₁)``, ``P`` the row swaps of sign ``s``, with each row ``u``
-  as it was at its own pivot.  Fraction-free back-substitution,
-  ``xᵢ = (p uᵢₘ - Σ_{i<j<m} uᵢⱼ xⱼ) / uᵢᵢ``, gives ``x = adj(P A₁₁) P c``,
-  every division exact: by Cramer's rule ``xᵢ`` is ``det(P A₁₁)`` with
-  column ``i`` replaced by ``P c``, an integer, and each ``u`` is a rational
-  combination of rows of ``P [A₁₁ | c]``, so ``Σⱼ uᵢⱼ xⱼ = p uᵢₘ`` (Bareiss,
-  Math. Comp. 22, 1968).  Then ``det A = s (p a - rᵀ x)`` by the Schur
-  complement, ``det A₁₁ · a - rᵀ adj(A₁₁) c``: the integer that eliminating
-  the whole matrix gives, so ``C`` and the readout are unchanged.  When
-  ``A₁₁`` is singular there is no pivot for the route, and the whole matrix
-  is eliminated instead.
+  ``∏ᵢ Σⱼ ‖aᵢⱼ‖₁``.  With ``A = [[A₁₁, c], [rᵀ, a]]`` at ``2^k``, the
+  elimination of the upper rows ``[A₁₁ | c]`` and back-substitution (below)
+  give ``p = det(P A₁₁)`` and ``x = adj(P A₁₁) P c``, and
+  ``det A = s (p a - rᵀ x)`` by the Schur complement,
+  ``det A₁₁ · a - rᵀ adj(A₁₁) c``: the integer that eliminating the whole
+  matrix gives, so ``C`` and the readout are unchanged.  When ``A₁₁`` is
+  singular there is no pivot for the route, and the whole matrix is
+  eliminated instead.
 * ``matmul``: one integer dot product per entry,
   ``C = maxᵢ Σₖ ‖aᵢₖ‖₁ · maxₖⱼ ‖bₖⱼ‖₁ ≥ Σₖ ‖aᵢₖ‖₁·‖bₖⱼ‖₁``.
 * ``power_product``: one product of packed powers, ``C = ∏ ‖eᵢ‖₁^pᵢ ≥ ‖∏ eᵢ^pᵢ‖₁``.
-* ``adjugate``: one fraction-free Gauss-Jordan elimination of ``[A | I]``
-  gives ``det(A)`` and ``adj(A)``; the Hadamard bound of ``A`` covers every
-  (n-1)-minor when no row is zero, since each row factor is then at least 1.
+* ``adjugate``: the elimination of ``[A | I]`` and back-substitution on each
+  column of ``I`` give ``det(A) = s p`` and ``X = adj(P A) P = s adj(A)``;
+  the Hadamard bound of ``A`` covers every (n-1)-minor when no row is zero,
+  since each row factor is then at least 1.
 
-Both eliminations (``_eliminate``) update only the rows whose entry in the
-pivot column is nonzero.  The dense fraction-free step would rescale such a
-row by ``pₜ/pₜ₋₁``, the ratio of successive pivots; these ratios telescope,
-so by Sylvester's identity the dense row after a run of skipped steps is the
+There is one elimination, ``_eliminate``: Bareiss on the rows of a packed
+``[A | C]``, which ends at the pivot ``p = det(P A)``, ``P`` the row swaps
+of sign ``s``, with each row ``u`` as it was at its own pivot.  For a column
+``b`` of ``C``, as eliminated ``b'``, fraction-free back-substitution
+(``_back_substitute``), ``xᵢ = (p b'ᵢ - Σ_{i<j<m} uᵢⱼ xⱼ) / uᵢᵢ`` for the
+``m`` rows, gives ``x = adj(P A) P b``, every division exact: by Cramer's
+rule ``xᵢ`` is ``det(P A)`` with column ``i`` replaced by ``P b``, an
+integer, and each ``u`` is a rational combination of rows of ``P [A | C]``,
+so ``Σⱼ uᵢⱼ xⱼ = p b'ᵢ`` (Bareiss, Math. Comp. 22, 1968).
+
+The elimination updates only the rows whose entry in the pivot column is
+nonzero.  The dense fraction-free step would rescale such a row by
+``pₜ/pₜ₋₁``, the ratio of successive pivots; these ratios telescope, so by
+Sylvester's identity the dense row after a run of skipped steps is the
 stored row times ``pₜ/den[i]``, ``den[i]`` the pivot of the row's last
 update.  So the next update divides by ``den[i]`` instead of ``pₜ₋₁`` and
 gives the dense minor exactly, a stored zero is a dense zero, and the
@@ -52,8 +58,8 @@ for ``C`` a bound on the coefficients of their difference:
 * ``rank_one_mismatches``: ``D B = 1 r^T + d I`` for ``D`` the q-distance
   matrix of a distance table, ``C = maxᵢ Σₖ dist(i, k) · max ‖bₖⱼ‖₁ +
   maxⱼ ‖rⱼ‖₁ + ‖d‖₁``, the ``matmul`` bound plus the expected side's;
-* ``adjugate_mismatch``: ``vᵢⱼ det(A) = b adj(A)ᵢⱼ`` on one Gauss-Jordan of
-  ``[A | I]``, ``C = C_A (max ‖vᵢⱼ‖₁ + ‖b‖₁)`` for ``C_A`` the Hadamard bound
+* ``adjugate_mismatch``: ``vᵢⱼ det(A) = b adj(A)ᵢⱼ`` on the packed
+  ``adjugate``, ``C = C_A (max ‖vᵢⱼ‖₁ + ‖b‖₁)`` for ``C_A`` the Hadamard bound
   of ``A``, which bounds ``det(A)`` and every ``adj(A)ᵢⱼ`` as above.
 
 ``rank_one_mismatches`` packs once more, a whole row into one integer of
@@ -130,17 +136,16 @@ def unpack(value: int, k: int, bound: int) -> list[int]:
     return coeffs
 
 
-def _eliminate(mat: list[list[int]], jordan: bool) -> tuple[int, int]:
-    """Fraction-free elimination of the leading square block of an integer
-    matrix, in place: Bareiss (rows below each pivot) or Gauss-Jordan (every
-    other row).  Only rows with a nonzero multiplier are updated; den[i] is
-    the pivot of row i's last update (1 before any), and each update
-    (pivot * entry - multiplier * pivot_row_entry) is exactly divisible by it.
-    A skipped row is the dense row over prev / den[i] (module docstring): a
-    pivot row, and in Gauss-Jordan mode every row's right block at the end,
-    is brought up to date by that factor.  Returns the sign of the row swaps
-    and the last pivot, whose product is the block's determinant; raises
-    SingularError."""
+def _eliminate(mat: list[list[int]]) -> tuple[int, int]:
+    """Bareiss elimination of the leading square block of an integer matrix,
+    in place, every column carried along.  Only rows below the pivot with a
+    nonzero multiplier are updated; den[i] is the pivot of row i's last
+    update (1 before any), and each update (pivot * entry - multiplier *
+    pivot_row_entry) is exactly divisible by it.  A skipped row is the dense
+    row over prev / den[i] (module docstring), and is brought up to date by
+    that factor when it becomes the pivot row, so each row ends as it was at
+    its own pivot.  Returns the sign of the row swaps and the last pivot,
+    whose product is the block's determinant; raises SingularError."""
     n = len(mat)
     sign = prev = 1
     den = [1] * n
@@ -158,19 +163,28 @@ def _eliminate(mat: list[list[int]], jordan: bool) -> tuple[int, int]:
             row_k[k:] = [a * prev // d for a in row_k[k:]]
         pivot = row_k[k]
         tail = row_k[k + 1:]
-        for i in range(0 if jordan else k + 1, n):
+        for i in range(k + 1, n):
             row_i = mat[i]
             f = row_i[k]
-            if f and i != k:
+            if f:
                 d = den[i]
                 row_i[k + 1:] = [(a * pivot - f * b) // d for a, b in zip(row_i[k + 1:], tail)]
                 den[i] = pivot
         den[k] = prev = pivot
-    if jordan:
-        for row, d in zip(mat, den):
-            if d != prev:
-                row[n:] = [a * prev // d for a in row[n:]]
     return sign, prev
+
+
+def _back_substitute(rows: list[list[int]], pivot: int, c: int) -> list[int]:
+    """x = adj(P A) P b for the m rows u of [A | C] as _eliminate left them,
+    pivot = det(P A) its last pivot, P its row swaps and b column c:
+    xᵢ = (pivot uᵢ[c] - Σ_{i<j<m} uᵢⱼ xⱼ) / uᵢᵢ, every division exact
+    (module docstring)."""
+    m = len(rows)
+    x = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = rows[i]
+        x[i] = (pivot * row[c] - sum(map(mul, row[i + 1:m], x[i + 1:]))) // row[i]
+    return x
 
 
 def det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
@@ -186,7 +200,7 @@ def det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
     except SingularError:
         # no pivot in the leading block: eliminate the whole matrix
         try:
-            sign, pivot = _eliminate([[pack(e, k) for e in row] for row in entries], jordan=False)
+            sign, pivot = _eliminate([[pack(e, k) for e in row] for row in entries])
         except SingularError:
             return []
         det = sign * pivot
@@ -195,19 +209,14 @@ def det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
 
 def _bordered_det(mat: list[list[int]]) -> int:
     """Determinant of a square integer matrix [[A₁₁, c], [rᵀ, a]] that never
-    updates its last row: det A = det A₁₁ · a − rᵀ adj(A₁₁) c.  Bareiss on the
-    upper rows [A₁₁ | c] (module docstring) leaves each pivot row as it was at
-    its pivot, and fraction-free back-substitution on those rows gives
+    updates its last row: det A = det A₁₁ · a − rᵀ adj(A₁₁) c.  The
+    elimination of the upper rows [A₁₁ | c] and back-substitution on c give
     x = adj(P A₁₁) P c = s adj(A₁₁) c, s the sign of the row swaps P.  Raises
     SingularError, with the upper rows modified, when A₁₁ is singular."""
     *upper, last = mat
-    m = len(upper)
-    sign, pivot = _eliminate(upper, jordan=False)
-    x = [0] * m
-    for i in range(m - 1, -1, -1):
-        row = upper[i]
-        x[i] = (pivot * row[m] - sum(map(mul, row[i + 1:m], x[i + 1:]))) // row[i]
-    return sign * (pivot * last[m] - sum(map(mul, last, x)))
+    sign, pivot = _eliminate(upper)
+    x = _back_substitute(upper, pivot, len(upper))
+    return sign * (pivot * last[-1] - sum(map(mul, last, x)))
 
 
 def matmul(a: list[list[list[int]]], b: list[list[list[int]]]) -> list[list[list[int]]]:
@@ -229,14 +238,14 @@ def power_product(factors: list[tuple[list[int], int]]) -> list[int]:
     return unpack(prod(pack(e, k) ** p for e, p in factors), k, bound)
 
 
-def _jordan(entries: list[list[list[int]]], factor: int = 1):
+def _packed_adjugate(entries: list[list[list[int]]], factor: int = 1):
     """(C, k, det(A) at 2^k, rows of adj(A) at 2^k) of a square matrix A of
-    integer polynomial lists, by one Gauss-Jordan at 2^k > 2 C factor, C the
-    Hadamard bound of A.
+    integer polynomial lists, by one Bareiss elimination of [A | I] at
+    2^k > 2 C factor, C the Hadamard bound of A.
 
-    Gauss-Jordan on [A | I] ends at [d I | d A^-1] with d = det(P A), for the
-    row permutation P of the pivot swaps.  Raises SingularError for a singular
-    matrix, a zero row included.
+    Back-substitution on column j of the identity gives column j of
+    X = adj(P A) P = s adj(A), for the row swaps P of sign s.  Raises
+    SingularError for a singular matrix, a zero row included.
     """
     n = len(entries)
     if n == 0 or any(len(row) != n for row in entries):
@@ -247,30 +256,33 @@ def _jordan(entries: list[list[list[int]]], factor: int = 1):
     # every row factor is at least 1, so every minor is within the bound
     bound = hadamard_bound(entries)
     k = _digit_bits(bound * factor)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    aug = [[pack(e, k) for e in row] + unit for row, unit in zip(entries, identity)]
-    sign, pivot = _eliminate(aug, jordan=True)
-    return bound, k, sign * pivot, [[sign * v for v in row[n:]] for row in aug]
+    aug = [
+        [pack(e, k) for e in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(entries)
+    ]
+    sign, pivot = _eliminate(aug)
+    columns = [_back_substitute(aug, pivot, n + j) for j in range(n)]
+    return bound, k, sign * pivot, [[sign * v for v in row] for row in zip(*columns)]
 
 
 def adjugate(entries: list[list[list[int]]]) -> tuple[list[int], list[list[list[int]]]]:
     """(det(A), adj(A)) of a square matrix of integer polynomial lists, so that
     adj(A) / det(A) is its inverse over the rational-function field; raises
-    SingularError for a singular matrix (_jordan)."""
-    bound, k, det, adj = _jordan(entries)
+    SingularError for a singular matrix (_packed_adjugate)."""
+    bound, k, det, adj = _packed_adjugate(entries)
     return unpack(det, k, bound), [[unpack(v, k, bound) for v in row] for row in adj]
 
 
 def adjugate_mismatch(entries: list[list[list[int]]], values, index, den: list[int]):
     """First (i, j) in row order where values[index[i][j]] det(A) != den adj(A)_ij,
-    as (i, j, det(A), adj(A)_ij), or None; raises SingularError (_jordan).
+    as (i, j, det(A), adj(A)_ij), or None; raises SingularError (_packed_adjugate).
 
     Compared at 2^k > 2 C (max ‖values‖₁ + ‖den‖₁), C the Hadamard bound of A,
     which bounds det(A) and adj(A)_ij, so also every coefficient of each
     difference; det(A) and adj(A)_ij are read back only for the failing entry.
     """
     factor = max(map(_norm, values)) + _norm(den)
-    bound, k, det, adj = _jordan(entries, max(factor, 1))
+    bound, k, det, adj = _packed_adjugate(entries, max(factor, 1))
     den_value = pack(den, k)
     left = [pack(v, k) * det for v in values]
     for i, (row, cells) in enumerate(zip(index, adj)):

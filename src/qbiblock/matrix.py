@@ -1,31 +1,23 @@
-"""Dense matrices over an exact ring, with exact determinant and inverse.
+"""Dense matrices over an exact ring, with an exact determinant.
 
 Matrices are immutable value types generic over the entry ring: entries only
 need the arithmetic the chosen operation uses (``+``, ``-``, ``*``, and
-``is_zero`` for eliminations).  Determinants use fraction-free Bareiss
-condensation, which needs ``exact_div`` and so takes polynomial entries, and
-inverses Gauss-Jordan elimination over the rational-function field;
-matrices of integer-coefficient polynomials have a faster determinant engine
-in ``_moddet``.
+``is_zero`` for the determinant).  The determinant uses fraction-free
+Bareiss condensation, which needs ``exact_div`` and so takes polynomial
+entries.  Matrices of integer-coefficient polynomials have a faster
+determinant engine, and their inverse as ``adj(A) / det(A)``, in
+``_moddet``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .exactring import RationalFunction, RF_ONE, RF_ZERO
+from .exactring import RationalFunction
 
 
 class DimensionError(ValueError):
     """Raised when matrix dimensions do not conform."""
-
-
-class SingularMatrixError(ValueError):
-    """Raised when elimination meets a singular matrix; carries the failing step."""
-
-    def __init__(self, step: int):
-        super().__init__(f"matrix is singular (no pivot at elimination step {step})")
-        self.step = step
 
 
 class RingMatrix:
@@ -174,35 +166,3 @@ def det_bareiss(m: RingMatrix):
                 a[i][j] = t if prev is None else t.exact_div(prev)
         prev = pivot
     return a[n - 1][n - 1] * sign
-
-
-# -- inverse -----------------------------------------------------------------
-
-
-def inverse_gauss(m: RingMatrix) -> RingMatrix:
-    """Exact inverse of a square matrix over the rational-function field.
-
-    Plain Gauss-Jordan with field division; raises SingularMatrixError with
-    the elimination step at which no pivot exists.
-    """
-    if not m.is_square:
-        raise DimensionError("inverse requires a square matrix")
-    n = m.nrows
-    aug = []
-    for i, row in enumerate(m.rows):
-        lifted = [e if isinstance(e, RationalFunction) else RationalFunction(e) for e in row]
-        aug.append(lifted + [RF_ONE if j == i else RF_ZERO for j in range(n)])
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not aug[i][k].is_zero), None)
-        if piv is None:
-            raise SingularMatrixError(k)
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        inv = aug[k][k].inv()
-        aug[k] = [e * inv for e in aug[k]]
-        row_k = aug[k]
-        for i in range(n):
-            if i != k and not aug[i][k].is_zero:
-                f = aug[i][k]
-                aug[i] = [a - f * b for a, b in zip(aug[i], row_k)]
-    return RingMatrix([row[n:] for row in aug])

@@ -9,7 +9,9 @@ is det D + q^M * cofactor, and M, one more than the row-degree sum, bounds
 deg det D a priori, so the coefficients below q^M are det D and the rest the
 cofactor.  The engine's Hadamard bound covers both readouts.  Vertex 0's
 row, dense and with the corner, comes last, where the engine reads it once
-and never updates it.  The inverse oracle is Gauss-Jordan elimination.
+and never updates it.  The inverse oracle is adj(D) / det(D): the same
+engine eliminates [D | I] and back-substitutes on each column of I
+(_moddet.adjugate).
 
 verify_graph runs a fixed list of identity checks per graph.  The matrix
 identities are verified over a cleared structural common denominator
@@ -29,7 +31,7 @@ of B packed once.  Each row of D B is one integer of slots, the rows of B
 summed over the distance classes of the distance table, with no product,
 and only a failing entry is read back, for its witness.  The
 elimination comparison checks N * det == delta Lambda * adj(D) on the packed
-values of one Gauss-Jordan (_moddet.adjugate_mismatch), and the anchor sums
+values of that adjugate (_moddet.adjugate_mismatch), and the anchor sums
 are one _moddet.matmul.
 
 verify_corpus fans the graphs out over a process pool when asked for more
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 from . import _fastpoly, _moddet
 from .closedform import ClearedForms
-from .exactring import Polynomial
+from .exactring import Polynomial, RationalFunction
 from .graph import (
     Attachment,
     BiBlockGraph,
@@ -59,8 +61,8 @@ from .graph import (
     graph_to_json,
     random_biblock,
 )
-from .matrix import RingMatrix, inverse_gauss, rf_matrix
-from .qdist import bordered_rows, q_distance_matrix, q_distance_rows
+from .matrix import RingMatrix
+from .qdist import bordered_rows, q_distance_rows
 
 # Above this size the elimination-inverse comparison is skipped: the inverse
 # is still fully verified by the exact product identity, and uniqueness of the
@@ -106,8 +108,12 @@ def oracle_cofactor(g: BiBlockGraph) -> Polynomial:
 
 
 def oracle_inverse(g: BiBlockGraph) -> RingMatrix:
-    """Inverse of the q-distance matrix by Gauss-Jordan elimination."""
-    return inverse_gauss(rf_matrix(q_distance_matrix(g)))
+    """Inverse of the q-distance matrix, adj(D) / det(D), straight from the
+    distance table by the packed adjugate; raises _moddet.SingularError when
+    D is singular."""
+    det, adj = _moddet.adjugate(q_distance_rows(distances(g)))
+    det = Polynomial(det)
+    return RingMatrix([[RationalFunction(Polynomial(e), det) for e in row] for row in adj])
 
 
 # -- verification ------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The q-distance matrix replaces each graph distance alpha >= 1 with the
 polynomial 1 + q + ... + q^(alpha-1).  The reduced cofactor of such a matrix
-is the determinant of an (n-1) x (n-1) matrix obtained from a pivot vertex;
-two equivalent constructions are provided and must agree entrywise.
+is the determinant of an (n-1) x (n-1) matrix obtained from a pivot vertex,
+each entry read off the distance table (cofactor_matrix).
 
 The oracles read one integer-list matrix off the distance table,
 bordered_rows.  Subtracting the pivot row from every other row and then
@@ -18,7 +18,7 @@ one determinant carries both values in disjoint coefficient ranges.
 
 from __future__ import annotations
 
-from .exactring import Q, q_integer
+from .exactring import q_integer
 from .graph import BiBlockGraph, distances
 from .matrix import DimensionError, RingMatrix
 
@@ -91,17 +91,14 @@ def _less_parent(d: int, c: int, e: int) -> list[int]:
     return entry
 
 
-def cofactor_matrix(
-    qmat: RingMatrix, dist: list[list[int]], pivot: int = 0, route: str = "direct"
-) -> RingMatrix:
+def cofactor_matrix(qmat: RingMatrix, dist: list[list[int]], pivot: int = 0) -> RingMatrix:
     """The (n-1) x (n-1) matrix whose determinant is the reduced cofactor.
 
-    route="direct" forms entry (i, j) as D1[i][j] - [beta_i + alpha_j], where
-    D1 drops the pivot row and column, alpha_j is the distance from the pivot
-    to column vertex j and beta_i the distance from row vertex i to the pivot.
-    route="rowcol" instead subtracts the pivot row from every other row and
-    then q**alpha_j times the pivot column from every other column.  The two
-    routes produce the same matrix entrywise.
+    Entry (i, j) is D1[i][j] - [beta_i + alpha_j], where D1 drops the pivot
+    row and column, alpha_j is the distance from the pivot to column vertex j
+    and beta_i the distance from row vertex i to the pivot: the matrix that
+    subtracting the pivot row from every other row, and then q**alpha_j times
+    the pivot column from every other column, leaves.
     """
     n = qmat.nrows
     if not qmat.is_square or len(dist) != n or any(len(row) != n for row in dist):
@@ -109,23 +106,9 @@ def cofactor_matrix(
     if not 0 <= pivot < n:
         raise DimensionError(f"pivot vertex {pivot} out of range")
     others = [v for v in range(n) if v != pivot]
-    if route == "direct":
-        rows = []
-        for u in others:
-            row = []
-            beta = dist[u][pivot]
-            for v in others:
-                row.append(qmat[u, v] - q_integer(beta + dist[pivot][v]))
-            rows.append(row)
-        return RingMatrix(rows)
-    if route == "rowcol":
-        order = [pivot] + others
-        work = [[qmat[u, v] for v in order] for u in order]
-        for i in range(1, n):
-            work[i] = [a - b for a, b in zip(work[i], work[0])]
-        for j in range(1, n):
-            shift = Q ** dist[pivot][order[j]]
-            for i in range(n):
-                work[i][j] = work[i][j] - shift * work[i][0]
-        return RingMatrix([row[1:] for row in work[1:]])
-    raise ValueError(f"unknown construction route {route!r}")
+    return RingMatrix(
+        [
+            [qmat[u, v] - q_integer(dist[u][pivot] + dist[pivot][v]) for v in others]
+            for u in others
+        ]
+    )

@@ -5,7 +5,11 @@ vector, the balance constant and the local matrix as sums of gcd-reduced
 RationalFunction terms, which are then cleared over delta with
 _fastpoly.cleared.  closedform.ClearedForms must give the same integer lists.
 det_cofactor is the naive cofactor expansion that the Bareiss determinant is
-checked against, identity builds the identity matrices the tests multiply by,
+checked against, inverse_gauss is Gauss-Jordan elimination over the
+rational-function field, the route that _moddet.adjugate and
+oracle.oracle_inverse are checked against, rowcol_cofactor_matrix is the
+row-and-column construction that qdist.cofactor_matrix is checked against,
+identity builds the identity matrices the tests multiply by,
 and formulas_large_graphs and oracle_large_graphs build the reference graphs
 of those benchmark workloads.
 
@@ -25,7 +29,8 @@ independent route that _fastpoly.gcd_cofactors is checked against.
 dense_eliminate is the fraction-free elimination that updates every row at
 every step, dividing each update by the previous pivot: the route that
 _moddet._eliminate, which skips rows with a zero multiplier, is checked
-against, and whole_det_int_poly_matrix is the determinant by that
+against, and in Gauss-Jordan mode the route that the back-substituted
+adjugate is checked against; whole_det_int_poly_matrix is the determinant by that
 elimination of the whole packed matrix, last row included: the route that
 _moddet.det_int_poly_matrix, which never updates the last row, is checked
 against.  psub_bordered_rows builds qdist.bordered_rows with psub from
@@ -55,7 +60,7 @@ from qbiblock.closedform import (
     cofactor_core,
     det_core,
 )
-from qbiblock.exactring import ONE, Polynomial, Q, RF_ZERO, RationalFunction
+from qbiblock.exactring import ONE, Polynomial, Q, RF_ONE, RF_ZERO, RationalFunction
 from qbiblock.graph import Attachment, BlockSpec, build, distances, random_biblock, random_tree
 from qbiblock.matrix import DimensionError, RingMatrix
 from qbiblock.qdist import bfs_parents, q_distance_rows
@@ -262,6 +267,47 @@ def det_cofactor(m: RingMatrix):
     return acc
 
 
+def inverse_gauss(m: RingMatrix) -> RingMatrix:
+    """Exact inverse of a square matrix over the rational-function field, by
+    plain Gauss-Jordan with field division; raises _moddet.SingularError
+    with the elimination step at which no pivot exists."""
+    if not m.is_square:
+        raise DimensionError("inverse requires a square matrix")
+    n = m.nrows
+    aug = []
+    for i, row in enumerate(m.rows):
+        lifted = [e if isinstance(e, RationalFunction) else RationalFunction(e) for e in row]
+        aug.append(lifted + [RF_ONE if j == i else RF_ZERO for j in range(n)])
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not aug[i][k].is_zero), None)
+        if piv is None:
+            raise _moddet.SingularError(f"matrix is singular (no pivot at elimination step {k})")
+        aug[k], aug[piv] = aug[piv], aug[k]
+        inv = aug[k][k].inv()
+        row_k = aug[k] = [e * inv for e in aug[k]]
+        for i in range(n):
+            f = aug[i][k]
+            if i != k and not f.is_zero:
+                aug[i] = [a - f * b for a, b in zip(aug[i], row_k)]
+    return RingMatrix([row[n:] for row in aug])
+
+
+def rowcol_cofactor_matrix(qmat: RingMatrix, dist: list[list[int]], pivot: int = 0) -> RingMatrix:
+    """qdist.cofactor_matrix by row and column operations: the pivot row
+    subtracted from every other row, then q**alpha_j times the pivot column
+    from every other column j, alpha_j the distance from the pivot to j."""
+    n = qmat.nrows
+    order = [pivot] + [v for v in range(n) if v != pivot]
+    work = [[qmat[u, v] for v in order] for u in order]
+    for i in range(1, n):
+        work[i] = [a - b for a, b in zip(work[i], work[0])]
+    for j in range(1, n):
+        shift = Q ** dist[pivot][order[j]]
+        for i in range(n):
+            work[i][j] = work[i][j] - shift * work[i][0]
+    return RingMatrix([row[1:] for row in work[1:]])
+
+
 def identity(n: int, zero, one) -> RingMatrix:
     return RingMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
@@ -377,11 +423,13 @@ def first_of_class_trees(max_n: int) -> tuple[tuple[BlockSpec, ...], ...]:
     return tuple(out)
 
 
-def dense_eliminate(mat: list[list[int]], jordan: bool) -> tuple[int, int]:
+def dense_eliminate(mat: list[list[int]], jordan: bool = False) -> tuple[int, int]:
     """_moddet._eliminate with every row updated at every step: each update
     (pivot * entry - multiplier * pivot_row_entry) is exactly divisible by
-    the previous pivot.  Returns the sign of the row swaps and the last
-    pivot; raises _moddet.SingularError."""
+    the previous pivot.  With jordan, the rows above each pivot are updated
+    too (Gauss-Jordan), so [A | I] ends at [p I | s adj(A)], p = det(P A)
+    and s the sign of the row swaps P.  Returns the sign of the row swaps
+    and the last pivot; raises _moddet.SingularError."""
     n = len(mat)
     sign = prev = 1
     for k in range(n):
@@ -414,9 +462,7 @@ def whole_det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
     bound = _moddet.hadamard_bound(entries)
     k = _moddet._digit_bits(bound)
     try:
-        sign, pivot = _moddet._eliminate(
-            [[_moddet.pack(e, k) for e in row] for row in entries], jordan=False
-        )
+        sign, pivot = _moddet._eliminate([[_moddet.pack(e, k) for e in row] for row in entries])
     except _moddet.SingularError:
         return []
     return _moddet.unpack(sign * pivot, k, bound)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import qbiblock
 from qbiblock.exactring import Polynomial, RationalFunction
+from qbiblock import matrix
 from qbiblock.matrix import RingMatrix
 
 PACKAGE = Path(qbiblock.__file__).resolve().parent
@@ -81,9 +82,16 @@ def test_all_is_exactly_what_the_package_imports():
     assert len(qbiblock.__all__) == len(set(qbiblock.__all__))
     for name in qbiblock.__all__:
         assert getattr(qbiblock, name) is not None, name
-    removed = {"block_degree", "eval_at", "q_matrix_from_distances"}
+    removed = {
+        "block_degree",
+        "eval_at",
+        "q_matrix_from_distances",
+        "inverse_gauss",
+        "SingularMatrixError",
+    }
     assert not removed & set(qbiblock.__all__)
     assert not any(hasattr(qbiblock, name) for name in removed)
+    assert not any(hasattr(matrix, name) for name in removed)
     assert not hasattr(Polynomial, "gcd") and not hasattr(Polynomial, "lead")
     assert not hasattr(RationalFunction, "exact_div")
     assert not hasattr(RingMatrix, "from_blocks") and RingMatrix.__hash__ is None

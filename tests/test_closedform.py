@@ -50,13 +50,14 @@ from qbiblock.graph import (
     random_tree,
     star_tree,
 )
-from qbiblock.matrix import RingMatrix, det_bareiss, inverse_gauss, rf_matrix
+from qbiblock.matrix import RingMatrix, det_bareiss, rf_matrix
 from qbiblock.oracle import all_trees, default_corpus
 from qbiblock.qdist import q_distance_matrix, q_distance_rows
 from helpers import (
     ReferenceClearedForms,
     formulas_large_graphs,
     identity,
+    inverse_gauss,
     reference_check_conditions,
     reference_graph_cofactor,
     reference_graph_det,

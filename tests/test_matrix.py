@@ -8,16 +8,14 @@ import pytest
 
 from qbiblock import _fastpoly, _moddet
 from qbiblock.exactring import ONE, Q, ZERO, Polynomial, RationalFunction, RF_ONE, RF_ZERO
-from qbiblock.matrix import (
-    DimensionError,
-    RingMatrix,
-    SingularMatrixError,
-    det_bareiss,
+from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss, outer, rf_matrix
+from helpers import (
+    dense_eliminate,
+    det_cofactor,
+    identity,
     inverse_gauss,
-    outer,
-    rf_matrix,
+    whole_det_int_poly_matrix,
 )
-from helpers import dense_eliminate, det_cofactor, identity, whole_det_int_poly_matrix
 
 
 def rand_poly(rng: random.Random, max_deg: int = 2, bound: int = 3) -> Polynomial:
@@ -108,9 +106,8 @@ def test_inverse_examples():
 
 def test_inverse_singular_error_carries_step():
     m = rf_matrix(RingMatrix([[ONE, ONE], [ONE, ONE]]))
-    with pytest.raises(SingularMatrixError) as exc:
+    with pytest.raises(_moddet.SingularError, match=r"no pivot at elimination step 1\)"):
         inverse_gauss(m)
-    assert exc.value.step == 1
 
 
 def test_inverse_times_matrix_is_identity():
@@ -343,17 +340,15 @@ def structured_matrices(rng: random.Random) -> list[list[list[int]]]:
     return [diagonal, bordered, patterned, zero_column, swapped, singular]
 
 
-def eliminated(engine, mat: list[list[int]], jordan: bool):
-    """(sign, last pivot) and, for Gauss-Jordan, the right block of [A | I],
-    or the SingularError text."""
-    n = len(mat)
-    work = [list(row) + ([int(i == j) for j in range(n)] if jordan else [])
-            for i, row in enumerate(mat)]
+def eliminated(engine, mat: list[list[int]]):
+    """(sign, last pivot) and each row from its own pivot on, the part that
+    back-substitution reads, or the SingularError text."""
+    work = [list(row) for row in mat]
     try:
-        result = engine(work, jordan)
+        result = engine(work)
     except _moddet.SingularError as error:
         return str(error)
-    return result, [row[n:] for row in work]
+    return result, [row[i:] for i, row in enumerate(work)]
 
 
 def test_elimination_skipping_zero_multipliers_matches_the_dense_loop():
@@ -361,12 +356,43 @@ def test_elimination_skipping_zero_multipliers_matches_the_dense_loop():
     for seed in range(300):
         rng = random.Random(seed)
         for mat in structured_matrices(rng):
-            for jordan in (False, True):
-                expected = eliminated(dense_eliminate, mat, jordan)
-                assert eliminated(_moddet._eliminate, mat, jordan) == expected, (seed, mat)
-                singular += isinstance(expected, str)
+            expected = eliminated(dense_eliminate, mat)
+            assert eliminated(_moddet._eliminate, mat) == expected, (seed, mat)
+            singular += isinstance(expected, str)
     # the zero-column and repeated-row cases, at least, raise
-    assert singular >= 2 * 2 * 300
+    assert singular >= 2 * 300
+
+
+def dense_adjugate(mat: list[list[int]]):
+    """_moddet.adjugate of an integer matrix, as constant polynomials, from
+    the right block s adj(A) of the dense Gauss-Jordan on [A | I]; or the
+    SingularError text, the adjugate's own for a zero row."""
+    n = len(mat)
+    zero = next((i for i, row in enumerate(mat) if not any(row)), None)
+    if zero is not None:
+        return f"matrix is singular (row {zero} is zero)"
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    try:
+        sign, pivot = dense_eliminate(work, jordan=True)
+    except _moddet.SingularError as error:
+        return str(error)
+    return [sign * pivot], constant_rows([[sign * v for v in row[n:]] for row in work])
+
+
+def test_back_substituted_adjugate_matches_the_dense_gauss_jordan():
+    singular = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        for mat in structured_matrices(rng):
+            expected = dense_adjugate(mat)
+            try:
+                got = _moddet.adjugate(constant_rows(mat))
+            except _moddet.SingularError as error:
+                got = str(error)
+            assert got == expected, (seed, mat)
+            singular += isinstance(expected, str)
+    # the zero-column and repeated-row cases, at least, raise
+    assert singular >= 2 * 300
 
 
 class CountingRow(list):
@@ -394,7 +420,7 @@ class CountingRow(list):
 
 def row_updates(engine, mat: list[list[int]]) -> int:
     counter = {"step": -1, "updates": 0}
-    engine([CountingRow(row, counter) for row in mat], False)
+    engine([CountingRow(row, counter) for row in mat])
     return counter["updates"]
 
 
@@ -404,7 +430,7 @@ def nonsingular_blocks_and_border(rng: random.Random):
     while len(blocks) < 5:
         size = rng.randint(1, 5)
         block = [[nonzero(rng) for _ in range(size)] for _ in range(size)]
-        if not isinstance(eliminated(dense_eliminate, block, False), str):
+        if not isinstance(eliminated(dense_eliminate, block), str):
             blocks.append(block)
     border = [nonzero(rng) for _ in range(2 * sum(map(len, blocks)))] + [1000]
     return blocks, border
@@ -433,7 +459,7 @@ def test_bordered_determinant_never_updates_the_last_row():
     counter = {"step": -1, "updates": 0}
     rows = [CountingRow(row, counter) for row in mat]
     det = _moddet._bordered_det(rows)
-    sign, pivot = dense_eliminate([list(row) for row in mat], False)
+    sign, pivot = dense_eliminate([list(row) for row in mat])
     assert det == sign * pivot != 0
     # the dense border row is read, never written
     assert rows[-1].updates == 0 and rows[-1] == mat[-1]
@@ -452,7 +478,7 @@ def test_bordered_determinant_matches_the_whole_matrix_elimination():
         for mat in structured_matrices(rng):
             entries = constant_rows(mat)
             assert _moddet.det_int_poly_matrix(entries) == whole_det_int_poly_matrix(entries)
-            fallbacks += isinstance(eliminated(_moddet._eliminate, mat[:-1], False), str)
+            fallbacks += isinstance(eliminated(_moddet._eliminate, mat[:-1]), str)
     # every zero-column case, and others, has a singular leading block
     assert fallbacks > 300
     rng = random.Random(8128)

@@ -10,8 +10,10 @@ from helpers import (
     center_tree_code,
     cofactor_rows,
     first_of_class_trees,
+    inverse_gauss,
     oracle_large_graphs,
     parent_differenced,
+    rowcol_cofactor_matrix,
     separate_det_and_cofactor,
 )
 
@@ -233,8 +235,8 @@ def test_integer_rows_equal_the_ring_matrices_on_the_corpus():
         qmat = q_distance_matrix(g)
         assert q_distance_rows(dist) == int_rows(qmat), name
         cof = cofactor_rows(dist)
-        assert cof == int_rows(cofactor_matrix(qmat, dist, route="direct")), name
-        assert cof == int_rows(cofactor_matrix(qmat, dist, route="rowcol")), name
+        assert cof == int_rows(cofactor_matrix(qmat, dist)), name
+        assert cof == int_rows(rowcol_cofactor_matrix(qmat, dist)), name
 
 
 def test_parent_differenced_subtracts_each_parent_row_and_leaves_small_entries():
@@ -275,6 +277,19 @@ def test_oracle_inverse_examples():
     assert oracle_inverse(g12) == closedform.block_inverse(1, 2)
     g_random = build(random_biblock(5, 3, 2))
     assert oracle_inverse(g_random) == closedform.graph_inverse(g_random)
+
+
+def test_oracle_inverse_matches_rational_function_gauss_jordan():
+    # the adjugate over its determinant against field elimination on the
+    # ring matrix: 9 blocks, 13 trees and the 41 random corpus graphs with
+    # n <= 10
+    blocks = [[BlockSpec(s, t)] for s in range(1, 4) for t in range(1, 4)]
+    randoms = [specs for name, specs in default_corpus(7) if name.startswith("random")]
+    graphs = [build(specs) for specs in blocks + list(all_trees(6)) + randoms]
+    graphs = [g for g in graphs if g.n <= 10]
+    assert len(graphs) == 9 + 13 + 41
+    for g in graphs:
+        assert oracle_inverse(g) == inverse_gauss(rf_matrix(q_distance_matrix(g))), g.n
 
 
 def test_verify_single_edge_all_checks_pass():

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from helpers import oracle_large_graphs, psub_bordered_rows, whole_det_int_poly_matrix
+from helpers import (
+    oracle_large_graphs,
+    psub_bordered_rows,
+    rowcol_cofactor_matrix,
+    whole_det_int_poly_matrix,
+)
 
 from qbiblock import _moddet
 from qbiblock.exactring import ONE, Q, ZERO, q_integer
@@ -65,7 +70,8 @@ def test_construction_routes_agree():
         g = build(random_biblock(seed, 4, 3))
         m = q_distance_matrix(g)
         d = distances(g)
-        assert cofactor_matrix(m, d, route="direct") == cofactor_matrix(m, d, route="rowcol")
+        for pivot in (0, g.n // 2, g.n - 1):
+            assert cofactor_matrix(m, d, pivot) == rowcol_cofactor_matrix(m, d, pivot)
 
 
 def test_cofactor_determinant_is_pivot_independent():
@@ -86,8 +92,6 @@ def test_errors():
         cofactor_matrix(m, [[0]])
     with pytest.raises(DimensionError):
         cofactor_matrix(m, d, pivot=9)
-    with pytest.raises(ValueError):
-        cofactor_matrix(m, d, route="sideways")
 
 
 def test_bfs_parents_are_neighbours_one_step_closer_to_vertex_0():
@@ -108,7 +112,7 @@ def ring_bordered(g, corner=ZERO) -> list[list]:
     route's cofactor matrix at pivot 0 with the column [d(u, 0)]_q, then the
     row [d(0, v)]_q and the corner."""
     qmat = q_distance_matrix(g)
-    cof = cofactor_matrix(qmat, distances(g), route="rowcol")
+    cof = rowcol_cofactor_matrix(qmat, distances(g))
     rows = [list(row) + [qmat[u, 0]] for u, row in enumerate(cof.rows, start=1)]
     return rows + [[qmat[0, v] for v in range(1, g.n)] + [corner]]
 
