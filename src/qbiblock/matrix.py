@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .exactring import RationalFunction
-
 
 class DimensionError(ValueError):
     """Raised when matrix dimensions do not conform."""
@@ -129,11 +127,6 @@ class RingMatrix:
 def outer(u: Sequence, v: Sequence) -> RingMatrix:
     """Outer product: entry (i, j) = u[i] * v[j]."""
     return RingMatrix([[ui * vj for vj in v] for ui in u])
-
-
-def rf_matrix(m: RingMatrix) -> RingMatrix:
-    """Lift a matrix of polynomials into the rational-function field."""
-    return m.map(RationalFunction)
 
 
 # -- determinant ------------------------------------------------------------

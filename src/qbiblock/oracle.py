@@ -3,13 +3,26 @@
 The oracles never call the closed-form code paths: they work from the
 distance table alone, so agreement between the two routes is evidence, not
 tautology.  The determinant and the reduced cofactor come from one packed
-determinant, of the q-distance matrix bordered at pivot 0 with corner q^M
+determinant, of the q-distance matrix bordered at a root r with corner q^M
 (qdist.bordered_rows, rows differenced against their BFS parents' rows): it
 is det D + q^M * cofactor, and M, one more than the row-degree sum, bounds
 deg det D a priori, so the coefficients below q^M are det D and the rest the
-cofactor.  The engine's Hadamard bound covers both readouts.  Vertex 0's
+cofactor.  The engine's Hadamard bound covers both readouts.  The root's
 row, dense and with the corner, comes last, where the engine reads it once
-and never updates it.  The inverse oracle is adj(D) / det(D): the same
+and never updates it.
+
+The root and the row order are read off the distance table: the root is a
+centre (least eccentricity), of least distance sum among the centres, and
+the other vertices follow in BFS levels from it, each level by distance
+sum, ties in vertex order.  Relabelling rows and columns together keeps
+det D, and the cofactor does not depend on the root: with
+a_r = (q^d(r, v))_v, the cofactor at r is det D * a_r^T D^-1 1, and since
+q^d = 1 - (1 - q) [d]_q, a_r = 1 - (1 - q) D e_r, so
+a_r^T D^-1 1 = 1^T D^-1 1 + q - 1 for every r, Bapat-Lal-Pati's lambda
+(LAA 2006).  A root of small eccentricity keeps the entries' degrees,
+d(p, r) + d(r, v), and so the packed digits and the Bareiss intermediates,
+small; the order makes the cost a function of the graph, not of its
+labelling.  The inverse oracle is adj(D) / det(D): the same
 engine eliminates [D | I] and back-substitutes on each column of I
 (_moddet.adjugate).
 
@@ -91,8 +104,14 @@ def oracle_det_and_cofactor(g: BiBlockGraph) -> tuple[Polynomial, Polynomial]:
 
 def _det_and_cofactor(dist: list[list[int]]) -> tuple[list[int], list[int]]:
     """oracle_det_and_cofactor of the graph with distance table dist, as
-    coefficient lists."""
-    rows, m = bordered_rows(dist)
+    coefficient lists.  The root is a centre, of least distance sum among
+    the centres; the other vertices follow in BFS levels from it, each level
+    by distance sum, ties in vertex order."""
+    total = list(map(sum, dist))
+    root = min(range(len(dist)), key=lambda v: (max(dist[v]), total[v]))
+    level = dist[root]
+    order = sorted(range(len(dist)), key=lambda v: (level[v], total[v]))
+    rows, m = bordered_rows([[dist[u][v] for v in order] for u in order])
     coeffs = _moddet.det_int_poly_matrix(rows)
     return _fastpoly.pstrip(coeffs[:m]), coeffs[m:]
 
@@ -103,7 +122,7 @@ def oracle_det(g: BiBlockGraph) -> Polynomial:
 
 
 def oracle_cofactor(g: BiBlockGraph) -> Polynomial:
-    """Reduced cofactor at pivot 0 (oracle_det_and_cofactor)."""
+    """Reduced cofactor, the same at every pivot (oracle_det_and_cofactor)."""
     return oracle_det_and_cofactor(g)[1]
 
 

@@ -6,7 +6,10 @@ is the determinant of an (n-1) x (n-1) matrix obtained from a pivot vertex,
 each entry read off the distance table (cofactor_matrix).
 
 The oracles read one integer-list matrix off the distance table,
-bordered_rows.  Subtracting the pivot row from every other row and then
+bordered_rows, pivoted at the table's vertex 0; the oracle renumbers the
+table first, so that its vertex 0 is a centre of the graph, and the
+cofactor is the same at every pivot (oracle module docstring).
+Subtracting the pivot row from every other row and then
 q^d(0, v) times the pivot column from every other column v turns D into
 [[0, alpha^T], [beta, C]], with alpha_v = [d(0, v)]_q, beta_u = [d(u, 0)]_q
 and C the cofactor matrix at pivot 0.  Moving the pivot last shifts the rows

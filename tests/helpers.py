@@ -9,14 +9,18 @@ checked against, inverse_gauss is Gauss-Jordan elimination over the
 rational-function field, the route that _moddet.adjugate and
 oracle.oracle_inverse are checked against, rowcol_cofactor_matrix is the
 row-and-column construction that qdist.cofactor_matrix is checked against,
-identity builds the identity matrices the tests multiply by,
+rf_matrix lifts a polynomial matrix into the rational-function field for
+those routes, identity builds the identity matrices the tests multiply by,
 and formulas_large_graphs and oracle_large_graphs build the reference graphs
 of those benchmark workloads.
 
 separate_det_and_cofactor is the second route to oracle_det_and_cofactor:
 two packed determinants, of the q-distance matrix and of the cofactor matrix
 at pivot 0 (cofactor_rows), each with its rows differenced against their BFS
-parents' rows (parent_differenced).
+parents' rows (parent_differenced).  vertex0_det_and_cofactor is the
+oracle's bordered determinant without its renumbering, rooted at vertex 0
+with rows in vertex order: the route that the centre-rooted oracle is
+checked against.
 
 reference_graph_det and reference_graph_cofactor compose the block
 determinants and cofactors block by block, by the product rule, with no
@@ -63,7 +67,7 @@ from qbiblock.closedform import (
 from qbiblock.exactring import ONE, Polynomial, Q, RF_ONE, RF_ZERO, RationalFunction
 from qbiblock.graph import Attachment, BlockSpec, build, distances, random_biblock, random_tree
 from qbiblock.matrix import DimensionError, RingMatrix
-from qbiblock.qdist import bfs_parents, q_distance_rows
+from qbiblock.qdist import bfs_parents, bordered_rows, q_distance_rows
 
 QP1 = Q + 1
 
@@ -308,6 +312,11 @@ def rowcol_cofactor_matrix(qmat: RingMatrix, dist: list[list[int]], pivot: int =
     return RingMatrix([row[1:] for row in work[1:]])
 
 
+def rf_matrix(m: RingMatrix) -> RingMatrix:
+    """Lift a matrix of polynomials into the rational-function field."""
+    return m.map(RationalFunction)
+
+
 def identity(n: int, zero, one) -> RingMatrix:
     return RingMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
@@ -365,6 +374,13 @@ def parent_differenced(
         row if p < skip else [_fastpoly.psub(a, b) for a, b in zip(row, rows[p - skip])]
         for row, p in zip(rows, bfs_parents(dist)[skip:])
     ]
+
+
+def vertex0_det_and_cofactor(dist: list[list[int]]) -> tuple[list[int], list[int]]:
+    """oracle._det_and_cofactor rooted at vertex 0, rows in vertex order."""
+    rows, m = bordered_rows(dist)
+    coeffs = _moddet.det_int_poly_matrix(rows)
+    return _fastpoly.pstrip(coeffs[:m]), coeffs[m:]
 
 
 def separate_det_and_cofactor(g) -> tuple[Polynomial, Polynomial]:

@@ -24,7 +24,7 @@ from qbiblock.closedform import (
 from qbiblock.exactring import Q
 from qbiblock.graph import BlockSpec, build, path_tree, random_tree, star_tree
 from qbiblock.exactring import RF_ONE, RF_ZERO
-from qbiblock.matrix import det_bareiss, rf_matrix
+from qbiblock.matrix import det_bareiss
 from qbiblock.oracle import (
     default_corpus,
     oracle_cofactor,
@@ -33,7 +33,7 @@ from qbiblock.oracle import (
     verify_graph,
 )
 from qbiblock.qdist import q_distance_matrix
-from helpers import identity
+from helpers import identity, rf_matrix
 
 QP1 = Q + 1
 

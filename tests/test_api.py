@@ -88,6 +88,7 @@ def test_all_is_exactly_what_the_package_imports():
         "q_matrix_from_distances",
         "inverse_gauss",
         "SingularMatrixError",
+        "rf_matrix",
     }
     assert not removed & set(qbiblock.__all__)
     assert not any(hasattr(qbiblock, name) for name in removed)

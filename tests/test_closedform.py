@@ -50,7 +50,7 @@ from qbiblock.graph import (
     random_tree,
     star_tree,
 )
-from qbiblock.matrix import RingMatrix, det_bareiss, rf_matrix
+from qbiblock.matrix import RingMatrix, det_bareiss
 from qbiblock.oracle import all_trees, default_corpus
 from qbiblock.qdist import q_distance_matrix, q_distance_rows
 from helpers import (
@@ -61,6 +61,7 @@ from helpers import (
     reference_check_conditions,
     reference_graph_cofactor,
     reference_graph_det,
+    rf_matrix,
 )
 from helpers import diagonal_weight_vector as reference_y
 

@@ -8,12 +8,13 @@ import pytest
 
 from qbiblock import _fastpoly, _moddet
 from qbiblock.exactring import ONE, Q, ZERO, Polynomial, RationalFunction, RF_ONE, RF_ZERO
-from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss, outer, rf_matrix
+from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss, outer
 from helpers import (
     dense_eliminate,
     det_cofactor,
     identity,
     inverse_gauss,
+    rf_matrix,
     whole_det_int_poly_matrix,
 )
 

@@ -13,8 +13,10 @@ from helpers import (
     inverse_gauss,
     oracle_large_graphs,
     parent_differenced,
+    rf_matrix,
     rowcol_cofactor_matrix,
     separate_det_and_cofactor,
+    vertex0_det_and_cofactor,
 )
 
 from qbiblock import _fastpoly, _moddet, closedform, oracle
@@ -28,7 +30,7 @@ from qbiblock.graph import (
     random_tree,
     star_tree,
 )
-from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss, rf_matrix
+from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss
 from qbiblock.oracle import (
     all_trees,
     default_corpus,
@@ -148,6 +150,64 @@ def test_oracle_matches_the_separate_routes_property():
         assert oracle_det_and_cofactor(g) == separate_det_and_cofactor(g)
 
     prop()
+
+
+def permuted(dist: list[list[int]], order: list[int]) -> list[list[int]]:
+    """The distance table with its vertices renumbered, order[i] becoming i."""
+    return [[dist[u][v] for v in order] for u in order]
+
+
+def test_centre_rooted_oracle_matches_the_vertex0_route():
+    # on the corpus and the oracle_large graphs as built, and under three
+    # seeded renumberings, which move vertex 0 and shuffle every level
+    graphs = [(name, build(specs)) for name, specs in default_corpus(7)]
+    graphs += [(f"oracle_large_{g.n}", g) for g in oracle_large_graphs()]
+    assert len(graphs) == 175
+    for name, g in graphs:
+        dist = distances(g)
+        want = vertex0_det_and_cofactor(dist)
+        assert oracle._det_and_cofactor(dist) == want, name
+        for seed in (1, 2, 3):
+            order = random.Random(f"{name}:{seed}").sample(range(g.n), g.n)
+            assert oracle._det_and_cofactor(permuted(dist, order)) == want, (name, seed)
+
+
+def test_bordered_determinant_does_not_depend_on_the_root():
+    # det D is kept by any renumbering; the cofactor read past q^M is
+    # det D * a^T D^-1 1 with a_v = q^d(r, v), the same for every root r
+    small = [(name, build(specs)) for name, specs in default_corpus(7)]
+    small = [(name, g) for name, g in small if g.n <= 12]
+    assert len(small) > 100
+    for name, g in small:
+        dist = distances(g)
+        want = vertex0_det_and_cofactor(dist)
+        for root in range(1, g.n):
+            order = [root] + [v for v in range(g.n) if v != root]
+            assert vertex0_det_and_cofactor(permuted(dist, order)) == want, (name, root)
+
+
+def test_oracle_roots_at_a_centre_and_orders_rows_by_level(monkeypatch):
+    seen = []
+
+    def recording(dist):
+        seen.append(dist)
+        return bordered_rows(dist)
+
+    monkeypatch.setattr(oracle, "bordered_rows", recording)
+    g = build(path_tree(9))
+    dist = distances(g)
+    assert oracle_det_and_cofactor(g) == tuple(map(Polynomial, vertex0_det_and_cofactor(dist)))
+    (rooted,) = seen
+    assert rooted[0] == [0, 1, 1, 2, 2, 3, 3, 4, 4] == sorted(dist[4])
+    assert rooted == permuted(dist, [4, 3, 5, 2, 6, 1, 7, 0, 8])
+    # a broom, the path 0-1-2-3-4 with leaves 5-8 on vertex 4: of the two
+    # centres, 2 and 3, vertex 3 has the least distance sum (15 against 18);
+    # each level goes by distance sum, 4 (14) before 2 (18), the leaves
+    # (21) before 1 (23)
+    g = build(path_tree(5) + [BlockSpec(1, 1, graph_attach(4))] * 4)
+    dist = distances(g)
+    assert oracle_det_and_cofactor(g) == tuple(map(Polynomial, vertex0_det_and_cofactor(dist)))
+    assert seen[1] == permuted(dist, [3, 4, 2, 5, 6, 7, 8, 1, 0])
 
 
 def test_degree_bound_exceeds_the_determinant_degree_on_the_corpus():
