@@ -55,14 +55,15 @@ its value is that term's coefficient, nonzero and smaller than ``2^k``, plus
 a multiple of ``2^k``.  So two polynomials equal at such a ``2^k`` are equal,
 for ``C`` a bound on the coefficients of their difference:
 
-* ``rank_one_mismatches``: ``D B = 1 r^T + d I`` for ``D`` the q-distance
-  matrix of a distance table, ``C = maxᵢ Σₖ dist(i, k) · max ‖bₖⱼ‖₁ +
-  maxⱼ ‖rⱼ‖₁ + ‖d‖₁``, the ``matmul`` bound plus the expected side's;
+* ``rank_one_mismatch``: ``D B = 1 r^T + d I`` for ``D`` the q-distance
+  matrix of a distance table, read off its ``distance_classes``,
+  ``C = maxᵢ Σₖ dist(i, k) · max ‖bₖⱼ‖₁ + maxⱼ ‖rⱼ‖₁ + ‖d‖₁``, the
+  ``matmul`` bound plus the expected side's;
 * ``adjugate_mismatch``: ``vᵢⱼ det(A) = b adj(A)ᵢⱼ`` on the packed
   ``adjugate``, ``C = C_A (max ‖vᵢⱼ‖₁ + ‖b‖₁)`` for ``C_A`` the Hadamard bound
   of ``A``, which bounds ``det(A)`` and every ``adj(A)ᵢⱼ`` as above.
 
-``rank_one_mismatches`` packs once more, a whole row into one integer of
+``rank_one_mismatch`` packs once more, a whole row into one integer of
 signed ``s``-bit slots: row ``t`` of ``B`` is ``Wₜ = Σⱼ bₜⱼ(2^k) 2^(s j)``
 and the expected row ``i`` is ``Rᵢ = Σⱼ (rⱼ + d [i = j])(2^k) 2^(s j)``.
 Entry ``(i, t)`` of ``D`` is ``[e]_q = Σ_{u<e} q^u``, ``e = dist(i, t)``,
@@ -292,40 +293,29 @@ def adjugate_mismatch(entries: list[list[list[int]]], values, index, den: list[i
     return None
 
 
-def rank_one_mismatches(
-    dist: list[list[int]], identities: list
-) -> list[tuple[int, int, list[int]] | None]:
-    """Check D B = 1 r^T + d I, D the q-distance matrix of the distance table
-    dist, for each (values, index, r, d) in identities: entry (i, j) of B is
-    values[index[i][j]], r has one integer list per column of B, and d is an
-    integer list, zero unless B is square.
-
-    Each result is None when its identity holds, else (i, j, (D B)_ij) at
-    the first failing entry in row order.  Each identity is packed at its own
-    2^k: (D B)_ij has coefficients at most C_prod = maxᵢ Σₖ dist(i, k) ·
-    max ‖values‖₁, since ‖[d]_q‖₁ = d, and r_j + d [i = j] at most
-    maxⱼ ‖r_j‖₁ + ‖d‖₁; C is their sum, so 2^k > 2C makes equal values
-    equal polynomials and reads (D B)_ij back exactly.  Each row of D B at
-    2^k is then one integer of slots, summed over the distance classes of
-    its row of D (module docstring).
-    """
-    row_norm = max(map(sum, dist))
-    # classes[i][e - 1]: the vertices at distance e from i, for e = 1 .. ecc(i)
+def distance_classes(dist: list[list[int]]) -> tuple[list[list[list[int]]], int, int]:
+    """(classes, row_norm, diameter) of a distance table, the shape that
+    rank_one_mismatch reads D from: classes[i][e - 1] lists the vertices at
+    distance e from i, for e = 1 .. ecc(i), row_norm = maxᵢ Σₖ dist(i, k)
+    bounds the 1-norm of a row of D, since ‖[d]_q‖₁ = d, and diameter is the
+    largest distance."""
     classes = []
     for row in dist:
         groups = [[] for _ in range(max(row) + 1)]
         for v, e in enumerate(row):
             groups[e].append(v)
         classes.append(groups[1:])
-    diameter = max(map(max, dist))
-    return [
-        _first_rank_one_mismatch(classes, row_norm, diameter, *identity)
-        for identity in identities
-    ]
+    return classes, max(map(sum, dist)), max(map(max, dist))
 
 
-def _first_rank_one_mismatch(classes, row_norm, diameter, values, index, r, d):
-    """rank_one_mismatches of one identity, one packed row of D B at a time."""
+def rank_one_mismatch(shape, values, index, r, d) -> tuple[int, int, list[int]] | None:
+    """(i, j, (D B)_ij) at the first failing entry, in row order, of
+    D B = 1 r^T + d I, or None when it holds: D is the q-distance matrix of
+    the distance table whose distance_classes are shape, entry (i, j) of B
+    is values[index[i][j]], r has one integer list per column of B, and d
+    is an integer list, zero unless B is square.  Packed at 2^k > 2C, C the
+    bound in the module docstring, each row of D B one integer of slots."""
+    classes, row_norm, diameter = shape
     product_bound = row_norm * max(map(_norm, values))
     k = _digit_bits(product_bound + max(map(_norm, r)) + _norm(d))
     packed = [pack(v, k) for v in values]

@@ -339,6 +339,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value starting with "-" for an option unless it reads
+    # as a number, as -3/5 does not, so such a value is joined to its --at
+    for i in reversed(range(len(argv) - 1)):
+        value = argv[i + 1]
+        if argv[i] == "--at" and value.startswith("-") and not value.startswith("--"):
+            argv[i:i + 2] = [f"--at={value}"]
     args = _parser().parse_args(argv)
     # exact values may run to many thousands of digits; the inputs stay
     # capped at MAX_DIGITS where they are parsed

@@ -26,7 +26,10 @@ labelling.  The inverse oracle is adj(D) / det(D): the same
 engine eliminates [D | I] and back-substitutes on each column of I
 (_moddet.adjugate).
 
-verify_graph runs a fixed list of identity checks per graph.  The matrix
+verify_graph runs a fixed list of identity checks per graph, one method each
+of a per-graph _Checks, whose shared inputs are built on first use and at
+most once: the cleared forms, the oracle's (det, cofactor) and the distance
+classes, read off the one distance table built first.  The matrix
 identities are verified over a cleared structural common denominator
 (q+1) * prod(distinct cofactor cores), which turns every rational-function
 identity into an equivalent integer-polynomial identity; the straight
@@ -35,17 +38,16 @@ cleared integer forms come from closedform.ClearedForms, their one owner,
 which builds them in integer-list arithmetic without a RationalFunction: the
 balance vector, the balance constant, the local matrix, the numerators of
 the inverse over its denominator, and the determinant and cofactor that the
-oracle's are compared with.  One ClearedForms serves every check of a
-graph, and one distance table serves the oracle and every check.  The three
-matrix identities, D X = Lambda 1, D (delta L) = 1 X^T - delta I and
-D N = delta Lambda I with X = delta x, share the shape D B = 1 r^T + d I;
-_moddet.rank_one_mismatches checks each at its own 2^k, each distinct entry
-of B packed once.  Each row of D B is one integer of slots, the rows of B
-summed over the distance classes of the distance table, with no product,
-and only a failing entry is read back, for its witness.  The
-elimination comparison checks N * det == delta Lambda * adj(D) on the packed
-values of that adjugate (_moddet.adjugate_mismatch), and the anchor sums
-are one _moddet.matmul.
+oracle's are compared with.  The three matrix identities, D X = Lambda 1,
+D (delta L) = 1 X^T - delta I and D N = delta Lambda I with X = delta x,
+share the shape D B = 1 r^T + d I; _moddet.rank_one_mismatch checks one at
+its own 2^k, each distinct entry of B packed once, with D read off
+_moddet.distance_classes.  Each row of D B is one integer of slots, the
+rows of B summed over the distance classes, with no product, and only a
+failing entry is read back, for its witness.  The elimination comparison
+checks N * det == delta Lambda * adj(D) on the packed values of that
+adjugate (_moddet.adjugate_mismatch), and the three sums of x are one
+_moddet.matmul.
 
 verify_corpus fans the graphs out over a process pool when asked for more
 than one job; reports come back in corpus order with per-graph wall times.
@@ -180,6 +182,106 @@ def _mismatch(where: str, got: list[int], want: list[int]) -> str | None:
     return f"{where}: {_clip(str(Polynomial(got)))} != {_clip(str(Polynomial(want)))}"
 
 
+class _Checks:
+    """The identity checks of one graph, one method per name of _CHECK_NAMES,
+    each returning its witness, or None when the check passes.  The inputs
+    that checks share are built on first use, at most once per graph."""
+
+    def __init__(self, specs, name: str):
+        self.name = name
+        self.g = build(specs)
+        self.dist = distances(self.g)
+
+    @functools.cached_property
+    def forms(self) -> ClearedForms:
+        return ClearedForms(self.g)
+
+    @functools.cached_property
+    def oracle(self) -> tuple[list[int], list[int]]:
+        return _det_and_cofactor(self.dist)
+
+    @functools.cached_property
+    def classes(self):
+        return _moddet.distance_classes(self.dist)
+
+    @functools.cached_property
+    def sums(self) -> list[list[int]]:
+        """sum_i x_i, sum_i w_i x_i and sum_i a_i x_i, with the last vertex as
+        anchor, d_i = [dist(i, anchor)]_q, a_i = 1 + (q - 1) d_i =
+        q^dist(i, anchor) and w_i = 1 + q + (q^2 - 1) d_i = (1 + q) a_i."""
+        anchor_d = [[1] * row[-1] for row in self.dist]
+        weights = [
+            [[1]] * len(anchor_d),
+            [_fastpoly.padd([1, 1], _fastpoly.pmul([-1, 0, 1], d)) for d in anchor_d],
+            [_fastpoly.padd([1], _fastpoly.pmul([-1, 1], d)) for d in anchor_d],
+        ]
+        return [row[0] for row in _moddet.matmul(weights, [[e] for e in self.forms.x])]
+
+    def det_vs_oracle(self) -> str | None:
+        return _mismatch("det", self.forms.det, self.oracle[0])
+
+    def cofactor_vs_oracle(self) -> str | None:
+        return _mismatch("cofactor", self.forms.cofactor, self.oracle[1])
+
+    def balance_constant_nonzero(self) -> str | None:
+        return None if self.forms.lam else f"balance constant is zero for {self.name}"
+
+    def matrix_times_balance_is_constant(self) -> str | None:
+        forms = self.forms
+        if found := _moddet.rank_one_mismatch(
+            self.classes, forms.x, [[i] for i in range(self.g.n)], [forms.lam], []
+        ):
+            return _mismatch(f"row {found[0]}", found[2], forms.lam)
+        return None
+
+    def balance_vector_sum(self) -> str | None:
+        expected = _fastpoly.psub(self.forms.delta, _fastpoly.pmul([-1, 1], self.forms.lam))
+        return _mismatch("sum", self.sums[0], expected)
+
+    def anchor_weighted_sum(self) -> str | None:
+        return _mismatch("anchor sum", self.sums[1], _fastpoly.pmul([1, 1], self.forms.delta))
+
+    def anchor_affine_sum(self) -> str | None:
+        return _mismatch("anchor sum", self.sums[2], self.forms.delta)
+
+    def local_matrix_product(self) -> str | None:
+        # D L = 1 x^T - delta I, shown as (D L + delta I)_ij against x_j
+        forms = self.forms
+        if found := _moddet.rank_one_mismatch(
+            self.classes, *forms.local, forms.x, _fastpoly.pscale(forms.delta, -1)
+        ):
+            i, j, got = found
+            shown = _fastpoly.padd(got, forms.delta) if i == j else got
+            return _mismatch(f"entry ({i},{j})", shown, forms.x[j])
+        return None
+
+    def inverse_product(self) -> str | None:
+        # entry (i, j) of the inverse is numerators[index[i][j]] / inverse_den
+        forms = self.forms
+        if found := _moddet.rank_one_mismatch(
+            self.classes, *forms.inverse, [[]] * self.g.n, forms.inverse_den
+        ):
+            i, j, got = found
+            return _mismatch(f"entry ({i},{j})", got, forms.inverse_den if i == j else [])
+        return None
+
+    def inverse_vs_elimination(self) -> str | None:
+        # inverse / inverse_den == adj / det, cross-multiplied
+        (numerators, index), den = self.forms.inverse, self.forms.inverse_den
+        try:
+            found = _moddet.adjugate_mismatch(q_distance_rows(self.dist), numerators, index, den)
+        except _moddet.SingularError as exc:
+            return f"elimination failed: {exc}"
+        if found is None:
+            return None
+        i, j, elim_det, elim_adj = found
+        return _mismatch(
+            f"entry ({i},{j})",
+            _fastpoly.pmul(numerators[index[i][j]], elim_det),
+            _fastpoly.pmul(den, elim_adj),
+        )
+
+
 def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
     """Run the identity checks on one graph; failures carry a first-mismatch witness.
 
@@ -190,109 +292,13 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
     unknown = wanted - set(_CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown check names: {sorted(unknown)}")
-    g = build(specs)
-    n = g.n
+    checks = _Checks(specs, name)
+    n = checks.g.n
     if n > _ELIMINATION_COMPARE_MAX:
-        # the comparison does not run here, so nothing is built for it below
         wanted.discard("inverse_vs_elimination")
-    dist = distances(g)
-    # the witness of each check that runs; None when it passes
-    witnesses: dict[str, str | None] = {}
-
-    # the cleared closed forms shared by every check below; det, cofactor,
-    # x, the local entries and the inverse numerators are built only when a
-    # check reads them
-    if wanted:
-        forms = ClearedForms(g)
-
-    # determinant and cofactor against the elimination oracles
-    if wanted & {"det_vs_oracle", "cofactor_vs_oracle"}:
-        odet, ocof = _det_and_cofactor(dist)
-        if "det_vs_oracle" in wanted:
-            witnesses["det_vs_oracle"] = _mismatch("det", forms.det, odet)
-        if "cofactor_vs_oracle" in wanted:
-            witnesses["cofactor_vs_oracle"] = _mismatch("cofactor", forms.cofactor, ocof)
-
-    if "balance_constant_nonzero" in wanted:
-        witnesses["balance_constant_nonzero"] = (
-            None if forms.lam else f"balance constant is zero for {name}"
-        )
-
-    # the identities D B = 1 r^T + d I, each with the renderer of the
-    # witness of its first failing entry (i, j, (D B)_ij)
-    identities = {}
-    if "matrix_times_balance_is_constant" in wanted:
-        identities["matrix_times_balance_is_constant"] = (
-            (forms.x, [[i] for i in range(n)], [forms.lam], []),
-            lambda i, j, got: _mismatch(f"row {i}", got, forms.lam),
-        )
-    if "local_matrix_product" in wanted:
-        # shown as (D L + delta I)_ij against x_j
-        identities["local_matrix_product"] = (
-            (*forms.local, forms.x, _fastpoly.pscale(forms.delta, -1)),
-            lambda i, j, got: _mismatch(
-                f"entry ({i},{j})", _fastpoly.padd(got, forms.delta) if i == j else got, forms.x[j]
-            ),
-        )
-    if "inverse_product" in wanted:
-        # entry (i, j) of the inverse is numerators[index[i][j]] / forms.inverse_den
-        identities["inverse_product"] = (
-            (*forms.inverse, [[]] * n, forms.inverse_den),
-            lambda i, j, got: _mismatch(
-                f"entry ({i},{j})", got, forms.inverse_den if i == j else []
-            ),
-        )
-    if identities:
-        found = _moddet.rank_one_mismatches(dist, [identity for identity, _ in identities.values()])
-        for (check_name, (_, render)), mismatch in zip(identities.items(), found):
-            witnesses[check_name] = mismatch and render(*mismatch)
-
-    if "balance_vector_sum" in wanted:
-        total: list[int] = []
-        for e in forms.x:
-            total = _fastpoly.padd(total, e)
-        expected = _fastpoly.psub(forms.delta, _fastpoly.pmul([-1, 1], forms.lam))
-        witnesses["balance_vector_sum"] = _mismatch("sum", total, expected)
-
-    if wanted & {"anchor_weighted_sum", "anchor_affine_sum"}:
-        # sum_i w_i x_i and sum_i a_i x_i, with d_i = q^dist(i, anchor),
-        # w_i = 1 + q + (q^2 - 1) d_i and a_i = 1 + (q - 1) d_i
-        anchor_d = [[1] * row[n - 1] for row in dist]
-        weights = [
-            [_fastpoly.padd([1, 1], _fastpoly.pmul([-1, 0, 1], d)) for d in anchor_d],
-            [_fastpoly.padd([1], _fastpoly.pmul([-1, 1], d)) for d in anchor_d],
-        ]
-        (weighted,), (affine,) = _moddet.matmul(weights, [[e] for e in forms.x])
-        if "anchor_weighted_sum" in wanted:
-            expected = _fastpoly.pmul([1, 1], forms.delta)
-            witnesses["anchor_weighted_sum"] = _mismatch("anchor sum", weighted, expected)
-        if "anchor_affine_sum" in wanted:
-            witnesses["anchor_affine_sum"] = _mismatch("anchor sum", affine, forms.delta)
-
-    if "inverse_vs_elimination" in wanted:
-        # inverse / inverse_den == adj / det, cross-multiplied
-        numerators, index = forms.inverse
-        try:
-            found = _moddet.adjugate_mismatch(
-                q_distance_rows(dist), numerators, index, forms.inverse_den
-            )
-        except _moddet.SingularError as exc:
-            witness = f"elimination failed: {exc}"
-        else:
-            witness = None
-            if found:
-                i, j, elim_det, elim_adj = found
-                witness = _mismatch(
-                    f"entry ({i},{j})",
-                    _fastpoly.pmul(numerators[index[i][j]], elim_det),
-                    _fastpoly.pmul(forms.inverse_den, elim_adj),
-                )
-        witnesses["inverse_vs_elimination"] = witness
-
-    checks = tuple(
-        CheckResult(c, witnesses[c] is None, witnesses[c]) for c in _CHECK_NAMES if c in witnesses
-    )
-    return VerificationReport(name, tuple(specs), n, checks)
+    witnesses = {check: getattr(checks, check)() for check in _CHECK_NAMES if check in wanted}
+    results = tuple(CheckResult(check, w is None, w) for check, w in witnesses.items())
+    return VerificationReport(name, tuple(specs), n, results)
 
 
 # -- corpus -------------------------------------------------------------------

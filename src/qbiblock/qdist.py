@@ -51,32 +51,25 @@ def bordered_rows(dist: list[list[int]]) -> tuple[list[list[list[int]]], int]:
     lists with corner q^M.
 
     Row u != 0 is cofactor_matrix's row of u followed by [d(u, 0)]_q, less
-    the row of u's BFS parent p when p != 0: unit lower triangular in BFS
-    order, so the determinant is kept.  Vertex 0's row comes last.  M = 1 +
-    sum_i max_j deg B_ij, corner excluded, bounds deg det D.
+    the same row of u's BFS parent p, which is zero for p = 0: unit lower
+    triangular in BFS order, so the determinant is kept.  Vertex 0's row
+    comes last.  M = 1 + sum_i max_j deg B_ij, corner excluded, bounds
+    deg det D.
 
-    Each entry is read off the distance table.  With d = d(u, v) and
-    a = d(0, v), a neighbour u of 0 has [d]_q - [1 + a]_q, which is 0 or
-    -(q^d + ... + q^a), as d <= 1 + a.  Otherwise p is one step closer to 0
-    and to within one step of v, so [d]_q - [d(p, v)]_q is q^d(p, v), 0 or
-    -q^d; less q^e for [d(u, 0) + a]_q - [d(p, 0) + a]_q, e = d(p, 0) + a,
-    the entry is one of q^d(p, v) - q^e, -q^e and -q^d - q^e, of 1-norm at
-    most 2, and the last column's is q^d(p, 0).
+    Each entry is read off the distance table.  With d = d(u, v),
+    c = d(p, v) and a = d(0, v), p is one step closer to 0 and within one
+    step of v, so [d]_q - [c]_q is q^c, 0 or -q^d; less q^e for
+    [d(u, 0) + a]_q - [d(p, 0) + a]_q, e = d(p, 0) + a, the entry is one of
+    q^c - q^e, -q^e and -q^d - q^e, of 1-norm at most 2, and the last
+    column's is q^d(p, 0).  For p = 0, c = e = a, and the entry is 0, -q^a
+    or -q^(a-1) - q^a.
     """
     alpha = dist[0][1:]
     rows = []
     for row, p in zip(dist[1:], bfs_parents(dist)[1:]):
-        if p == 0:
-            entries = [
-                [0] * d + [-1] * (1 + a - d) if d <= a else [] for d, a in zip(row[1:], alpha)
-            ]
-            entries.append([1])
-        else:
-            shift = dist[p][0]
-            entries = [
-                _less_parent(d, c, shift + a) for d, c, a in zip(row[1:], dist[p][1:], alpha)
-            ]
-            entries.append([0] * shift + [1])
+        shift = dist[p][0]
+        entries = [_less_parent(d, c, shift + a) for d, c, a in zip(row[1:], dist[p][1:], alpha)]
+        entries.append([0] * shift + [1])
         rows.append(entries)
     rows.append([[1] * a for a in alpha] + [[]])
     m = 1 + sum(max(map(len, row)) - 1 for row in rows)

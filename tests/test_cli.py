@@ -107,6 +107,22 @@ def test_minus_one_is_rejected(capsys, k11):
         assert "q = -1" in err
 
 
+def test_at_takes_a_negative_fraction_as_its_own_argument(capsys, tmp_path):
+    # argparse reads -1 as a number but would take -3/5 for an option
+    path = write_graph(tmp_path, "p4.json", path_tree(4))
+    for command in ("det", "vectors", "inverse"):
+        for fmt in ("text", "json"):
+            joined = run_cli(capsys, command, path, "--at=-3/5", "--format", fmt)
+            assert joined[0] == 0 and joined[1], (command, fmt)
+            assert run_cli(capsys, command, path, "--at", "-3/5", "--format", fmt) == joined
+            assert run_cli(capsys, command, "--at", "-3/5", path, "--format", fmt) == joined
+    # -3 (1 + q)^2 at q = -3/5
+    assert run_cli(capsys, "det", path, "--at", "-3/5") == (0, "-12/25\n", "")
+    assert run_cli(capsys, "det", path, "--at", "-1") == (
+        3, "", "error: q = -1 is outside the admissible domain\n"
+    )
+
+
 def test_k11_at_one_passes_all_gates(capsys, k11):
     for command in ("det", "xi", "lambda", "vectors", "inverse"):
         code, _, err = run_cli(capsys, command, k11, "--at", "1")
@@ -328,6 +344,17 @@ def test_gen_pipes_into_det(checkout_env):
     )
     assert result.returncode == 0, (command, result.stderr)
     assert result.stdout == "-3 - 6q - 3q^2\n"
+
+
+def test_console_reads_a_negative_fraction_after_at(checkout_env):
+    command = (
+        f"{PYTHON} -m qbiblock.cli gen --kind tree --n 4 | "
+        f"{PYTHON} -m qbiblock.cli det - --at -3/5"
+    )
+    result = subprocess.run(
+        command, shell=True, capture_output=True, text=True, cwd=REPO_ROOT, env=checkout_env
+    )
+    assert (result.returncode, result.stdout) == (0, "-12/25\n"), (command, result.stderr)
 
 
 def test_gen_det_json_pipe_is_byte_stable(checkout_env):

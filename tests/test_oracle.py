@@ -32,6 +32,7 @@ from qbiblock.graph import (
 )
 from qbiblock.matrix import DimensionError, RingMatrix, det_bareiss
 from qbiblock.oracle import (
+    CheckResult,
     all_trees,
     default_corpus,
     oracle_cofactor,
@@ -529,6 +530,13 @@ def first_rank_one_mismatch(dist, values, index, r, d):
     return None
 
 
+def rank_one_mismatches(dist, identities) -> list:
+    """_moddet.rank_one_mismatch of each (values, index, r, d) in identities,
+    all read off one distance_classes of dist."""
+    shape = _moddet.distance_classes(dist)
+    return [_moddet.rank_one_mismatch(shape, *identity) for identity in identities]
+
+
 def rank_one_identities(g) -> list[tuple]:
     """verify's three identities D B = 1 r^T + d I of g, as (values, index, r, d)."""
     forms, n = closedform.ClearedForms(g), g.n
@@ -549,13 +557,13 @@ def with_entries(values, index, cells, change) -> tuple[list, list[list[int]]]:
     return values, index
 
 
-def test_rank_one_mismatches_agree_with_the_matmul_readout():
+def test_rank_one_mismatch_agrees_with_the_matmul_readout():
     rng = random.Random(1618)
     for seed in range(8):
         g = build(random_biblock(seed, 3, 3))
         dist, n = distances(g), g.n
         identities = rank_one_identities(g)
-        assert _moddet.rank_one_mismatches(dist, identities) == [None] * 3
+        assert rank_one_mismatches(dist, identities) == [None] * 3
         # one entry of B, of r or of d off by a nonzero term
         changed = []
         for values, index, r, d in identities:
@@ -571,11 +579,15 @@ def test_rank_one_mismatches_agree_with_the_matmul_readout():
             changed.append((values, index, r, d))
         expected = [first_rank_one_mismatch(dist, *identity) for identity in changed]
         assert None not in expected
-        assert _moddet.rank_one_mismatches(dist, changed) == expected, seed
+        assert rank_one_mismatches(dist, changed) == expected, seed
 
 
-def test_rank_one_mismatches_on_the_oracle_large_graphs_and_a_long_path():
+def test_rank_one_mismatch_on_the_oracle_large_graphs_and_a_long_path():
     # path_tree(40) has the most distance classes: 39 on its end rows
+    path = distances(build(path_tree(40)))
+    classes, row_norm, diameter = _moddet.distance_classes(path)
+    assert (len(classes[0]), len(classes[20]), row_norm, diameter) == (39, 20, 780, 39)
+    assert classes[0] == [[v] for v in range(1, 40)]
     rng = random.Random(2718)
 
     def negate(e):
@@ -587,13 +599,13 @@ def test_rank_one_mismatches_on_the_oracle_large_graphs_and_a_long_path():
     for g in [*oracle_large_graphs(), build(path_tree(40))]:
         dist, n = distances(g), g.n
         identities = rank_one_identities(g)
-        assert _moddet.rank_one_mismatches(dist, identities) == [None] * 3
+        assert rank_one_mismatches(dist, identities) == [None] * 3
         # D (-B) = 1 (-r)^T - d I holds with every slot of a row negated
         negated = [
             (list(map(negate, values)), index, list(map(negate, r)), negate(d))
             for values, index, r, d in identities
         ]
-        assert _moddet.rank_one_mismatches(dist, negated) == [None] * 3
+        assert rank_one_mismatches(dist, negated) == [None] * 3
         for values, index, r, d in identities:
             m = len(index[0])
             changed = [
@@ -614,7 +626,7 @@ def test_rank_one_mismatches_on_the_oracle_large_graphs_and_a_long_path():
                 changed.append((values, index, r, bump(d)))
             expected = [first_rank_one_mismatch(dist, *identity) for identity in changed]
             assert None not in expected
-            assert _moddet.rank_one_mismatches(dist, changed) == expected, (n, m)
+            assert rank_one_mismatches(dist, changed) == expected, (n, m)
 
 
 def changed_property(monkeypatch, cls, name, change) -> None:
@@ -655,7 +667,8 @@ def bumped_inverse(i: int, j: int, term: list[int]):
 
 # the witness of each packed check with one closed-form entry off, on a
 # 7-vertex graph; recorded from the entry-by-entry comparison that read every
-# product back into coefficient lists
+# product back into coefficient lists, and for the three sums of x from the
+# term-by-term sum of x and a two-row product for the anchor sums
 WITNESS_PINS = [
     ("matrix_times_balance_is_constant", "x", lambda x: bumped_list(x, 2, [0, 1]),
      "row 0: -6 + 3q + 4q^2 != -6 + 2q + 4q^2"),
@@ -674,6 +687,14 @@ WITNESS_PINS = [
      "entry (1,0): 6 - 2q - 100q^2 - 208q^3 - 30q^4 + 344q^5 + 374q^6 + 20q^7 - 208q^8"
      " - 150q^9 - 42q^10 - 4q^11 != 6 - 2q - 106q^2 - 236q^3 - 76q^4 + 324q^5 + 404q^6"
      " + 64q^7 - 186q^8 - 146q^9 - 42q^10 - 4q^11"),
+    ("balance_vector_sum", "x", lambda x: bumped_list(x, 2, [0, 1]),
+     "sum: -7 + 8q + 3q^2 - 3q^3 != -7 + 7q + 3q^2 - 3q^3"),
+    ("balance_vector_sum", "x", lambda x: bumped_list(x, 4, [0, 0, -1]),
+     "sum: -7 + 7q + 2q^2 - 3q^3 != -7 + 7q + 3q^2 - 3q^3"),
+    ("anchor_weighted_sum", "x", lambda x: bumped_list(x, 2, [0, 1]),
+     "anchor sum: -1 - 2q + 3q^3 + 2q^4 != -1 - 2q + 2q^3 + q^4"),
+    ("anchor_affine_sum", "x", lambda x: bumped_list(x, 4, [0, 0, -1]),
+     "anchor sum: -1 - q + q^2 + q^3 - q^4 != -1 - q + q^2 + q^3"),
 ]
 
 
@@ -683,6 +704,29 @@ def test_packed_checks_render_the_pinned_witness(monkeypatch, check, name, chang
     specs = [BlockSpec(2, 2), BlockSpec(1, 3, graph_attach(1))]
     (result,) = verify_graph(specs, "g", select=[check]).checks
     assert (result.name, result.passed, result.witness) == (check, False, witness)
+
+
+def results_one_check_at_a_time(specs, name: str) -> tuple:
+    """The CheckResult of each check of verify_graph, each from a run of its own."""
+    return tuple(
+        result
+        for check in oracle._CHECK_NAMES
+        for result in verify_graph(specs, name, select=[check]).checks
+    )
+
+
+def test_each_check_alone_matches_its_entry_of_the_full_run(monkeypatch):
+    # a check reads only what it builds itself or what it shares with the
+    # others, so running it alone changes nothing
+    for name, specs in default_corpus(7)[:40]:
+        assert results_one_check_at_a_time(specs, name) == verify_graph(specs, name).checks, name
+    specs = [BlockSpec(2, 2), BlockSpec(1, 3, graph_attach(1))]
+    for check, name, change, witness in WITNESS_PINS:
+        with monkeypatch.context() as patch:
+            changed_property(patch, closedform.ClearedForms, name, change)
+            full = verify_graph(specs, "g").checks
+            assert CheckResult(check, False, witness) in full, check
+            assert results_one_check_at_a_time(specs, "g") == full, check
 
 
 def test_packed_check_width_covers_the_expected_side(monkeypatch):
