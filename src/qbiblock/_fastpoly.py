@@ -5,7 +5,9 @@ polynomial is the empty list.  The verification harness uses these raw lists
 for its vector checks, where ring-object overhead would dominate; the closed
 forms are built on them (closedform.ClearedForms), and the ring types use
 them for gcds.  Matrix-sized products live in _moddet.  All routines are
-exact; inexact divisions raise instead of truncating.
+exact, and none divides one polynomial by another: RationalFunction's
+reduction to the cofactors of gcd_cofactors is the package's one exact
+polynomial division, and what it leaves over a denominator is inexact.
 """
 
 from __future__ import annotations
@@ -52,38 +54,6 @@ def pmul(a: list[int], b: list[int]) -> list[int]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
-
-
-def pdiv_exact(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient a / b over the integers; raises ArithmeticError otherwise.
-
-    When the quotient is known to have integer coefficients, every step of
-    classical long division stays integral, so each leading-coefficient
-    division is checked.
-    """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return []
-    if b == [1]:
-        return list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        raise ArithmeticError("inexact polynomial division")
-    rem = list(a)
-    lead = b[-1]
-    quot = [0] * (len(a) - db)
-    for k in range(len(quot) - 1, -1, -1):
-        c, r = divmod(rem[k + db], lead)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        quot[k] = c
-        if c:
-            for i, bc in enumerate(b):
-                rem[k + i] -= c * bc
-    if any(rem[:db]):
-        raise ArithmeticError("inexact polynomial division")
-    return quot
 
 
 def int_pair(coeffs) -> tuple[list[int], int]:
@@ -137,23 +107,15 @@ def cleared(rf, scale: list[int]) -> list[int]:
     """Integer coefficients of rf * scale, when that product is integral; the
     tests clear rational functions with it.
 
-    rf is a rational function num/den whose coefficients are ints or
-    Fractions; scale is an integer list that den divides over the rationals.
+    rf is a RationalFunction, scale an integer list; the product is reduced as
+    a RationalFunction, and a denominator or a coefficient left over raises.
     """
-    num_int, a = int_pair(rf.num.coeffs)
-    if not num_int:
-        return []
-    den_int, b = int_pair(rf.den.coeffs)
-    # (num/a)/(den/b) * scale = (num * b * scale) / (a * den); the final result
-    # is integral, so the polynomial division and the scalar division are exact
-    t = pdiv_exact(pscale(pmul(num_int, scale), b), den_int)
-    out = []
-    for c in t:
-        q, r = divmod(c, a)
-        if r:
-            raise ArithmeticError("clearing denominators did not reach integer coefficients")
-        out.append(q)
-    return out
+    from .exactring import ONE, Polynomial, RationalFunction
+
+    out = RationalFunction(rf.num * Polynomial(scale), rf.den)
+    if out.den != ONE or any(type(c) is not int for c in out.num.coeffs):
+        raise ArithmeticError("clearing denominators did not reach integer coefficients")
+    return list(out.num.coeffs)
 
 
 # bench/tracer.py traces the packed matmul and the adjugate of _moddet under

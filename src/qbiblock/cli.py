@@ -18,7 +18,8 @@ gen
     Emit a graph JSON (tree chain or seeded random bi-block graph) to stdout.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3
-evaluation-domain error (q = -1, a refused condition violation, or a pole).
+evaluation-domain error (q = -1, a refused condition violation, or a pole),
+141 (128 + SIGPIPE) when the reader closes stdout early.
 Rational literals are integers or fractions like 3/2; no decimal floats.
 Integer literals in graph files and in --at have at most MAX_DIGITS digits.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .closedform import (
@@ -364,6 +366,15 @@ def main(argv=None) -> int:
     except PoleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull, so the
+        # interpreter's last flush is silent; 141 is how a shell reports SIGPIPE
+        try:
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        except (AttributeError, OSError, ValueError):
+            pass  # an in-process stdout with no file descriptor
+        return 141
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)

@@ -116,13 +116,14 @@ def graph_det(g: BiBlockGraph) -> Polynomial:
 
 def _core_quotients(shapes: Counter) -> tuple[list[int], dict[int, list[int]]]:
     """(P, R): P the product of the distinct cores a q^2 - 1 with
-    a = (m-1)(n-1) != 0 among the shapes, and R[a] = P / core_a for each of
-    them, R[0] = -P (the core of a = 0 is -1)."""
+    a = (m-1)(n-1) != 0 among the shapes, R[a] = P / core_a the product of
+    the others, and R[0] = -P (the core of a = 0 is -1)."""
     distinct = {(m - 1) * (n - 1) for m, n in shapes} - {0}
-    product = [1]
-    for a in distinct:
-        product = _fastpoly.pmul(product, [-1, 0, a])
-    quotients = {a: _fastpoly.pdiv_exact(product, [-1, 0, a]) for a in distinct}
+    quotients = {
+        a: functools.reduce(_fastpoly.pmul, ([-1, 0, b] for b in distinct - {a}), [1])
+        for a in distinct | {0}
+    }
+    product = quotients[0]  # no distinct core has a = 0, so this is all of them
     quotients[0] = _fastpoly.pscale(product, -1)
     return product, quotients
 
@@ -331,8 +332,8 @@ class ClearedForms:
     delta * Lambda, and det and cofactor are graph_det(g) = F (q+1)^(n-2) Lambda
     and graph_cofactor(g) = F (q+1)^(n-1) P, F their shared factor (_factors),
     which det_at and cofactor_at evaluate at q0 factor by factor.  All are
-    built in integer-list arithmetic from the per-shape quotients R_a =
-    P / core_a; x, y, local, inverse, det and cofactor on first use.
+    built in integer-list arithmetic from the per-shape products R_a of the
+    other cores (P / core_a); x, y, local, inverse, det and cofactor on first use.
     """
 
     def __init__(self, g: BiBlockGraph):

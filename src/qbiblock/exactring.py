@@ -136,29 +136,17 @@ class Polynomial:
         return RationalFunction(self, other)
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Exact quotient self / other; raises if the division is not exact."""
+        """Exact quotient self / other: the numerator of the reduced
+        RationalFunction self / other; raises if that has a denominator."""
         other = Polynomial._coerce(other)
         if other is NotImplemented:
             raise TypeError("exact_div expects a polynomial or rational scalar")
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return ZERO
-        if self.degree < other.degree:
+        quotient = RationalFunction(self, other)
+        if quotient.den != ONE:
             raise InexactDivisionError(f"({self}) is not divisible by ({other})")
-        rem = list(self.coeffs)
-        db = other.degree
-        lead = other.coeffs[-1]
-        quot = [0] * (len(rem) - db)
-        for k in range(len(quot) - 1, -1, -1):
-            c = Fraction(rem[k + db]) / lead
-            quot[k] = c
-            if c:
-                for i, bc in enumerate(other.coeffs):
-                    rem[k + i] -= c * bc
-        if any(rem[:db]):
-            raise InexactDivisionError(f"({self}) is not divisible by ({other})")
-        return Polynomial(quot)
+        return quotient.num
 
     def eval_at(self, q0: Rational) -> Rational:
         """Exact Horner evaluation at q0 = p/r: Horner in p over the coefficients scaled by
@@ -249,8 +237,7 @@ class RationalFunction:
             # apply the collected scalar and make the denominator monic
             num_int, num_den = _fastpoly.int_pair(num.coeffs)
             den_int, den_den = _fastpoly.int_pair(den.coeffs)
-            if len(num_int) > 1 or len(den_int) > 1:
-                _, num_int, den_int = _fastpoly.gcd_cofactors(num_int, den_int)
+            _, num_int, den_int = _fastpoly.gcd_cofactors(num_int, den_int)
             lead = den_int[-1]
             num_int, down = [c * den_den for c in num_int], num_den * lead
             num = Polynomial(num_int if down == 1 else [Fraction(c, down) for c in num_int])

@@ -383,10 +383,8 @@ def verify_corpus(corpus, jobs: int = 1) -> list[tuple[VerificationReport, float
     workers = min(jobs, len(corpus), os.cpu_count() or 1)
     if workers > 1:
         # imported here, so that a run with one job does not load multiprocessing
-        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             return list(pool.map(_verify_timed, corpus))
     return [_verify_timed(item) for item in corpus]

@@ -28,7 +28,10 @@ shared factor: the route that ClearedForms.det and .cofactor are checked
 against.
 
 subresultant_gcd is the subresultant polynomial remainder sequence, the
-independent route that _fastpoly.gcd_cofactors is checked against.
+independent route that _fastpoly.gcd_cofactors is checked against; its
+pseudo-division (pseudo_divmod) also gives exact_quotient, the long division
+that the gcd's cofactors and RationalFunction's canonical form, and so
+Polynomial.exact_div and _fastpoly.cleared, are checked against.
 
 dense_eliminate is the fraction-free elimination that updates every row at
 every step, dividing each update by the previous pivot: the route that
@@ -89,20 +92,37 @@ def reference_graph_cofactor(g):
     return result
 
 
-def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over the integers."""
+def pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of the pseudo-division of a by b over the
+    integers: lc(b)^e a = quotient * b + remainder, e = deg a - deg b + 1."""
     da, db = len(a) - 1, len(b) - 1
     lead = b[-1]
-    rem = list(a)
+    rem, quot = list(a), [0] * max(da - db + 1, 0)
     for k in range(da - db, -1, -1):
         c = rem[k + db]
-        for i in range(len(rem)):
-            rem[i] *= lead
+        rem = [r * lead for r in rem]
+        quot = [t * lead for t in quot]
+        quot[k] = c
         if c:
             for i, bc in enumerate(b):
                 rem[k + i] -= c * bc
         del rem[k + db :]
-    return _fastpoly.pstrip(rem)
+    return _fastpoly.pstrip(quot), _fastpoly.pstrip(rem)
+
+
+def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over the integers."""
+    return pseudo_divmod(a, b)[1]
+
+
+def exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b, when b divides a with an integer quotient: the pseudo-quotient
+    over lc(b)^e; raises ArithmeticError otherwise."""
+    quot, rem = pseudo_divmod(a, b)
+    scale = b[-1] ** max(len(a) - len(b) + 1, 0)
+    if rem or any(t % scale for t in quot):
+        raise ArithmeticError("inexact polynomial division")
+    return [t // scale for t in quot]
 
 
 def subresultant_gcd(a: list[int], b: list[int]) -> list[int]:

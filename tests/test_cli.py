@@ -357,6 +357,28 @@ def test_console_reads_a_negative_fraction_after_at(checkout_env):
     assert (result.returncode, result.stdout) == (0, "-12/25\n"), (command, result.stderr)
 
 
+def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path, checkout_env):
+    # the inverse of a 300-vertex path runs far past a pipe's buffer
+    graph = write_graph(tmp_path, "p300.json", path_tree(300))
+    command = [sys.executable, "-m", "qbiblock.cli", "inverse", graph, "--at", "2/7"]
+    child = subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO_ROOT, env=checkout_env
+    )
+    assert child.stdout.readline()
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert (child.wait(timeout=60), stderr) == (141, b"")
+
+
+def test_a_closed_stdout_exits_141_in_process(capsys, monkeypatch, p3):
+    # capsys's stdout has no file descriptor to point at devnull
+    def closed(args):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "cmd_det", closed)
+    assert run_cli(capsys, "det", p3) == (141, "", "")
+
+
 def test_gen_det_json_pipe_is_byte_stable(checkout_env):
     command = (
         f"{PYTHON} -m qbiblock.cli gen --kind random --blocks 3 --part-max 4 --seed 9 | "

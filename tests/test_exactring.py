@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from helpers import subresultant_gcd
+from helpers import exact_quotient, pseudo_divmod, subresultant_gcd
 from qbiblock import _fastpoly
 from qbiblock.exactring import (
     ONE,
@@ -55,6 +56,12 @@ def test_exact_div_errors():
         ONE.exact_div(Q)
     with pytest.raises(ZeroDivisionError):
         Q.exact_div(ZERO)
+
+
+@pytest.mark.parametrize("other", ["x", None, 1.5, [1, 2]])
+def test_exact_div_rejects_a_non_polynomial(other):
+    with pytest.raises(TypeError, match="exact_div expects a polynomial or rational scalar"):
+        Q.exact_div(other)
 
 
 def test_polynomial_normalization():
@@ -128,9 +135,9 @@ def test_gcd_of_random_products():
         g, _, _ = _fastpoly.gcd_cofactors(fa, fb)
         # f is monic and divides both products, so it must divide the
         # primitive gcd; the gcd must divide both products
-        _fastpoly.pdiv_exact(g, f)
-        _fastpoly.pdiv_exact(fa, g)
-        _fastpoly.pdiv_exact(fb, g)
+        exact_quotient(g, f)
+        exact_quotient(fa, g)
+        exact_quotient(fb, g)
 
 
 def random_gcd_case(rng: random.Random) -> tuple[list[int], list[int]]:
@@ -332,6 +339,89 @@ def reference_int_pair(coeffs) -> tuple[list[int], int]:
     return [int(Fraction(c) * den) for c in coeffs], den
 
 
+def reference_quotient(a: Polynomial, b: Polynomial) -> Polynomial | None:
+    """a / b from the pseudo-division of the integer parts, or None when b
+    does not divide a."""
+    num, alpha = reference_int_pair(a.coeffs)
+    den, beta = reference_int_pair(b.coeffs)
+    quot, rem = pseudo_divmod(num, den)
+    if rem:
+        return None
+    scale = Fraction(beta, alpha * den[-1] ** max(len(num) - len(den) + 1, 0))
+    return Polynomial(t * scale for t in quot)
+
+
+def division_case(c, b, m, planted, clearing):
+    """(a, b, scale): a = b c when planted, else c; scale is m, or when
+    clearing, m times the integer lists of b and of a's denominators, which
+    clears a / b."""
+    a = b * c if planted else c
+    m = _fastpoly.pstrip(list(m))
+    if clearing:
+        m = _fastpoly.pmul(reference_int_pair(b.coeffs)[0], m)
+        m = _fastpoly.pscale(m, reference_int_pair(a.coeffs)[1])
+    return a, b, m
+
+
+def random_division_case(rng: random.Random):
+    def coefficient():
+        if rng.random() < 0.5:
+            return rng.randint(-5, 5)
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+
+    def poly(lo):
+        while True:
+            coeffs = [coefficient() for _ in range(rng.randint(lo, 4))]
+            if lo == 0 or any(coeffs):
+                return Polynomial(coeffs)
+
+    m = [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))]
+    return division_case(poly(0), poly(1), m, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def check_exact_division(a: Polynomial, b: Polynomial, scale: list[int]):
+    want = reference_quotient(a, b)
+    if want is None:
+        with pytest.raises(InexactDivisionError, match=re.escape(f"({a}) is not divisible by ({b})")):
+            a.exact_div(b)
+    else:
+        assert a.exact_div(b) == want
+        assert stored_as_canonical_types(a.exact_div(b))
+    # (a / b) scale, reduced or not, has one value
+    want = reference_quotient(a * Polynomial(scale), b)
+    if want is None or any(type(c) is not int for c in want.coeffs):
+        with pytest.raises(ArithmeticError, match="clearing denominators did not reach integer coefficients"):
+            _fastpoly.cleared(RationalFunction(a, b), scale)
+    else:
+        assert _fastpoly.cleared(RationalFunction(a, b), scale) == list(want.coeffs)
+
+
+def test_exact_division_matches_pseudo_division_reference():
+    # hypothesis where it is installed, else a fixed seeded sweep
+    try:
+        import hypothesis
+    except ImportError:
+        rng = random.Random(2828)
+        for _ in range(400):
+            check_exact_division(*random_division_case(rng))
+        return
+    st = hypothesis.strategies
+    poly = st.lists(mixed_coefficients(st), max_size=4).map(Polynomial)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        c=poly,
+        b=poly.filter(bool),
+        m=st.lists(st.integers(-5, 5), max_size=3),
+        planted=st.booleans(),
+        clearing=st.booleans(),
+    )
+    def prop(c, b, m, planted, clearing):
+        check_exact_division(*division_case(c, b, m, planted, clearing))
+
+    prop()
+
+
 def test_polynomial_ring_axioms_and_coefficient_types_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -371,8 +461,8 @@ def reference_canonical_json(num: Polynomial, den: Polynomial) -> dict:
     if len(num_int) > 1 or len(den_int) > 1:
         g = subresultant_gcd(num_int, den_int)
         if len(g) > 1:
-            num_int = _fastpoly.pdiv_exact(num_int, g)
-            den_int = _fastpoly.pdiv_exact(den_int, g)
+            num_int = exact_quotient(num_int, g)
+            den_int = exact_quotient(den_int, g)
     scalar = Fraction(den_den, num_den) / den_int[-1]
     lead = den_int[-1]
 

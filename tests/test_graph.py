@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qbiblock import cli
 from qbiblock.graph import (
     Attachment,
     BlockSpec,
@@ -178,6 +179,17 @@ def test_json_round_trip_property():
         assert json.dumps(graph_to_json(rebuilt)) == text
 
     prop()
+
+
+@pytest.mark.parametrize("block", [1, "K22", None, [2, 2]])
+def test_a_block_that_is_not_an_object_is_an_input_error(tmp_path, capsys, block):
+    obj = {"blocks": [block]}
+    with pytest.raises(GraphError, match="block 0 must be an object"):
+        specs_from_json(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert cli.main(["det", str(path)]) == cli.EXIT_INPUT
+    assert "block 0 must be an object" in capsys.readouterr().err
 
 
 def test_json_validation_errors():

@@ -98,6 +98,13 @@ def test_modular_engine_matches_generic_condensation():
     assert _moddet.det_int_poly_matrix(int_rows(equal_rows)) == []
 
 
+@pytest.mark.parametrize("engine", [_moddet.det_int_poly_matrix, _moddet.adjugate])
+@pytest.mark.parametrize("entries", [[], [[[1], [1]]], [[[1], [1]], [[1]]]])
+def test_packed_engines_reject_empty_and_nonsquare_matrices(engine, entries):
+    with pytest.raises(ValueError, match="requires a nonempty square matrix"):
+        engine(entries)
+
+
 def test_inverse_examples():
     i3 = identity(3, RF_ZERO, RF_ONE)
     assert inverse_gauss(i3) == i3

@@ -277,6 +277,12 @@ def test_both_oracle_checks_share_one_determinant(monkeypatch):
     assert {**calls, **expansions} == {**expected, "det": 0}
 
 
+@pytest.mark.parametrize("select", [["nope"], ["det_vs_oracle", "nope"]])
+def test_verify_graph_rejects_unknown_check_names(select):
+    with pytest.raises(ValueError, match=r"unknown check names: \['nope'\]"):
+        verify_graph(path_tree(3), "p3", select=select)
+
+
 def one_norm(e: list[int]) -> int:
     return sum(map(abs, e))
 
