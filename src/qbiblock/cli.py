@@ -5,7 +5,8 @@ Subcommands
 det / xi / lambda / vectors / inverse
     Closed forms of a graph given as a JSON file (or - for stdin), printed
     symbolically, or evaluated exactly at a rational q via --at.  All five
-    run through one driver, which renders each distinct value object once.
+    run through one driver, which takes each field as a (values, index) form
+    and renders each distinct value once.
     With --at, lambda, vectors and inverse refuse a point that violates C1;
     every other condition violation is printed as a warning (text) or listed
     under "violations" (JSON), and a pole of the value still exits 3.
@@ -34,14 +35,14 @@ import sys
 
 from .closedform import (
     ClearedForms,
+    _inverse_form,
+    _inverse_form_at,
+    _rows,
+    _shared_rfs,
     balance_constant,
-    balance_vector,
     check_conditions,
-    diagonal_weight_vector,
     graph_cofactor,
     graph_det,
-    graph_inverse,
-    inverse_at,
     values_at,
 )
 from .exactring import PoleError, parse_rational, rational_to_json
@@ -132,16 +133,6 @@ def _parse_at(text: str):
 _to_json = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
-def _rendered(rows, render) -> list[list[str]]:
-    """render(e) for each entry of rows, called once per distinct entry
-    object: the closed forms share one object among equal entries."""
-    distinct: dict[int, object] = {}
-    for row in rows:
-        distinct.update(zip(map(id, row), row))
-    texts = {key: render(e) for key, e in distinct.items()}
-    return [list(map(texts.__getitem__, map(id, row))) for row in rows]
-
-
 def _vectors_text(fields) -> str:
     return "\n".join(f"{k}[{i}] = {s}" for k, (row,) in fields.items() for i, s in enumerate(row))
 
@@ -159,10 +150,10 @@ _LAYOUTS = {
 
 
 def _formula_command(args, symbolic, at, refuse: tuple[str, ...]) -> int:
-    """Print symbolic(g), or at(g, q0) for --at: a dict of field name to rows
-    of entries.  Each distinct entry object is rendered once, as JSON or
-    text, and the rendered rows are laid out by the command's entry of
-    _LAYOUTS."""
+    """Print symbolic(g), or at(g, q0) for --at: a dict of field name to a
+    (values, index) form, index a list of rows.  Each distinct value is
+    rendered once, as JSON or text, and the rendered rows are laid out by
+    the command's entry of _LAYOUTS."""
     g = _build_graph(args.graph)
     payload = {"schema": SCHEMA_VERSION, "command": args.command}
     violations = ()
@@ -181,7 +172,9 @@ def _formula_command(args, symbolic, at, refuse: tuple[str, ...]) -> int:
         payload.update(at=rational_to_json(q0), violations=[vars(v) for v in violations])
     depth, text = _LAYOUTS[args.command]
     as_json = args.format == "json"
-    lines = {name: _rendered(rows, to_json if as_json else str) for name, rows in fields.items()}
+    lines = {}
+    for name, (values, index) in fields.items():
+        lines[name] = _rows(list(map(to_json if as_json else str, values)), index)
     if not as_json:
         for v in violations:
             print(f"warning: block {v.block} violates {v.condition}: {v.witness}", file=sys.stderr)
@@ -198,39 +191,45 @@ def _formula_command(args, symbolic, at, refuse: tuple[str, ...]) -> int:
     return EXIT_OK
 
 
+def _scalar(value) -> dict:
+    return {"value": ([value], [[0]])}
+
+
 def cmd_det(args) -> int:
-    at = lambda g, q0: {"value": [[ClearedForms(g).det_at(q0)]]}
-    return _formula_command(args, lambda g: {"value": [[graph_det(g)]]}, at, refuse=())
+    at = lambda g, q0: _scalar(ClearedForms(g).det_at(q0))
+    return _formula_command(args, lambda g: _scalar(graph_det(g)), at, refuse=())
 
 
 def cmd_xi(args) -> int:
-    at = lambda g, q0: {"value": [[ClearedForms(g).cofactor_at(q0)]]}
-    return _formula_command(args, lambda g: {"value": [[graph_cofactor(g)]]}, at, refuse=())
+    at = lambda g, q0: _scalar(ClearedForms(g).cofactor_at(q0))
+    return _formula_command(args, lambda g: _scalar(graph_cofactor(g)), at, refuse=())
 
 
 def _lambda_at(g, q0):
     forms = ClearedForms(g)
-    return {"value": [values_at([forms.lam], forms.delta, q0)]}
+    return _scalar(*values_at([forms.lam], forms.delta, q0))
 
 
 def cmd_lambda(args) -> int:
-    symbolic = lambda g: {"value": [[balance_constant(g)]]}
+    symbolic = lambda g: _scalar(balance_constant(g))
     return _formula_command(args, symbolic, _lambda_at, refuse=("C1",))
 
 
-def _vectors_at(g, q0):
+def _vectors(g, wrap) -> dict:
+    """x over delta and y over P, their values mapped by wrap(values, den)."""
     forms = ClearedForms(g)
-    return {"x": [values_at(forms.x, forms.delta, q0)], "y": [values_at(forms.y, forms.product, q0)]}
+    (x, x_index), (y, y_index) = forms.x, forms.y
+    return {"x": (wrap(x, forms.delta), [x_index]), "y": (wrap(y, forms.product), [y_index])}
 
 
 def cmd_vectors(args) -> int:
-    symbolic = lambda g: {"x": [balance_vector(g)], "y": [diagonal_weight_vector(g)]}
-    return _formula_command(args, symbolic, _vectors_at, refuse=("C1",))
+    at = lambda g, q0: _vectors(g, lambda values, den: values_at(values, den, q0))
+    return _formula_command(args, lambda g: _vectors(g, _shared_rfs), at, refuse=("C1",))
 
 
 def cmd_inverse(args) -> int:
-    at = lambda g, q0: {"value": inverse_at(g, q0)}
-    return _formula_command(args, lambda g: {"value": graph_inverse(g).rows}, at, refuse=("C1",))
+    at = lambda g, q0: {"value": _inverse_form_at(g, q0)}
+    return _formula_command(args, lambda g: {"value": _inverse_form(g)}, at, refuse=("C1",))
 
 
 def cmd_verify(args) -> int:

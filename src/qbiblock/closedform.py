@@ -19,9 +19,10 @@ where x is the balance vector (the matrix maps it to a constant column).
 Each of x, the balance constant and the local matrix sums per-block terms
 over cofactor cores.  ClearedForms builds them, and the inverse numerators,
 as integer lists over the structural denominator delta = clearing_poly(g),
-and the determinant and cofactor from the same pieces; the public functions
-wrap each distinct list in one Polynomial or RationalFunction, and the
-verification harness checks the lists as they are.
+and the determinant and cofactor from the same pieces.  Every vector and
+matrix among them is one (values, index) form, each distinct value once;
+the public functions wrap each value in one RationalFunction and lay it
+out by the index, and the verification harness checks the forms as they are.
 
 Sign convention: the reduced cofactor of K_{s,t} carries the global sign
 (-1)^(s+t).  Direct evaluation of the 1x1 case K_{1,1} (whose cofactor matrix
@@ -35,6 +36,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import add
 
 from . import _fastpoly, _moddet
@@ -139,15 +141,15 @@ def _cleared_lambda(shapes: Counter, quotients: dict[int, list[int]]) -> list[in
     return total
 
 
-def _cleared_sums(g: BiBlockGraph, base: list[int], quotients, factor) -> list[list[int]]:
-    """Entry at v: (1 - block degree of v) * base plus factor(opp) * R_a for
-    each block containing v, own and opp being the part sizes on v's side and
-    on the other side and a = (own-1)(opp-1).  The entry depends only on v's
-    signature, the sorted tuple of those pairs, so it is built once per
-    signature, and signatures with equal entries (all (own, 1) terms are
-    equal) share one list."""
+def _cleared_sums(g: BiBlockGraph, base: list[int], quotients, factor) -> tuple[list, list[int]]:
+    """(values, index), entry v values[index[v]]: (1 - block degree of v) *
+    base plus factor(opp) * R_a for each block containing v, own and opp the
+    part sizes on v's side and on the other side and a = (own-1)(opp-1).  It
+    depends only on v's signature, the sorted tuple of those pairs, so it is
+    built once per signature and numbered by value: signatures with equal
+    entries (all (own, 1) terms are equal) share one number."""
     sizes = [{"X": (b.m, b.n), "Y": (b.n, b.m)} for b in g.blocks]
-    shared: dict[tuple[int, ...], list[int]] = {}
+    numbers: dict[tuple[int, ...], int] = {}
 
     @functools.cache
     def entry(sig):
@@ -155,12 +157,13 @@ def _cleared_sums(g: BiBlockGraph, base: list[int], quotients, factor) -> list[l
         for own, opp in sig:
             term = _fastpoly.pmul(factor(opp), quotients[(own - 1) * (opp - 1)])
             total = _fastpoly.padd(total, term)
-        return shared.setdefault(tuple(total), total)
+        return numbers.setdefault(tuple(total), len(numbers))
 
-    return [
-        entry(tuple(sorted(sizes[index][side] for index, side in members)))
+    index = [
+        entry(tuple(sorted(sizes[b][side] for b, side in members)))
         for members in g.membership
     ]
+    return list(numbers), index
 
 
 def balance_vector(g: BiBlockGraph) -> list[RationalFunction]:
@@ -168,22 +171,24 @@ def balance_vector(g: BiBlockGraph) -> list[RationalFunction]:
 
     Entry at v sums, over the blocks containing v, the side-dependent weight
     (q * (opposite - 1) - 1) / ((q+1) * cofactor_core), then subtracts
-    (block degree - 1).  Vertices with the same block signature share one
-    entry object.
+    (block degree - 1).  Equal entries, as at vertices with the same block
+    signature, are one object.
     """
     forms = ClearedForms(g)
-    return _shared_rfs(forms.x, forms.delta)
+    values, index = forms.x
+    return list(map(_shared_rfs(values, forms.delta).__getitem__, index))
 
 
 def diagonal_weight_vector(g: BiBlockGraph) -> list[RationalFunction]:
     """The vector y used on the diagonal of the local matrix.
 
     Entry at v sums (opposite - 1) / cofactor_core over the blocks containing
-    v, then subtracts (block degree - 1).  Vertices with the same block
-    signature share one entry object.
+    v, then subtracts (block degree - 1).  Equal entries, as at vertices
+    with the same block signature, are one object.
     """
     forms = ClearedForms(g)
-    return _shared_rfs(forms.y, forms.product)
+    values, index = forms.y
+    return list(map(_shared_rfs(values, forms.product).__getitem__, index))
 
 
 def _block_weights(m: int, n: int) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
@@ -234,50 +239,41 @@ def balance_constant(g: BiBlockGraph) -> RationalFunction:
     return RationalFunction(Polynomial(forms.lam), Polynomial(forms.delta))
 
 
-def _cleared_local(g: BiBlockGraph, product: list[int], quotients, y) -> dict:
-    """The nonzero entries of delta * local_matrix(g) as coefficient tuples,
-    keyed by (row, column): q R_a across a K_{m,n} block, -(n-1) q^2 R_a and
-    -(m-1) q^2 R_a within its X and Y sides (two vertices share at most one
-    block), and P - q^2 Y_v on the diagonal, Y_v = P y_v.  Equal entries are
-    one tuple: the edge entry is built once per a = (m-1)(n-1), a within-side
-    entry once per a and opposite part size, and a diagonal entry once per
-    value of y_v; no two of these keys give equal entries."""
-    edge = functools.cache(lambda a: (0, *quotients[a]))
-    within = functools.cache(lambda a, opp: tuple(_fastpoly.pscale([0, 0, *quotients[a]], 1 - opp)))
-
-    entries: dict[tuple[int, int], tuple[int, ...]] = {}
+def _cleared_local(g: BiBlockGraph, product: list[int], quotients, y) -> tuple[list, list]:
+    """(values, index): entry (i, j) of delta * local_matrix(g) is
+    values[index[i][j]], a coefficient tuple, () first: q R_a across a
+    K_{m,n} block, -(n-1) q^2 R_a and -(m-1) q^2 R_a within its X and Y sides
+    (two vertices share at most one block), and P - q^2 Y_v on the diagonal,
+    Y_v = P y_v.  Equal entries get one number; an edge entry is built per
+    block, a within-side one per block side, a diagonal one per value of y."""
+    numbers = {(): 0}
+    index = [[0] * g.n for _ in range(g.n)]
     for b in g.blocks:
-        a = (b.m - 1) * (b.n - 1)
-        w = edge(a)
+        r = quotients[(b.m - 1) * (b.n - 1)]
+        k = numbers.setdefault((0, *r), len(numbers))
         for u in b.x:
             for v in b.y:
-                entries[u, v] = entries[v, u] = w
+                index[u][v] = index[v][u] = k
         for vertices, opp in ((b.x, b.n), (b.y, b.m)):
-            w = within(a, opp)
-            if not w:
-                continue
+            if opp == 1 or len(vertices) == 1:
+                continue  # a zero entry, or none off the diagonal, which is set below
+            k = numbers.setdefault(tuple(_fastpoly.pscale([0, 0, *r], 1 - opp)), len(numbers))
             for u in vertices:
                 for v in vertices:
-                    if u != v:
-                        entries[u, v] = w
-    diagonal = functools.cache(lambda e: tuple(_fastpoly.psub(product, [0, 0, *e])))
-    for v, e in enumerate(y):
-        entries[v, v] = diagonal(tuple(e))
-    return entries
-
-
-def _local_entries(g: BiBlockGraph) -> dict[tuple[int, int], RationalFunction]:
-    """The nonzero entries of local_matrix(g), keyed by (row, column); equal
-    entries share one object."""
-    forms = ClearedForms(g)
-    return dict(zip(forms._local, _shared_rfs(forms._local.values(), forms.delta)))
+                    index[u][v] = k
+    y_values, y_index = y
+    diagonal = [tuple(_fastpoly.psub(product, [0, 0, *e])) for e in y_values]
+    for v, k in enumerate(y_index):
+        index[v][v] = numbers.setdefault(diagonal[k], len(numbers))
+    return list(numbers), index
 
 
 def local_matrix(g: BiBlockGraph) -> RingMatrix:
     """The block-local matrix: q/(q+1) * edge weights - q^2/(q+1) * non-edge
     weights - q^2/(q+1) * diag(y) + 1/(q+1) * identity."""
-    entries = _local_entries(g)
-    return RingMatrix([[entries.get((i, j), RF_ZERO) for j in range(g.n)] for i in range(g.n)])
+    forms = ClearedForms(g)
+    values, index = forms.local
+    return RingMatrix(_rows(_shared_rfs(values, forms.delta), index))
 
 
 def clearing_poly(g: BiBlockGraph) -> Polynomial:
@@ -293,30 +289,29 @@ def _inverse_rows(forms: ClearedForms, entry) -> tuple[list, list[list[int]]]:
     balance_constant is values[index[i][j]].
 
     Entry (i, j) depends only on x_i, x_j and the local entry L_ij, so
-    entry(x_a, x_b, L) is called once per distinct key (a, b, L): a <= b the
-    classes of equal x values of i and j, L = L_ij, or None where i and j
-    share no block.  A class pair has such a vertex pair when fewer than
-    |a| |b| of its ordered pairs are local.  Each row is filled by class,
-    then its local entries are overwritten.
+    entry(a, b, l) is called once per distinct key (a, b, l): a <= b the
+    numbers of x_i and x_j in x's index, l the number of L_ij in local's
+    index, 0 where i and j share no block.  A pair of x values has such a
+    vertex pair when fewer than |a| |b| of its ordered pairs are local.
+    Each row is filled by x value, then its local cells are overwritten.
     """
-    classes: dict = {}
-    ids = [classes.setdefault(tuple(e), len(classes)) for e in forms.x]
-    reps, sizes = list(classes), Counter(ids)
-    local_pairs = Counter((ids[i], ids[j]) for i, j in forms._local)
-    plain: list[list] = [[None] * len(reps) for _ in reps]
+    (x, ids), local_index = forms.x, forms.local[1]
+    cells = [(i, j) for i, row in enumerate(local_index) for j in compress(range(len(row)), row)]
+    sizes, local_pairs = Counter(ids), Counter((ids[i], ids[j]) for i, j in cells)
+    plain: list[list] = [[None] * len(x) for _ in x]
     values = []
-    for a in range(len(reps)):
-        for b in range(a, len(reps)):
+    for a in range(len(x)):
+        for b in range(a, len(x)):
             if local_pairs[a, b] < sizes[a] * sizes[b]:
                 plain[a][b] = plain[b][a] = len(values)
-                values.append(entry(reps[a], reps[b], None))
-    by_class = [list(map(row.__getitem__, ids)) for row in plain]
-    index = [by_class[a].copy() for a in ids]
+                values.append(entry(a, b, 0))
+    by_value = [list(map(row.__getitem__, ids)) for row in plain]
+    index = [by_value[a].copy() for a in ids]
     keys: dict = {}
-    for (i, j), loc in forms._local.items():
-        a, b = sorted((ids[i], ids[j]))
-        index[i][j] = keys.setdefault((a, b, loc), len(values) + len(keys))
-    values += [entry(reps[a], reps[b], loc) for a, b, loc in keys]
+    for i, j in cells:
+        key = (*sorted((ids[i], ids[j])), local_index[i][j])
+        index[i][j] = keys.setdefault(key, len(values) + len(keys))
+    values += [entry(*key) for key in keys]
     return values, index
 
 
@@ -325,15 +320,17 @@ class ClearedForms:
     delta = (q+1) * product, product P being the product of the distinct
     nonconstant cofactor cores.
 
-    lam is Lambda = delta * balance_constant(g), x the balance vector times
-    delta, y the diagonal weight vector times P, local the distinct entries
-    of local_matrix(g) times delta with their index, and inverse the numerators
-    N = X_a X_b - L_ab Lambda of graph_inverse(g) over inverse_den =
-    delta * Lambda, and det and cofactor are graph_det(g) = F (q+1)^(n-2) Lambda
-    and graph_cofactor(g) = F (q+1)^(n-1) P, F their shared factor (_factors),
-    which det_at and cofactor_at evaluate at q0 factor by factor.  All are
-    built in integer-list arithmetic from the per-shape products R_a of the
-    other cores (P / core_a); x, y, local, inverse, det and cofactor on first use.
+    lam is Lambda = delta * balance_constant(g).  x, y, local and inverse
+    are (values, index) forms, each distinct entry once in values, entry i
+    values[index[i]] (entry (i, j) values[index[i][j]]): the balance vector
+    times delta, the diagonal weight vector times P, local_matrix(g) times
+    delta, and the numerators N = X_a X_b - L_ab Lambda of graph_inverse(g)
+    over inverse_den = delta * Lambda.  det and cofactor are graph_det(g) =
+    F (q+1)^(n-2) Lambda and graph_cofactor(g) = F (q+1)^(n-1) P, F their
+    shared factor (_factors), which det_at and cofactor_at evaluate at q0
+    factor by factor.  All are built in integer-list arithmetic from the
+    per-shape products R_a of the other cores (P / core_a); x, y, local,
+    inverse, det and cofactor on first use.
     """
 
     def __init__(self, g: BiBlockGraph):
@@ -386,63 +383,58 @@ class ClearedForms:
         return self._value_at(self.product, self._g.n - 1, q0)
 
     @functools.cached_property
-    def x(self) -> list[list[int]]:
+    def x(self) -> tuple[list[tuple[int, ...]], list[int]]:
         """delta x_v = (1 - deg v) delta + sum of ((opp-1) q - 1) R_a."""
         return _cleared_sums(self._g, self.delta, self._quotients, lambda opp: [-1, opp - 1])
 
     @functools.cached_property
-    def y(self) -> list[list[int]]:
+    def y(self) -> tuple[list[tuple[int, ...]], list[int]]:
         """P y_v = (1 - deg v) P + sum of (opp-1) R_a."""
         return _cleared_sums(self._g, self.product, self._quotients, lambda opp: [opp - 1])
 
     @functools.cached_property
-    def _local(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        return _cleared_local(self._g, self.product, self._quotients, self.y)
-
-    @functools.cached_property
     def local(self) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-        """(values, index): entry (i, j) of delta * local_matrix(g) is
-        values[index[i][j]], one value per distinct entry, () first."""
-        n = self._g.n
-        numbers = {(): 0}
-        index = [[0] * n for _ in range(n)]
-        for (i, j), e in self._local.items():
-            index[i][j] = numbers.setdefault(e, len(numbers))
-        return list(numbers), index
+        return _cleared_local(self._g, self.product, self._quotients, self.y)
 
     @functools.cached_property
     def inverse(self) -> tuple[list[list[int]], list[list[int]]]:
         """(numerators, index) from _inverse_rows: entry (i, j) of
         graph_inverse(g) is numerators[index[i][j]] / inverse_den, one
         numerator X_a X_b - L Lambda per distinct key (a, b, L)."""
+        x, local = self.x[0], self.local[0]
 
-        def numerator(xa: tuple[int, ...], xb: tuple[int, ...], loc: tuple[int, ...] | None):
-            num = _fastpoly.pmul(xa, xb)
-            return num if loc is None else _fastpoly.psub(num, _fastpoly.pmul(loc, self.lam))
+        def numerator(a: int, b: int, l: int) -> list[int]:
+            return _fastpoly.psub(_fastpoly.pmul(x[a], x[b]), _fastpoly.pmul(local[l], self.lam))
 
         return _inverse_rows(self, numerator)
 
 
-def _per_object(values, make) -> list:
-    """make(value) for each value, called once per distinct value object, so
-    that values shared as objects stay shared."""
-    made = {id(v): v for v in values}
-    made = {key: make(v) for key, v in made.items()}
-    return [made[id(v)] for v in values]
+def _rows(values: list, index: list[list[int]]) -> list[list]:
+    """The rows of values[index[i][j]]: equal entries are one object."""
+    return [list(map(values.__getitem__, row)) for row in index]
 
 
 def _shared_rfs(values, den: list[int]) -> list[RationalFunction]:
     """RationalFunction(value / den) for each integer list in values."""
     den = Polynomial(den)
-    return _per_object(values, lambda v: RationalFunction(Polynomial(v), den))
+    return [RationalFunction(Polynomial(v), den) for v in values]
 
 
 def values_at(values, den: list[int], q0: Rational) -> list[Rational]:
-    """value(q0) / den(q0) for each integer list of ClearedForms in values,
-    each distinct list object evaluated once.  den(q0) must be nonzero: for
+    """value(q0) / den(q0) for each integer list in values, the values of one
+    (values, index) form of ClearedForms.  den(q0) must be nonzero: for
     delta and P that is condition C1."""
     den_value = Polynomial(den).eval_at(q0)
-    return _per_object(values, lambda v: _demote(Fraction(Polynomial(v).eval_at(q0)) / den_value))
+    return [_demote(Fraction(Polynomial(v).eval_at(q0)) / den_value) for v in values]
+
+
+def _inverse_form(g: BiBlockGraph) -> tuple[list[RationalFunction], list[list[int]]]:
+    """(values, index) of graph_inverse(g), one value per numerator of ClearedForms.inverse."""
+    forms = ClearedForms(g)
+    if not forms.lam:
+        raise ArithmeticError("balance constant is identically zero; inverse form undefined")
+    numerators, index = forms.inverse
+    return _shared_rfs(numerators, forms.inverse_den), index
 
 
 def graph_inverse(g: BiBlockGraph) -> RingMatrix:
@@ -454,12 +446,25 @@ def graph_inverse(g: BiBlockGraph) -> RingMatrix:
     all intermediate arithmetic on integer coefficients; each distinct entry
     is canonicalised once and shared.
     """
+    return RingMatrix(_rows(*_inverse_form(g)))
+
+
+def _inverse_form_at(g: BiBlockGraph, q0: Rational) -> tuple[list[Rational], list[list[int]]]:
+    """(values, index) of inverse_at(g, q0), one value per distinct key of _inverse_rows."""
     forms = ClearedForms(g)
-    if not forms.lam:
-        raise ArithmeticError("balance constant is identically zero; inverse form undefined")
-    numerators, index = forms.inverse
-    entries = _shared_rfs(numerators, forms.inverse_den)
-    return RingMatrix([[entries[k] for k in row] for row in index])
+    at = lambda value: Fraction(Polynomial(value).eval_at(q0))
+    delta, lam = at(forms.delta), at(forms.lam)
+    if delta == 0:
+        raise PoleError(f"a cofactor core vanishes at q = {q0}; the inverse has a pole there")
+    if lam == 0:
+        raise PoleError(f"the balance constant vanishes at q = {q0}; the inverse has a pole there")
+    den = delta * lam
+    x, local = list(map(at, forms.x[0])), list(map(at, forms.local[0]))
+
+    def entry(a: int, b: int, l: int) -> Rational:
+        return _demote((x[a] * x[b] - local[l] * lam) / den)
+
+    return _inverse_rows(forms, entry)
 
 
 def inverse_at(g: BiBlockGraph, q0: Rational) -> list[list[Rational]]:
@@ -467,27 +472,12 @@ def inverse_at(g: BiBlockGraph, q0: Rational) -> list[list[Rational]]:
 
     Each distinct cleared list (delta, Lambda, the balance-vector values X
     and the local entries L) is evaluated at q0 once, and entry (i, j) is
-    (X_i X_j - L_ij Lambda) / (delta Lambda) in exact rationals.  Raises
-    PoleError when delta or Lambda vanishes at q0: delta where condition C1
-    fails, Lambda (where C1 holds) exactly where the determinant vanishes.
+    (X_i X_j - L_ij Lambda) / (delta Lambda) in exact rationals; equal
+    entries are one object.  Raises PoleError when delta or Lambda vanishes
+    at q0: delta where condition C1 fails, Lambda (where C1 holds) exactly
+    where the determinant vanishes.
     """
-    forms = ClearedForms(g)
-    at = functools.cache(lambda value: Fraction(Polynomial(value).eval_at(q0)))
-    delta, lam = at(tuple(forms.delta)), at(tuple(forms.lam))
-    if delta == 0:
-        raise PoleError(f"a cofactor core vanishes at q = {q0}; the inverse has a pole there")
-    if lam == 0:
-        raise PoleError(f"the balance constant vanishes at q = {q0}; the inverse has a pole there")
-    den = delta * lam
-
-    def entry(xa: tuple[int, ...], xb: tuple[int, ...], loc: tuple[int, ...] | None):
-        num = at(xa) * at(xb)
-        if loc is not None:
-            num -= at(loc) * lam
-        return _demote(num / den)
-
-    values, index = _inverse_rows(forms, entry)
-    return [list(map(values.__getitem__, row)) for row in index]
+    return _rows(*_inverse_form_at(g, q0))
 
 
 # -- admissibility of concrete q values ---------------------------------------

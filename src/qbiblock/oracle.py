@@ -207,15 +207,14 @@ class _Checks:
     @functools.cached_property
     def sums(self) -> list[list[int]]:
         """sum_i x_i, sum_i w_i x_i and sum_i a_i x_i, with the last vertex as
-        anchor, d_i = [dist(i, anchor)]_q, a_i = 1 + (q - 1) d_i =
-        q^dist(i, anchor) and w_i = 1 + q + (q^2 - 1) d_i = (1 + q) a_i."""
-        anchor_d = [[1] * row[-1] for row in self.dist]
+        anchor, a_i = q^dist(i, anchor) and w_i = (1 + q) a_i."""
         weights = [
-            [[1]] * len(anchor_d),
-            [_fastpoly.padd([1, 1], _fastpoly.pmul([-1, 0, 1], d)) for d in anchor_d],
-            [_fastpoly.padd([1], _fastpoly.pmul([-1, 1], d)) for d in anchor_d],
+            [[1]] * self.g.n,
+            [[0] * row[-1] + [1, 1] for row in self.dist],
+            [[0] * row[-1] + [1] for row in self.dist],
         ]
-        return [row[0] for row in _moddet.matmul(weights, [[e] for e in self.forms.x])]
+        values, index = self.forms.x
+        return [row[0] for row in _moddet.matmul(weights, [[values[k]] for k in index])]
 
     def det_vs_oracle(self) -> str | None:
         return _mismatch("det", self.forms.det, self.oracle[0])
@@ -228,8 +227,9 @@ class _Checks:
 
     def matrix_times_balance_is_constant(self) -> str | None:
         forms = self.forms
+        values, index = forms.x
         if found := _moddet.rank_one_mismatch(
-            self.classes, forms.x, [[i] for i in range(self.g.n)], [forms.lam], []
+            self.classes, values, [[k] for k in index], [forms.lam], []
         ):
             return _mismatch(f"row {found[0]}", found[2], forms.lam)
         return None
@@ -247,12 +247,14 @@ class _Checks:
     def local_matrix_product(self) -> str | None:
         # D L = 1 x^T - delta I, shown as (D L + delta I)_ij against x_j
         forms = self.forms
+        values, index = forms.x
+        x = [values[k] for k in index]
         if found := _moddet.rank_one_mismatch(
-            self.classes, *forms.local, forms.x, _fastpoly.pscale(forms.delta, -1)
+            self.classes, *forms.local, x, _fastpoly.pscale(forms.delta, -1)
         ):
             i, j, got = found
             shown = _fastpoly.padd(got, forms.delta) if i == j else got
-            return _mismatch(f"entry ({i},{j})", shown, forms.x[j])
+            return _mismatch(f"entry ({i},{j})", shown, x[j])
         return None
 
     def inverse_product(self) -> str | None:

@@ -248,7 +248,8 @@ def clearing_poly(g) -> Polynomial:
 class ReferenceClearedForms:
     """delta, lam, x, local and inverse as closedform.ClearedForms defines
     them, each value built as a RationalFunction and cleared over delta;
-    inverse is the plain n x n matrix of numerators over inverse_den."""
+    inverse, built on first use, is the plain n x n matrix of numerators
+    over inverse_den."""
 
     def __init__(self, g):
         self.delta = delta = list(clearing_poly(g).coeffs)
@@ -259,8 +260,11 @@ class ReferenceClearedForms:
         local = local_entries(g)
         n = g.n
         self.local = [[clear(local[i, j]) if (i, j) in local else [] for j in range(n)] for i in range(n)]
-        # inverse numerators X_i X_j - L_ij Lambda, entry by entry
-        self.inverse = [
+
+    @functools.cached_property
+    def inverse(self) -> list[list[list[int]]]:
+        """The inverse numerators X_i X_j - L_ij Lambda, entry by entry."""
+        return [
             [
                 _fastpoly.psub(_fastpoly.pmul(xi, xj), _fastpoly.pmul(loc, self.lam))
                 for xj, loc in zip(self.x, row)

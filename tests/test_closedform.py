@@ -11,7 +11,6 @@ from qbiblock import _fastpoly, _moddet
 from qbiblock.closedform import (
     ClearedForms,
     _shapes,
-    _local_entries,
     balance_constant,
     balance_vector,
     block_cofactor,
@@ -547,12 +546,40 @@ def test_vector_entries_are_shared_per_membership_signature():
 
 
 def test_equal_cleared_entries_are_one_object():
-    # x and the local entries are keyed by value, so that every per-object
-    # consumer (canonicalisation, rendering) meets each value once
+    # x, y and local number their entries by value, so that every consumer
+    # (canonicalisation, rendering) meets each value once, and the public
+    # wrappers give equal entries one object
     for g in [build(specs) for _, specs in default_corpus(7)] + formulas_large_graphs():
         forms = ClearedForms(g)
-        for values in (forms.x, forms.y, list(forms._local.values())):
-            assert len({id(v) for v in values}) == len({tuple(v) for v in values}), g
+        for values, _ in (forms.x, forms.y, forms.local):
+            assert len({tuple(v) for v in values}) == len(values), g
+        local = [e for row in local_matrix(g).rows for e in row]
+        for entries in (balance_vector(g), diagonal_weight_vector(g), local):
+            assert len({id(e) for e in entries}) == len(set(entries)), g
+
+
+def test_every_cleared_vector_and_matrix_is_one_values_index_form():
+    # x, y and local are (values, index): pairwise distinct values, each one
+    # used, expanding to the per-vertex lists and the dict of nonzero local
+    # entries of the rational-function route; local's value 0 is (), unused
+    # where no entry is zero, and value 0 of x and y is vertex 0's
+    for g in [build(specs) for _, specs in default_corpus(7)] + formulas_large_graphs():
+        forms, ref = ClearedForms(g), ReferenceClearedForms(g)
+        (x, x_index), (y, y_index), (local, local_index) = forms.x, forms.y, forms.local
+        for values, rows in ((x, [x_index]), (y, [y_index]), (local, local_index)):
+            assert len({tuple(v) for v in values}) == len(values), g
+            assert {0, *(k for row in rows for k in row)} == set(range(len(values))), g
+        assert [list(x[k]) for k in x_index] == ref.x, g
+        want_y = [_fastpoly.cleared(e, forms.product) for e in reference_y(g)]
+        assert [list(y[k]) for k in y_index] == want_y, g
+        nonzero = {
+            (i, j): tuple(local[k])
+            for i, row in enumerate(local_index)
+            for j, k in enumerate(row)
+            if k
+        }
+        want = {(i, j): tuple(e) for i, row in enumerate(ref.local) for j, e in enumerate(row) if e}
+        assert nonzero == want, g
 
 
 def test_clearing_poly_clears_every_entry_over_distinct_cores():
@@ -562,8 +589,8 @@ def test_clearing_poly_clears_every_entry_over_distinct_cores():
         distinct = {(b.m - 1) * (b.n - 1) for b in g.blocks} - {0}
         assert delta.degree == 1 + 2 * len(distinct), g
         delta_int = list(delta.coeffs)
-        values = [balance_constant(g), *balance_vector(g), *_local_entries(g).values()]
-        for value in values:
+        local = {e for row in local_matrix(g).rows for e in row}
+        for value in [balance_constant(g), *balance_vector(g), *local]:
             # raises ArithmeticError unless value * delta has integer coefficients
             _fastpoly.cleared(value, delta_int)
 
@@ -572,8 +599,11 @@ def assert_cleared_forms_match_the_reference(g):
     forms, ref = ClearedForms(g), ReferenceClearedForms(g)
     assert forms.delta == ref.delta, g
     assert forms.lam == ref.lam and forms.inverse_den == ref.inverse_den, g
-    assert forms.x == ref.x, g
-    assert forms.y == [_fastpoly.cleared(e, forms.product) for e in reference_y(g)], g
+    values, index = forms.x
+    assert [list(values[k]) for k in index] == ref.x, g
+    values, index = forms.y
+    want_y = [_fastpoly.cleared(e, forms.product) for e in reference_y(g)]
+    assert [list(values[k]) for k in index] == want_y, g
     values, index = forms.local
     assert [[list(values[k]) for k in row] for row in index] == ref.local, g
     numerators, index = forms.inverse
@@ -593,9 +623,10 @@ def test_inverse_has_one_numerator_per_distinct_key():
     for g in formulas_large_graphs():
         forms = ClearedForms(g)
         numerators, index = forms.inverse
-        x = list(map(tuple, forms.x))
+        (x, x_index), (local, local_index) = forms.x, forms.local
+        x = [x[k] for k in x_index]
         keys = {
-            (frozenset((x[i], x[j])), forms._local.get((i, j)))
+            (frozenset((x[i], x[j])), local[local_index[i][j]])
             for i in range(g.n)
             for j in range(g.n)
         }

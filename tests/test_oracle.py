@@ -546,9 +546,10 @@ def rank_one_mismatches(dist, identities) -> list:
 def rank_one_identities(g) -> list[tuple]:
     """verify's three identities D B = 1 r^T + d I of g, as (values, index, r, d)."""
     forms, n = closedform.ClearedForms(g), g.n
+    values, index = forms.x
     return [
-        (forms.x, [[i] for i in range(n)], [forms.lam], []),
-        (*forms.local, forms.x, _fastpoly.pscale(forms.delta, -1)),
+        (values, [[k] for k in index], [forms.lam], []),
+        (*forms.local, [list(values[k]) for k in index], _fastpoly.pscale(forms.delta, -1)),
         (*forms.inverse, [[]] * n, forms.inverse_den),
     ]
 
@@ -649,24 +650,19 @@ def bumped_list(values: list, i: int, term: list[int]) -> list:
     return values
 
 
-def bumped_local(key, term: list[int]):
-    def change(local):
-        local = dict(local)
-        local[key] = tuple(_fastpoly.padd(list(local.get(key, ())), term))
-        return local
+def bumped_vertex(form, i: int, term: list[int]) -> tuple[list, list[int]]:
+    """A (values, index) vector with entry i plus term, no other entry changed."""
+    values, index = form
+    values, index = [*values, _fastpoly.padd(list(values[index[i]]), term)], index.copy()
+    index[i] = len(values) - 1
+    return values, index
 
-    return change
 
+def bumped_cell(i: int, j: int, term: list[int]):
+    """Entry (i, j) of a (values, index) matrix plus term, no other entry changed."""
 
-def bumped_inverse(i: int, j: int, term: list[int]):
-    """Entry (i, j) of the inverse numerators plus term, no other entry changed."""
-
-    def change(inverse):
-        values, index = inverse
-        index = [row.copy() for row in index]
-        values = values + [_fastpoly.padd(values[index[i][j]], term)]
-        index[i][j] = len(values) - 1
-        return values, index
+    def change(form):
+        return with_entries(*form, [(i, j)], lambda e: _fastpoly.padd(e, term))
 
     return change
 
@@ -676,30 +672,30 @@ def bumped_inverse(i: int, j: int, term: list[int]):
 # product back into coefficient lists, and for the three sums of x from the
 # term-by-term sum of x and a two-row product for the anchor sums
 WITNESS_PINS = [
-    ("matrix_times_balance_is_constant", "x", lambda x: bumped_list(x, 2, [0, 1]),
+    ("matrix_times_balance_is_constant", "x", lambda x: bumped_vertex(x, 2, [0, 1]),
      "row 0: -6 + 3q + 4q^2 != -6 + 2q + 4q^2"),
-    ("local_matrix_product", "_local", bumped_local((1, 1), [0, 0, 1]),
+    ("local_matrix_product", "local", bumped_cell(1, 1, [0, 0, 1]),
      "entry (0,1): -1 + 4q + q^2 - 2q^3 != -1 + 4q - 3q^3"),
-    ("local_matrix_product", "_local", bumped_local((1, 0), [0, 1]),
+    ("local_matrix_product", "local", bumped_cell(1, 0, [0, 1]),
      "entry (0,0): -1 + 2q + q^2 != -1 + q"),
-    ("inverse_product", "inverse", bumped_inverse(2, 3, [1]), "entry (0,3): 1 != 0"),
-    ("inverse_product", "inverse", bumped_inverse(1, 0, [0, 0, 1]),
+    ("inverse_product", "inverse", bumped_cell(2, 3, [1]), "entry (0,3): 1 != 0"),
+    ("inverse_product", "inverse", bumped_cell(1, 0, [0, 0, 1]),
      "entry (0,0): 6 + 4q - 11q^2 - 7q^3 + 6q^4 + 4q^5 != 6 + 4q - 12q^2 - 8q^3 + 6q^4 + 4q^5"),
-    ("inverse_vs_elimination", "inverse", bumped_inverse(2, 3, [1]),
+    ("inverse_vs_elimination", "inverse", bumped_cell(2, 3, [1]),
      "entry (2,3): 12 + 44q + 6q^2 - 180q^3 - 250q^4 + 76q^5 + 418q^6 + 276q^7 - 90q^8"
      " - 200q^9 - 96q^10 - 16q^11 != 6 + 16q - 40q^2 - 200q^3 - 220q^4 + 120q^5 + 440q^6"
      " + 280q^7 - 90q^8 - 200q^9 - 96q^10 - 16q^11"),
-    ("inverse_vs_elimination", "inverse", bumped_inverse(1, 0, [0, 0, 1]),
+    ("inverse_vs_elimination", "inverse", bumped_cell(1, 0, [0, 0, 1]),
      "entry (1,0): 6 - 2q - 100q^2 - 208q^3 - 30q^4 + 344q^5 + 374q^6 + 20q^7 - 208q^8"
      " - 150q^9 - 42q^10 - 4q^11 != 6 - 2q - 106q^2 - 236q^3 - 76q^4 + 324q^5 + 404q^6"
      " + 64q^7 - 186q^8 - 146q^9 - 42q^10 - 4q^11"),
-    ("balance_vector_sum", "x", lambda x: bumped_list(x, 2, [0, 1]),
+    ("balance_vector_sum", "x", lambda x: bumped_vertex(x, 2, [0, 1]),
      "sum: -7 + 8q + 3q^2 - 3q^3 != -7 + 7q + 3q^2 - 3q^3"),
-    ("balance_vector_sum", "x", lambda x: bumped_list(x, 4, [0, 0, -1]),
+    ("balance_vector_sum", "x", lambda x: bumped_vertex(x, 4, [0, 0, -1]),
      "sum: -7 + 7q + 2q^2 - 3q^3 != -7 + 7q + 3q^2 - 3q^3"),
-    ("anchor_weighted_sum", "x", lambda x: bumped_list(x, 2, [0, 1]),
+    ("anchor_weighted_sum", "x", lambda x: bumped_vertex(x, 2, [0, 1]),
      "anchor sum: -1 - 2q + 3q^3 + 2q^4 != -1 - 2q + 2q^3 + q^4"),
-    ("anchor_affine_sum", "x", lambda x: bumped_list(x, 4, [0, 0, -1]),
+    ("anchor_affine_sum", "x", lambda x: bumped_vertex(x, 4, [0, 0, -1]),
      "anchor sum: -1 - q + q^2 + q^3 - q^4 != -1 - q + q^2 + q^3"),
 ]
 
@@ -741,7 +737,7 @@ def test_packed_check_width_covers_the_expected_side(monkeypatch):
     specs = [BlockSpec(2, 2), BlockSpec(1, 3, graph_attach(1))]
     g = build(specs)
     forms = closedform.ClearedForms(g)
-    product_bound = max(map(sum, distances(g))) * max(map(one_norm, forms.x))
+    product_bound = max(map(sum, distances(g))) * max(map(one_norm, forms.x[0]))
     k0 = (2 * product_bound).bit_length()
     p = [1 << k0, -1]
     assert _moddet.pack(p, k0) == 0
