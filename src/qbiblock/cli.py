@@ -68,8 +68,9 @@ SCHEMA_VERSION = 1
 # default int/str conversion limit, which main lifts for the exact output.
 MAX_DIGITS = 4300
 
-# Most vertices verify takes in a file: the oracle's bordered rows hold integer
-# lists whose slots grow as n^3 on a path (64 MiB at n = 200).
+# Most vertices verify takes in a file.  It bounds memory, not time: the oracle's
+# rows grow as n^3 on a path (18 MiB at n = 200, rooted at its middle), and
+# verify_graph takes 47 s on path_tree(96) (2 cores, Python 3.11), ~5 min at 128.
 MAX_VERIFY_VERTICES = 128
 
 
@@ -81,7 +82,7 @@ class _DomainError(Exception):
     pass
 
 
-def _load_specs(path: str):
+def _build_graph(path: str):
     try:
         if path == "-":
             raw = sys.stdin.read()
@@ -106,14 +107,7 @@ def _load_specs(path: str):
     except RecursionError:
         raise _InputError(f"{path}: JSON nested too deeply") from None
     try:
-        return specs_from_json(obj)
-    except GraphError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-
-
-def _build_graph(path: str):
-    try:
-        return build(_load_specs(path))
+        return build(specs_from_json(obj))
     except GraphError as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
@@ -133,27 +127,23 @@ def _parse_at(text: str):
 _to_json = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
+def _scalar_text(fields) -> str:
+    return fields["value"][0][0]
+
+
 def _vectors_text(fields) -> str:
     return "\n".join(f"{k}[{i}] = {s}" for k, (row,) in fields.items() for i, s in enumerate(row))
 
 
-# per formula command: the JSON depth of its fields (0 one value, 1 an array,
-# 2 an array of arrays) and its text layout of the rendered fields
-_SCALAR = (0, lambda fields: fields["value"][0][0])
-_LAYOUTS = {
-    "det": _SCALAR,
-    "xi": _SCALAR,
-    "lambda": _SCALAR,
-    "vectors": (1, _vectors_text),
-    "inverse": (2, lambda fields: "\n".join(map("\t".join, fields["value"]))),
-}
+def _inverse_text(fields) -> str:
+    return "\n".join(map("\t".join, fields["value"]))
 
 
-def _formula_command(args, symbolic, at, refuse: tuple[str, ...]) -> int:
+def _formula_command(args, symbolic, at, *, refuse: tuple[str, ...], depth: int, text) -> int:
     """Print symbolic(g), or at(g, q0) for --at: a dict of field name to a
     (values, index) form, index a list of rows.  Each distinct value is
-    rendered once, as JSON or text, and the rendered rows are laid out by
-    the command's entry of _LAYOUTS."""
+    rendered once.  With --at, a violation of a condition in refuse exits 3.
+    JSON nests each field depth deep (0 a value, 1 a row, 2 rows); text(fields) lays out text."""
     g = _build_graph(args.graph)
     payload = {"schema": SCHEMA_VERSION, "command": args.command}
     violations = ()
@@ -170,7 +160,6 @@ def _formula_command(args, symbolic, at, refuse: tuple[str, ...]) -> int:
         fields = at(g, q0)
         to_json = lambda v: _to_json(rational_to_json(v))
         payload.update(at=rational_to_json(q0), violations=[vars(v) for v in violations])
-    depth, text = _LAYOUTS[args.command]
     as_json = args.format == "json"
     lines = {}
     for name, (values, index) in fields.items():
@@ -197,12 +186,14 @@ def _scalar(value) -> dict:
 
 def cmd_det(args) -> int:
     at = lambda g, q0: _scalar(ClearedForms(g).det_at(q0))
-    return _formula_command(args, lambda g: _scalar(graph_det(g)), at, refuse=())
+    symbolic = lambda g: _scalar(graph_det(g))
+    return _formula_command(args, symbolic, at, refuse=(), depth=0, text=_scalar_text)
 
 
 def cmd_xi(args) -> int:
     at = lambda g, q0: _scalar(ClearedForms(g).cofactor_at(q0))
-    return _formula_command(args, lambda g: _scalar(graph_cofactor(g)), at, refuse=())
+    symbolic = lambda g: _scalar(graph_cofactor(g))
+    return _formula_command(args, symbolic, at, refuse=(), depth=0, text=_scalar_text)
 
 
 def _lambda_at(g, q0):
@@ -212,7 +203,7 @@ def _lambda_at(g, q0):
 
 def cmd_lambda(args) -> int:
     symbolic = lambda g: _scalar(balance_constant(g))
-    return _formula_command(args, symbolic, _lambda_at, refuse=("C1",))
+    return _formula_command(args, symbolic, _lambda_at, refuse=("C1",), depth=0, text=_scalar_text)
 
 
 def _vectors(g, wrap) -> dict:
@@ -224,12 +215,14 @@ def _vectors(g, wrap) -> dict:
 
 def cmd_vectors(args) -> int:
     at = lambda g, q0: _vectors(g, lambda values, den: values_at(values, den, q0))
-    return _formula_command(args, lambda g: _vectors(g, _shared_rfs), at, refuse=("C1",))
+    symbolic = lambda g: _vectors(g, _shared_rfs)
+    return _formula_command(args, symbolic, at, refuse=("C1",), depth=1, text=_vectors_text)
 
 
 def cmd_inverse(args) -> int:
     at = lambda g, q0: {"value": _inverse_form_at(g, q0)}
-    return _formula_command(args, lambda g: {"value": _inverse_form(g)}, at, refuse=("C1",))
+    symbolic = lambda g: {"value": _inverse_form(g)}
+    return _formula_command(args, symbolic, at, refuse=("C1",), depth=2, text=_inverse_text)
 
 
 def cmd_verify(args) -> int:
@@ -359,10 +352,7 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except PoleError as exc:
+    except (_DomainError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except BrokenPipeError:

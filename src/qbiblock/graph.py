@@ -156,35 +156,32 @@ def distances(g: BiBlockGraph) -> list[list[int]]:
 # -- generators --------------------------------------------------------------
 
 
+def _tree(parents) -> list[BlockSpec]:
+    """The tree of single-edge blocks on the edge 0-1 in which vertex v + 2 hangs off parents[v]."""
+    return [BlockSpec(1, 1)] + [BlockSpec(1, 1, Attachment(p, "X")) for p in parents]
+
+
 def path_tree(n: int) -> list[BlockSpec]:
-    """The path on n vertices as a chain of single-edge blocks."""
+    """The path 0-1-...-(n-1) on n vertices: vertex v + 1 hangs off v."""
     if n < 2:
         raise GraphError("a path needs at least 2 vertices")
-    specs = [BlockSpec(1, 1)]
-    for v in range(1, n - 1):
-        specs.append(BlockSpec(1, 1, Attachment(v, "X")))
-    return specs
+    return _tree(range(1, n - 1))
 
 
 def star_tree(n: int) -> list[BlockSpec]:
-    """The star on n vertices: n-1 single-edge blocks sharing vertex 0."""
+    """The star on n vertices: every vertex but 0 hangs off vertex 0."""
     if n < 2:
         raise GraphError("a star needs at least 2 vertices")
-    specs = [BlockSpec(1, 1)]
-    for _ in range(n - 2):
-        specs.append(BlockSpec(1, 1, Attachment(0, "X")))
-    return specs
+    return _tree([0] * (n - 2))
 
 
 def random_tree(seed: int, n: int) -> list[BlockSpec]:
-    """A random tree on n vertices, deterministic for a fixed seed."""
+    """A random tree on n vertices, deterministic for a fixed seed: vertex v
+    hangs off a uniform earlier vertex, drawn for v = 2, ..., n - 1 in turn."""
     if n < 2:
         raise GraphError("a tree needs at least 2 vertices")
     rng = random.Random(seed)
-    specs = [BlockSpec(1, 1)]
-    for v in range(2, n):
-        specs.append(BlockSpec(1, 1, Attachment(rng.randrange(v), "X")))
-    return specs
+    return _tree([rng.randrange(v) for v in range(2, n)])
 
 
 def random_biblock(seed: int, r_max: int, part_max: int) -> list[BlockSpec]:

@@ -76,10 +76,7 @@ class RingMatrix:
         )
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
-        self._require_same_shape(other)
-        return RingMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self + (-other)
 
     def __neg__(self) -> "RingMatrix":
         return self.map(lambda e: -e)

@@ -68,9 +68,9 @@ from . import _fastpoly, _moddet
 from .closedform import ClearedForms
 from .exactring import Polynomial, RationalFunction
 from .graph import (
-    Attachment,
     BiBlockGraph,
     BlockSpec,
+    _tree,
     build,
     distances,
     graph_to_json,
@@ -306,10 +306,6 @@ def verify_graph(specs, name: str = "graph", select=None) -> VerificationReport:
 # -- corpus -------------------------------------------------------------------
 
 
-def _tree_specs_from_parents(parents: tuple[int, ...]) -> tuple[BlockSpec, ...]:
-    return (BlockSpec(1, 1),) + tuple(BlockSpec(1, 1, Attachment(p, "X")) for p in parents[1:])
-
-
 def _canonical_tree_code(parents: tuple[int, ...]) -> str:
     """Least nested-bracket encoding over all roots: equal iff the trees are isomorphic."""
     n = len(parents) + 1
@@ -334,6 +330,7 @@ def all_trees(max_n: int) -> tuple[tuple[BlockSpec, ...], ...]:
     sequences keeps.  A first sequence's prefix is first in its class (were T'
     smaller and isomorphic by phi, T' + (phi(p),) would be smaller than the
     whole), and the extensions of sorted prefixes come in lexicographic order.
+    Each sequence starts with 0 (vertex 1 on vertex 0); graph._tree builds the rest.
     """
     out: list[tuple[BlockSpec, ...]] = []
     layer: list[tuple[int, ...]] = [()]  # the tree on one vertex
@@ -342,7 +339,7 @@ def all_trees(max_n: int) -> tuple[tuple[BlockSpec, ...], ...]:
         for tree in (parents + (p,) for parents in layer for p in range(n - 1)):
             firsts.setdefault(_canonical_tree_code(tree), tree)
         layer = list(firsts.values())
-        out.extend(map(_tree_specs_from_parents, layer))
+        out.extend(tuple(_tree(parents[1:])) for parents in layer)
     return tuple(out)
 
 

@@ -11,8 +11,9 @@ oracle.oracle_inverse are checked against, rowcol_cofactor_matrix is the
 row-and-column construction that qdist.cofactor_matrix is checked against,
 rf_matrix lifts a polynomial matrix into the rational-function field for
 those routes, identity builds the identity matrices the tests multiply by,
-and formulas_large_graphs and oracle_large_graphs build the reference graphs
-of those benchmark workloads.
+int_rows gives a polynomial matrix as the coefficient lists of _moddet and
+_fastpoly, and formulas_large_graphs and oracle_large_graphs build the
+reference graphs of those benchmark workloads.
 
 separate_det_and_cofactor is the second route to oracle_det_and_cofactor:
 two packed determinants, of the q-distance matrix and of the cofactor matrix
@@ -343,6 +344,11 @@ def rf_matrix(m: RingMatrix) -> RingMatrix:
 
 def identity(n: int, zero, one) -> RingMatrix:
     return RingMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def int_rows(m: RingMatrix) -> list[list[list[int]]]:
+    """A polynomial matrix as the integer coefficient lists the packed engines take."""
+    return [[list(e.coeffs) for e in row] for row in m.rows]
 
 
 def formulas_large_graphs():

@@ -361,13 +361,13 @@ def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path, checkout_env):
     # the inverse of a 300-vertex path runs far past a pipe's buffer
     graph = write_graph(tmp_path, "p300.json", path_tree(300))
     command = [sys.executable, "-m", "qbiblock.cli", "inverse", graph, "--at", "2/7"]
-    child = subprocess.Popen(
+    with subprocess.Popen(
         command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO_ROOT, env=checkout_env
-    )
-    assert child.stdout.readline()
-    child.stdout.close()
-    stderr = child.stderr.read()
-    assert (child.wait(timeout=60), stderr) == (141, b"")
+    ) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert (child.wait(timeout=60), stderr) == (141, b"")
 
 
 def test_a_closed_stdout_exits_141_in_process(capsys, monkeypatch, p3):

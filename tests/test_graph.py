@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from qbiblock.graph import (
     specs_from_json,
     star_tree,
 )
+from qbiblock.oracle import all_trees
 
 
 def test_single_edge_block():
@@ -153,6 +155,26 @@ def test_generators_shapes():
 def test_random_generator_determinism():
     assert random_biblock(42, 5, 4) == random_biblock(42, 5, 4)
     assert random_tree(7, 10) == random_tree(7, 10)
+
+
+def _digest(spec_lists) -> str:
+    objs = [graph_to_json(specs) for specs in spec_lists]
+    return hashlib.sha256(json.dumps(objs, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_tree_generators_are_pinned():
+    # every block of every generated tree, and random_tree's draw order, which
+    # the benchmark's tree33 and tree180 reference graphs depend on
+    paths = [path_tree(n) for n in (2, 3, 40, 300)]
+    stars = [star_tree(n) for n in (2, 3, 40)]
+    randoms = [random_tree(seed, n) for seed, n in ((0, 180), (1, 33), (5, 2), (7, 64))]
+    assert all(type(specs) is list for specs in paths + stars + randoms)
+    assert _digest(paths) == "73a88d156a22e74eda10877157b1c04a8a9c0d359efe591a8e22572183484069"
+    assert _digest(stars) == "953682bbded68b45280643e0f532eb81202c1b4698c345a0864e12267f491faf"
+    assert _digest(randoms) == "9bcad6db7c03b8834b9fd1e89176813bca6184495048ad5b2f1f2a4bedd1f7d8"
+    trees = all_trees(8)
+    assert len(trees) == 47
+    assert _digest(trees) == "6be0ac51037060a89d5bf4161aa4a4130388151e492b99d0d06bc3060758a8fb"
 
 
 def test_json_round_trip():

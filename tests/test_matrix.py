@@ -14,6 +14,7 @@ from helpers import (
     det_cofactor,
     identity,
     inverse_gauss,
+    int_rows,
     rf_matrix,
     whole_det_int_poly_matrix,
 )
@@ -175,10 +176,6 @@ def test_block_operator_identities():
             assert e2 @ RingMatrix.ones(t, s - 1, ONE) == e1 * t
             assert RingMatrix.ones(s - 1, mdim, ONE) @ e_mm == e1.transpose()
             assert RingMatrix.ones(t, mdim, ONE) @ e_mm == e2.transpose()
-
-
-def int_rows(m: RingMatrix) -> list[list[list[int]]]:
-    return [[list(e.coeffs) for e in row] for row in m.rows]
 
 
 def test_packed_matmul_matches_schoolbook_product():

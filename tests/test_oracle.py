@@ -11,6 +11,7 @@ from helpers import (
     cofactor_rows,
     first_of_class_trees,
     inverse_gauss,
+    int_rows,
     oracle_large_graphs,
     parent_differenced,
     rf_matrix,
@@ -285,10 +286,6 @@ def test_verify_graph_rejects_unknown_check_names(select):
 
 def one_norm(e: list[int]) -> int:
     return sum(map(abs, e))
-
-
-def int_rows(m: RingMatrix) -> list[list[list[int]]]:
-    return [[list(e.coeffs) for e in row] for row in m.rows]
 
 
 def test_integer_rows_equal_the_ring_matrices_on_the_corpus():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 from helpers import (
+    int_rows,
     oracle_large_graphs,
     psub_bordered_rows,
     rowcol_cofactor_matrix,
@@ -101,10 +102,6 @@ def test_bfs_parents_are_neighbours_one_step_closer_to_vertex_0():
         assert parents[0] == -1
         for i, p in enumerate(parents[1:], start=1):
             assert dist[i][p] == 1 and dist[0][p] == dist[0][i] - 1
-
-
-def int_rows(m: RingMatrix) -> list[list[list[int]]]:
-    return [[list(e.coeffs) for e in row] for row in m.rows]
 
 
 def ring_bordered(g, corner=ZERO) -> list[list]:
