@@ -59,6 +59,9 @@ for ``C`` a bound on the coefficients of their difference:
   matrix of a distance table, read off its ``distance_classes``,
   ``C = maxᵢ Σₖ dist(i, k) · max ‖bₖⱼ‖₁ + maxⱼ ‖rⱼ‖₁ + ‖d‖₁``, the
   ``matmul`` bound plus the expected side's;
+* ``outer_form_holds``: ``vᵢⱼ = uᵢ uⱼ - c wᵢⱼ`` for every cell, each
+  distinct tuple of entries once,
+  ``C = max ‖vᵢⱼ‖₁ + max ‖uᵢ‖₁² + max ‖wᵢⱼ‖₁ ‖c‖₁``;
 * ``adjugate_mismatch``: ``vᵢⱼ det(A) = b adj(A)ᵢⱼ`` on the packed
   ``adjugate``, ``C = C_A (max ‖vᵢⱼ‖₁ + ‖b‖₁)`` for ``C_A`` the Hadamard bound
   of ``A``, which bounds ``det(A)`` and every ``adj(A)ᵢⱼ`` as above.
@@ -84,6 +87,7 @@ digits, which give the first failing ``j`` and
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import isqrt, prod
 from operator import mul
 
@@ -291,6 +295,23 @@ def adjugate_mismatch(entries: list[list[list[int]]], values, index, den: list[i
             if left[t] != den_value * a:
                 return i, j, unpack(det, k, bound), unpack(a, k, bound)
     return None
+
+
+def outer_form_holds(values, index, u, w, c: list[int]) -> bool:
+    """Whether values[index[i][j]] = u_i u_j - c w_ij for every cell (i, j),
+    u a (values, index) vector and w a (values, index) matrix of integer
+    lists, c an integer list.  Each distinct (u_i, values, u_j, w_ij) index
+    tuple is compared once, packed at 2^k > 2C, C the bound in the module
+    docstring."""
+    (u_values, u_index), (w_values, w_index) = u, w
+    bound = max(map(_norm, values)) + max(map(_norm, u_values)) ** 2
+    k = _digit_bits(bound + max(map(_norm, w_values)) * _norm(c))
+    packed, pu, pw = ([pack(e, k) for e in form] for form in (values, u_values, w_values))
+    pc = pack(c, k)
+    cells = set()
+    for a, row, w_row in zip(u_index, index, w_index):
+        cells.update(zip(repeat(a), row, u_index, w_row))
+    return all(packed[t] == pu[a] * pu[b] - pc * pw[l] for a, t, b, l in cells)
 
 
 def distance_classes(dist: list[list[int]]) -> tuple[list[list[list[int]]], int, int]:

@@ -4,12 +4,20 @@ The oracles never call the closed-form code paths: they work from the
 distance table alone, so agreement between the two routes is evidence, not
 tautology.  The determinant and the reduced cofactor come from one packed
 determinant, of the q-distance matrix bordered at a root r with corner q^M
-(qdist.bordered_rows, rows differenced against their BFS parents' rows): it
-is det D + q^M * cofactor, and M, one more than the row-degree sum, bounds
-deg det D a priori, so the coefficients below q^M are det D and the rest the
-cofactor.  The engine's Hadamard bound covers both readouts.  The root's
-row, dense and with the corner, comes last, where the engine reads it once
-and never updates it.
+(qdist.bordered_rows): it is det D + q^M * cofactor, and M, one more than
+the row-degree sum, bounds deg det D a priori, so the coefficients below
+q^M are det D and the rest the cofactor.  The engine's Hadamard bound
+covers both readouts.  The root's row, dense and with the corner, comes
+last, where the engine reads it once and never updates it.
+
+Each other row has the original row of its reference subtracted
+(qdist.row_references): its previous twin, an earlier vertex with the same
+neighbours, else its BFS parent.  A twin row is -[2]_q and [2]_q and zeros,
+read straight off the table, so a dense block's rows stay sparse.  In the
+BFS order below every reference precedes its row, so the operations are
+unit lower triangular, never touch the root's row and keep det B(z); M and
+the Hadamard bound are computed from the rows as they are, so both
+readouts stay proven (qdist module docstring).
 
 The root and the row order are read off the distance table: the root is a
 centre (least eccentricity), of least distance sum among the centres, and
@@ -44,9 +52,15 @@ share the shape D B = 1 r^T + d I; _moddet.rank_one_mismatch checks one at
 its own 2^k, each distinct entry of B packed once, with D read off
 _moddet.distance_classes.  Each row of D B is one integer of slots, the
 rows of B summed over the distance classes, with no product, and only a
-failing entry is read back, for its witness.  The elimination comparison
-checks N * det == delta Lambda * adj(D) on the packed values of that
-adjugate (_moddet.adjugate_mismatch), and the three sums of x are one
+failing entry is read back, for its witness.  The third identity is
+deduced from the first two, whose witnesses are kept: when both hold and
+N_ij = X_i X_j - Lambda (delta L)_ij in every cell
+(_moddet.outer_form_holds), D N = Lambda 1 X^T - Lambda (1 X^T - delta I)
+= delta Lambda I, which is inverse_den (checked too).  When either identity or
+a cell fails, inverse_product runs the product D N itself, so its verdict
+and witness are the product's.  The elimination comparison checks
+N * det == delta Lambda * adj(D) on the packed values of that adjugate
+(_moddet.adjugate_mismatch), and the three sums of x are one
 _moddet.matmul.
 
 verify_corpus fans the graphs out over a process pool when asked for more
@@ -80,8 +94,10 @@ from .matrix import RingMatrix
 from .qdist import bordered_rows, q_distance_rows
 
 # Above this size the elimination-inverse comparison is skipped: the inverse
-# is still fully verified by the exact product identity, and uniqueness of the
-# inverse makes the entrywise comparison mathematically redundant there.
+# is still fully verified by inverse_product's exact identity D N = delta
+# Lambda I, deduced from the other two matrix identities and a check of every
+# cell, else checked as a product, and uniqueness of the inverse makes the
+# entrywise comparison mathematically redundant there.
 _ELIMINATION_COMPARE_MAX = 10
 
 _CHECK_NAMES = (
@@ -225,7 +241,8 @@ class _Checks:
     def balance_constant_nonzero(self) -> str | None:
         return None if self.forms.lam else f"balance constant is zero for {self.name}"
 
-    def matrix_times_balance_is_constant(self) -> str | None:
+    @functools.cached_property
+    def _balance_witness(self) -> str | None:
         forms = self.forms
         values, index = forms.x
         if found := _moddet.rank_one_mismatch(
@@ -233,6 +250,9 @@ class _Checks:
         ):
             return _mismatch(f"row {found[0]}", found[2], forms.lam)
         return None
+
+    def matrix_times_balance_is_constant(self) -> str | None:
+        return self._balance_witness
 
     def balance_vector_sum(self) -> str | None:
         expected = _fastpoly.psub(self.forms.delta, _fastpoly.pmul([-1, 1], self.forms.lam))
@@ -244,7 +264,8 @@ class _Checks:
     def anchor_affine_sum(self) -> str | None:
         return _mismatch("anchor sum", self.sums[2], self.forms.delta)
 
-    def local_matrix_product(self) -> str | None:
+    @functools.cached_property
+    def _local_witness(self) -> str | None:
         # D L = 1 x^T - delta I, shown as (D L + delta I)_ij against x_j
         forms = self.forms
         values, index = forms.x
@@ -257,9 +278,22 @@ class _Checks:
             return _mismatch(f"entry ({i},{j})", shown, x[j])
         return None
 
+    def local_matrix_product(self) -> str | None:
+        return self._local_witness
+
     def inverse_product(self) -> str | None:
-        # entry (i, j) of the inverse is numerators[index[i][j]] / inverse_den
+        # D N = delta Lambda I follows from D X = Lambda 1, D (delta L) =
+        # 1 X^T - delta I and N = X X^T - Lambda (delta L) cell by cell;
+        # otherwise the product itself, for its witness.  Entry (i, j) of
+        # the inverse is numerators[index[i][j]] / inverse_den
         forms = self.forms
+        if (
+            self._balance_witness is None
+            and self._local_witness is None
+            and forms.inverse_den == _fastpoly.pmul(forms.delta, forms.lam)
+            and _moddet.outer_form_holds(*forms.inverse, forms.x, forms.local, forms.lam)
+        ):
+            return None
         if found := _moddet.rank_one_mismatch(
             self.classes, *forms.inverse, [[]] * self.g.n, forms.inverse_den
         ):

@@ -42,7 +42,11 @@ adjugate is checked against; whole_det_int_poly_matrix is the determinant by tha
 elimination of the whole packed matrix, last row included: the route that
 _moddet.det_int_poly_matrix, which never updates the last row, is checked
 against.  psub_bordered_rows builds qdist.bordered_rows with psub from
-[1] * d lists, the route the table-read entries are checked against.
+[1] * d lists, each row less the row of a given reference: with
+qdist.row_references the route the table-read entries are checked against,
+and with the BFS parents alone the parent-only construction, whose packed
+determinant, parent_det_and_cofactor, is the route that the twin-differenced
+oracle is checked against.
 
 reference_check_conditions is closedform.check_conditions in Fraction
 arithmetic, q0^2 (m-1)(n-1) = 1 and (q0+1)^2 (m-1)(n-1) = m n as written.
@@ -514,10 +518,12 @@ def whole_det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
     return _moddet.unpack(sign * pivot, k, bound)
 
 
-def psub_bordered_rows(dist: list[list[int]]) -> tuple[list[list[list[int]]], int]:
+def psub_bordered_rows(
+    dist: list[list[int]], refs: list[int]
+) -> tuple[list[list[list[int]]], int]:
     """qdist.bordered_rows from [1] * d lists and psub: each cofactor entry
-    [d(u, v)]_q - [d(u, 0) + d(0, v)]_q, then each row less its BFS parent's
-    row when that parent is not vertex 0."""
+    [d(u, v)]_q - [d(u, 0) + d(0, v)]_q, then each row less the original row
+    of its reference refs[u] when that is not vertex 0."""
     psub = _fastpoly.psub
     alpha = dist[0][1:]
     rows = [
@@ -525,10 +531,18 @@ def psub_bordered_rows(dist: list[list[int]]) -> tuple[list[list[list[int]]], in
         for row in dist[1:]
     ]
     rows = [
-        row if p == 0 else [psub(a, b) for a, b in zip(row, rows[p - 1])]
-        for row, p in zip(rows, bfs_parents(dist)[1:])
+        row if r == 0 else [psub(a, b) for a, b in zip(row, rows[r - 1])]
+        for row, r in zip(rows, refs[1:])
     ]
     rows.append([[1] * a for a in alpha] + [[]])
     m = 1 + sum(max(map(len, row)) - 1 for row in rows)
     rows[-1][-1] = [0] * m + [1]
     return rows, m
+
+
+def parent_det_and_cofactor(dist: list[list[int]]) -> tuple[list[int], list[int]]:
+    """(det D, cofactor) from the bordered rows at vertex 0 differenced
+    against BFS parents alone, in vertex order: the parent-only route."""
+    rows, m = psub_bordered_rows(dist, bfs_parents(dist))
+    coeffs = _moddet.det_int_poly_matrix(rows)
+    return _fastpoly.pstrip(coeffs[:m]), coeffs[m:]

@@ -13,6 +13,7 @@ from helpers import (
     inverse_gauss,
     int_rows,
     oracle_large_graphs,
+    parent_det_and_cofactor,
     parent_differenced,
     rf_matrix,
     rowcol_cofactor_matrix,
@@ -49,6 +50,7 @@ from qbiblock.qdist import (
     cofactor_matrix,
     q_distance_matrix,
     q_distance_rows,
+    row_references,
 )
 
 QP1 = Q + 1
@@ -172,6 +174,21 @@ def test_centre_rooted_oracle_matches_the_vertex0_route():
         for seed in (1, 2, 3):
             order = random.Random(f"{name}:{seed}").sample(range(g.n), g.n)
             assert oracle._det_and_cofactor(permuted(dist, order)) == want, (name, seed)
+
+
+def test_twin_differenced_oracle_matches_the_parent_only_route():
+    # the oracle's rows less a twin's row where there is one, against the
+    # bordered rows at vertex 0 less their BFS parents' rows alone
+    graphs = [build(specs) for _, specs in default_corpus(7)] + oracle_large_graphs()
+    graphs += [build([BlockSpec(s, s)]) for s in range(1, 13)]
+    graphs += [build([BlockSpec(1, t)]) for t in range(1, 21)]
+    assert len(graphs) == 207
+    twin_rows = 0
+    for g in graphs:
+        dist = distances(g)
+        twin_rows += sum(dist[u][r] == 2 for u, r in enumerate(row_references(dist)))
+        assert oracle._det_and_cofactor(dist) == parent_det_and_cofactor(dist), g.n
+    assert twin_rows > len(graphs)
 
 
 def test_bordered_determinant_does_not_depend_on_the_root():
@@ -705,6 +722,55 @@ def test_packed_checks_render_the_pinned_witness(monkeypatch, check, name, chang
     assert (result.name, result.passed, result.witness) == (check, False, witness)
 
 
+def bumped_numerator(form):
+    """The inverse's first numerator plus q, in every cell that shares it."""
+    values, index = form
+    return [_fastpoly.padd(values[0], [0, 1]), *values[1:]], index
+
+
+def repointed_cell(form):
+    """Cell (1, 2) of the inverse's index pointing at another numerator."""
+    values, index = form
+    index = [row.copy() for row in index]
+    index[1][2] = (index[1][2] + 1) % len(values)
+    return values, index
+
+
+# one corruption each: the numerators and the index leave the two identities
+# that inverse_product is deduced from passing, x and the local matrix break one
+INVERSE_CORRUPTIONS = [
+    ("inverse", bumped_numerator, "local_matrix_product"),
+    ("inverse", repointed_cell, "local_matrix_product"),
+    ("x", lambda x: bumped_vertex(x, 2, [0, 1]), "matrix_times_balance_is_constant"),
+    ("local", bumped_cell(1, 1, [0, 0, 1]), "local_matrix_product"),
+]
+
+
+@pytest.mark.parametrize("name, change, identity", INVERSE_CORRUPTIONS)
+def test_deduced_inverse_product_fails_with_the_direct_witness(monkeypatch, name, change, identity):
+    changed_property(monkeypatch, closedform.ClearedForms, name, change)
+    for specs in ([BlockSpec(2, 2), BlockSpec(1, 3, graph_attach(1))], random_biblock(20, 14, 3)):
+        report = {c.name: c for c in verify_graph(specs, "g").checks}
+        (alone,) = verify_graph(specs, "g", select=["inverse_product"]).checks
+        with monkeypatch.context() as patch:
+            # the product route alone, as before the deduction
+            patch.setattr(_moddet, "outer_form_holds", lambda *args: False)
+            (direct,) = verify_graph(specs, "g", select=["inverse_product"]).checks
+        assert not direct.passed and direct.witness, (name, specs)
+        assert report["inverse_product"] == alone == direct, (name, specs)
+        assert report[identity].passed == (name == "inverse"), (name, specs)
+
+
+def test_deduced_inverse_product_passes_alone_and_skips_the_product(monkeypatch):
+    calls = {"rank_one_mismatch": 0}
+    counting_wrappers(monkeypatch, calls, _moddet)
+    for name, specs in default_corpus(7):
+        (result,) = verify_graph(specs, name, select=["inverse_product"]).checks
+        assert result == CheckResult("inverse_product", True), name
+    # the balance and local identities, and no product D N
+    assert calls == {"rank_one_mismatch": 2 * 172}
+
+
 def results_one_check_at_a_time(specs, name: str) -> tuple:
     """The CheckResult of each check of verify_graph, each from a run of its own."""
     return tuple(
@@ -743,6 +809,29 @@ def test_packed_check_width_covers_the_expected_side(monkeypatch):
     (result,) = verify_graph(specs, "g", select=["matrix_times_balance_is_constant"]).checks
     wrong = Polynomial(_fastpoly.padd(forms.lam, p))
     assert not result.passed and result.witness == f"row 0: {Polynomial(forms.lam)} != {wrong}"
+
+
+def test_outer_form_width_covers_every_term():
+    # p = 2^k0 - q vanishes at 2^k0 for the width k0 of the bound less one
+    # of its three terms, so a check packed at 2^k0 would take N, x or the
+    # local matrix changed by p for the true one
+    forms = closedform.ClearedForms(build(random_biblock(20, 14, 3)))
+    inputs = {"numerators": forms.inverse, "x": forms.x, "local": forms.local}
+    assert _moddet.outer_form_holds(*inputs["numerators"], forms.x, forms.local, forms.lam)
+    terms = {
+        "numerators": max(map(one_norm, forms.inverse[0])),
+        "x": max(map(one_norm, forms.x[0])) ** 2,
+        "local": max(map(one_norm, forms.local[0])) * one_norm(forms.lam),
+    }
+    for term in terms:
+        k0 = _moddet._digit_bits(sum(bound for t, bound in terms.items() if t != term))
+        p = [1 << k0, -1]
+        assert _moddet.pack(p, k0) == 0
+        values, index = inputs[term]
+        # value 0 of the local matrix is its zero entry; change a nonzero one
+        changed = {**inputs, term: (bumped_list(values, int(term == "local"), p), index)}
+        numerators, x, local = changed.values()
+        assert not _moddet.outer_form_holds(*numerators, x, local, forms.lam), term
 
 
 def test_zero_balance_constant_fails_a_check_and_refuses_only_the_inverse(monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from helpers import (
     int_rows,
@@ -19,6 +21,7 @@ from qbiblock.qdist import (
     bordered_rows,
     cofactor_matrix,
     q_distance_matrix,
+    row_references,
 )
 
 
@@ -126,7 +129,7 @@ def test_bordered_rows_equal_the_psub_construction():
     assert len(graphs) == 175
     for g in graphs:
         dist = distances(g)
-        assert bordered_rows(dist) == psub_bordered_rows(dist), g.n
+        assert bordered_rows(dist) == psub_bordered_rows(dist, row_references(dist)), g.n
 
 
 def test_bordered_determinant_equals_the_whole_elimination_on_the_oracle_graphs():
@@ -139,6 +142,7 @@ def test_bordered_determinant_equals_the_whole_elimination_on_the_oracle_graphs(
 
 
 def test_bordered_rows_are_the_parent_differenced_ring_construction():
+    # each row less its reference's row: the BFS parent, or the previous twin
     graphs = [[BlockSpec(1, 1)], [BlockSpec(1, 4)], [BlockSpec(3, 3)], star_tree(6), path_tree(9)]
     graphs += [random_biblock(seed, 6, 3) for seed in range(8)]
     for specs in graphs:
@@ -146,9 +150,9 @@ def test_bordered_rows_are_the_parent_differenced_ring_construction():
         dist = distances(g)
         rows, m = bordered_rows(dist)
         ring = ring_bordered(g)
-        parents = bfs_parents(dist)
+        refs = row_references(dist)
         expected = [
-            row if parents[u] == 0 else [a - b for a, b in zip(row, ring[parents[u] - 1])]
+            row if refs[u] == 0 else [a - b for a, b in zip(row, ring[refs[u] - 1])]
             for u, row in enumerate(ring[:-1], start=1)
         ] + [ring[-1]]
         # the a-priori degree bound: one more than the sum of the rows' degrees
@@ -156,10 +160,71 @@ def test_bordered_rows_are_the_parent_differenced_ring_construction():
         expected[-1][-1] = Q**m
         assert rows == int_rows(RingMatrix(expected)), specs
         for u in range(1, g.n):
-            if parents[u]:
-                # the differenced entries have 1-norm at most 2, q^d(p, 0) last
+            r = refs[u]
+            if r:
+                # the differenced entries have 1-norm at most 2; last, q^d(r, 0)
+                # for a parent, 0 for a twin
                 assert all(sum(map(abs, e)) <= 2 for e in rows[u - 1]), specs
-                assert rows[u - 1][-1] == [0] * dist[parents[u]][0] + [1], specs
+                last = [] if dist[u][r] == 2 else [0] * dist[r][0] + [1]
+                assert rows[u - 1][-1] == last, specs
+
+
+def twin_tables():
+    """Distance tables with twins: single blocks, stars, the corpus and the
+    oracle_large graphs, each as built and under a seeded renumbering in
+    levels from vertex 0, the order the oracle takes."""
+    specs = [[BlockSpec(s, t)] for s in range(1, 7) for t in range(1, 7)] + [star_tree(7)]
+    graphs = [build(s) for s in specs] + [build(s) for _, s in default_corpus(7)]
+    graphs += oracle_large_graphs()
+    for g in graphs:
+        dist = distances(g)
+        yield dist
+        order = random.Random(g.n).sample(range(g.n), g.n)
+        order.sort(key=dist[order[0]].__getitem__)
+        yield [[dist[u][v] for v in order] for u in order]
+
+
+def neighbours(row: list[int]) -> list[int]:
+    return [v for v, d in enumerate(row) if d == 1]
+
+
+def test_each_reference_precedes_its_row_and_vertex_0_is_no_twin_reference():
+    # in the order of distance from vertex 0, then vertex number, so in
+    # vertex order when the vertices come in levels
+    for dist in twin_tables():
+        refs = row_references(dist)
+        assert refs[0] == -1
+        level = dist[0]
+        assert all((level[r], r) < (level[u], u) for u, r in enumerate(refs[1:], start=1))
+        if level == sorted(level):
+            assert all(r < u for u, r in enumerate(refs[1:], start=1)), dist
+        # vertex 0 is a reference only as a parent, whose cofactor row is zero
+        assert all(dist[u][0] == 1 for u, r in enumerate(refs) if r == 0), dist
+
+
+def test_each_reference_is_the_previous_twin_or_else_the_parent():
+    for dist in twin_tables():
+        parents = bfs_parents(dist)
+        for u, r in enumerate(row_references(dist)[1:], start=1):
+            twins = [w for w in range(1, u) if neighbours(dist[w]) == neighbours(dist[u])]
+            assert r == (twins[-1] if twins else parents[u]), (dist, u)
+
+
+def test_twin_rows_of_a_block_have_two_entries_and_a_zero_last_column():
+    # K_{s,t} in builder order, X = 0 .. s-1 and Y = s .. s+t-1: each vertex
+    # of a side but its first refers to the one before it, except vertex 1,
+    # since the root 0 is never a twin reference
+    for s, t in [(2, 2), (3, 5), (5, 3), (6, 6), (1, 7), (7, 1)]:
+        dist = distances(build([BlockSpec(s, t)]))
+        rows, _ = bordered_rows(dist)
+        refs = row_references(dist)
+        twins = [*range(2, s), *range(s + 1, s + t)]
+        assert [u for u in range(1, s + t) if dist[u][refs[u]] == 2] == twins, (s, t)
+        assert all(refs[u] == u - 1 for u in twins), (s, t)
+        for u in twins:
+            nonzero = {v: e for v, e in enumerate(rows[u - 1]) if e}
+            assert nonzero == {u - 1: [-1, -1], u - 2: [1, 1]}, (s, t, u)
+            assert rows[u - 1][-1] == [], (s, t, u)
 
 
 def test_bordered_determinant_is_linear_in_the_corner():
