@@ -24,6 +24,8 @@ unique, and ``unpack`` raises ``ArithmeticError`` on a digit past ``C``.
 * ``matmul``: one integer dot product per entry,
   ``C = maxᵢ Σₖ ‖aᵢₖ‖₁ · maxₖⱼ ‖bₖⱼ‖₁ ≥ Σₖ ‖aᵢₖ‖₁·‖bₖⱼ‖₁``.
 * ``power_product``: one product of packed powers, ``C = ∏ ‖eᵢ‖₁^pᵢ ≥ ‖∏ eᵢ^pᵢ‖₁``.
+* ``outer_form``: ``uₐ u_b − c w_l`` from one product of packed values each,
+  ``C = max ‖uₐ‖₁² + max ‖w_l‖₁ ‖c‖₁``.
 * ``adjugate``: the elimination of ``[A | I]`` and back-substitution on each
   column of ``I`` give ``det(A) = s p`` and ``X = adj(P A) P = s adj(A)``;
   the Hadamard bound of ``A`` covers every (n-1)-minor when no row is zero,
@@ -107,7 +109,7 @@ def _row_norms(entries: list[list[list[int]]]) -> list[int]:
 def hadamard_bound(entries: list[list[list[int]]]) -> int:
     """⌈(∏ᵢ Σⱼ ‖aᵢⱼ‖₁²)^½⌉: bounds every coefficient of the determinant of a
     square matrix of integer polynomial lists; 0 when a row is zero."""
-    squares = prod(sum(_norm(e) ** 2 for e in row) for row in entries)
+    squares = prod(sum(_norm(e) ** 2 for e in row if e) for row in entries)
     return isqrt(squares - 1) + 1 if squares else 0
 
 
@@ -122,6 +124,12 @@ def pack(e: list[int], k: int) -> int:
     for c in reversed(e):
         value = (value << k) + c
     return value
+
+
+def _pack_rows(entries: list[list[list[int]]], k: int) -> list[list[int]]:
+    """Each entry of a matrix of integer polynomial lists packed at 2^k,
+    empty entries straight to 0."""
+    return [[pack(e, k) if e else 0 for e in row] for row in entries]
 
 
 def unpack(value: int, k: int, bound: int) -> list[int]:
@@ -201,11 +209,11 @@ def det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
     bound = hadamard_bound(entries)
     k = _digit_bits(bound)
     try:
-        det = _bordered_det([[pack(e, k) for e in row] for row in entries])
+        det = _bordered_det(_pack_rows(entries, k))
     except SingularError:
         # no pivot in the leading block: eliminate the whole matrix
         try:
-            sign, pivot = _eliminate([[pack(e, k) for e in row] for row in entries])
+            sign, pivot = _eliminate(_pack_rows(entries, k))
         except SingularError:
             return []
         det = sign * pivot
@@ -295,6 +303,17 @@ def adjugate_mismatch(entries: list[list[list[int]]], values, index, den: list[i
             if left[t] != den_value * a:
                 return i, j, unpack(det, k, bound), unpack(a, k, bound)
     return None
+
+
+def outer_form(u_values, w_values, c: list[int]):
+    """The function (a, b, l) -> u_a u_b - c w_l of integer lists, u_a and u_b
+    in u_values, w_l in w_values: each list packed once at 2^k > 2C,
+    C = max ‖u‖₁² + max ‖w‖₁ ‖c‖₁, and each entry one product read back."""
+    bound = max(map(_norm, u_values)) ** 2 + max(map(_norm, w_values)) * _norm(c)
+    k = _digit_bits(bound)
+    pu, pw = ([pack(e, k) for e in form] for form in (u_values, w_values))
+    pc = pack(c, k)
+    return lambda a, b, l: unpack(pu[a] * pu[b] - pc * pw[l], k, bound)
 
 
 def outer_form_holds(values, index, u, w, c: list[int]) -> bool:

@@ -68,12 +68,12 @@ SCHEMA_VERSION = 1
 # default int/str conversion limit, which main lifts for the exact output.
 MAX_DIGITS = 4300
 
-# Most vertices verify takes in a file.  It bounds memory, not time.  A dense
-# block is not the slow case, since the oracle subtracts from each row its
-# twin's: verify takes 2.4 s on K_{64,64} (n = 128; 2 cores, Python 3.11).  A
-# path, which has no twins, is: the oracle's rows grow as n^3 (18 MiB at
-# n = 200, rooted at its middle), and verify_graph takes 47 s on
-# path_tree(96), ~5 min at 128.
+# Most vertices verify takes in a file.  It bounds memory, not time.  The
+# oracle differences each row against its twin's, else against its parent's
+# and grandparent's, so neither a dense block nor a path is a slow case:
+# verify_graph takes 1.8 s on K_{64,64} and 9 s on path_tree(128), both at
+# n = 128 (2 cores, Python 3.11).  The oracle's rows store each q^m as m
+# zeros and a 1 (5.4 MiB at n = 200, rooted at its middle).
 MAX_VERIFY_VERTICES = 128
 
 

@@ -400,13 +400,10 @@ class ClearedForms:
     def inverse(self) -> tuple[list[list[int]], list[list[int]]]:
         """(numerators, index) from _inverse_rows: entry (i, j) of
         graph_inverse(g) is numerators[index[i][j]] / inverse_den, one
-        numerator X_a X_b - L Lambda per distinct key (a, b, L)."""
-        x, local = self.x[0], self.local[0]
-
-        def numerator(a: int, b: int, l: int) -> list[int]:
-            return _fastpoly.psub(_fastpoly.pmul(x[a], x[b]), _fastpoly.pmul(local[l], self.lam))
-
-        return _inverse_rows(self, numerator)
+        numerator X_a X_b - L Lambda per distinct key (a, b, L), each read
+        back from one packed product at 2^k > 2 (max ‖X‖₁² + max ‖L‖₁ ‖Λ‖₁),
+        which bounds its coefficients (_moddet.outer_form)."""
+        return _inverse_rows(self, _moddet.outer_form(self.x[0], self.local[0], self.lam))
 
 
 def _rows(values: list, index: list[list[int]]) -> list[list]:

@@ -10,14 +10,20 @@ q^M are det D and the rest the cofactor.  The engine's Hadamard bound
 covers both readouts.  The root's row, dense and with the corner, comes
 last, where the engine reads it once and never updates it.
 
-Each other row has the original row of its reference subtracted
-(qdist.row_references): its previous twin, an earlier vertex with the same
-neighbours, else its BFS parent.  A twin row is -[2]_q and [2]_q and zeros,
-read straight off the table, so a dense block's rows stay sparse.  In the
-BFS order below every reference precedes its row, so the operations are
-unit lower triangular, never touch the root's row and keep det B(z); M and
-the Hadamard bound are computed from the rows as they are, so both
-readouts stay proven (qdist module docstring).
+Each other row is differenced against original rows of earlier vertices
+(qdist.bordered_rows): a previous twin's, an earlier vertex with the same
+neighbours, giving -[2]_q, [2]_q and zeros; none for a child of the root;
+else, with BFS parent p and p's parent g, row_u - (1 + q) row_p + q row_g.
+The q-integers' rule [E + 2]_q - (1 + q) [E + 1]_q + q [E]_q = 0
+(Bapat-Lal-Pati, LAA 2006) cancels the pivot corrections and the border,
+leaving entries ([d(u, v)]_q - [d(p, v)]_q) - q ([d(p, v)]_q - [d(g, v)]_q)
+of at most two terms, 0 wherever a shortest path from u to v runs through p
+and g: a dense block's rows and a path's stay sparse, read off the distance
+table, never off the block structure.  In the BFS order below every row
+used precedes u, so the operations are unit lower triangular, never touch
+the root's row and keep det B(z); M and the Hadamard bound are computed
+from the rows as they are, so both readouts stay proven (qdist module
+docstring).
 
 The root and the row order are read off the distance table: the root is a
 centre (least eccentricity), of least distance sum among the centres, and
@@ -27,10 +33,10 @@ det D, and the cofactor does not depend on the root: with
 a_r = (q^d(r, v))_v, the cofactor at r is det D * a_r^T D^-1 1, and since
 q^d = 1 - (1 - q) [d]_q, a_r = 1 - (1 - q) D e_r, so
 a_r^T D^-1 1 = 1^T D^-1 1 + q - 1 for every r, Bapat-Lal-Pati's lambda
-(LAA 2006).  A root of small eccentricity keeps the entries' degrees,
-d(p, r) + d(r, v), and so the packed digits and the Bareiss intermediates,
-small; the order makes the cost a function of the graph, not of its
-labelling.  The inverse oracle is adj(D) / det(D): the same
+(LAA 2006).  A root of small eccentricity keeps the degrees of its own
+row and its children's, up to d(r, v), and so M, the packed digits and the
+Bareiss intermediates, small; the order makes the cost a function of the
+graph, not of its labelling.  The inverse oracle is adj(D) / det(D): the same
 engine eliminates [D | I] and back-substitutes on each column of I
 (_moddet.adjugate).
 

@@ -41,12 +41,14 @@ against, and in Gauss-Jordan mode the route that the back-substituted
 adjugate is checked against; whole_det_int_poly_matrix is the determinant by that
 elimination of the whole packed matrix, last row included: the route that
 _moddet.det_int_poly_matrix, which never updates the last row, is checked
-against.  psub_bordered_rows builds qdist.bordered_rows with psub from
-[1] * d lists, each row less the row of a given reference: with
-qdist.row_references the route the table-read entries are checked against,
-and with the BFS parents alone the parent-only construction, whose packed
-determinant, parent_det_and_cofactor, is the route that the twin-differenced
-oracle is checked against.
+against.  psub_bordered_rows builds the first-differenced bordered rows
+with psub from [1] * d lists, each row less the row of a given reference:
+with qdist.row_references the route whose determinant the
+second-differenced rows of qdist.bordered_rows are checked against, and
+with the BFS parents alone the parent-only construction, whose packed
+determinant, parent_det_and_cofactor, is the route that the oracle is
+checked against.  corner_split reads (det D, cofactor) off the packed
+determinant of either construction.
 
 reference_check_conditions is closedform.check_conditions in Fraction
 arithmetic, q0^2 (m-1)(n-1) = 1 and (q0+1)^2 (m-1)(n-1) = m n as written.
@@ -410,11 +412,16 @@ def parent_differenced(
     ]
 
 
-def vertex0_det_and_cofactor(dist: list[list[int]]) -> tuple[list[int], list[int]]:
-    """oracle._det_and_cofactor rooted at vertex 0, rows in vertex order."""
-    rows, m = bordered_rows(dist)
+def corner_split(rows: list[list[list[int]]], m: int) -> tuple[list[int], list[int]]:
+    """(det D, cofactor) from bordered rows with corner q^m: the first m
+    coefficients of their packed determinant and the rest."""
     coeffs = _moddet.det_int_poly_matrix(rows)
     return _fastpoly.pstrip(coeffs[:m]), coeffs[m:]
+
+
+def vertex0_det_and_cofactor(dist: list[list[int]]) -> tuple[list[int], list[int]]:
+    """oracle._det_and_cofactor rooted at vertex 0, rows in vertex order."""
+    return corner_split(*bordered_rows(dist))
 
 
 def separate_det_and_cofactor(g) -> tuple[Polynomial, Polynomial]:
@@ -521,9 +528,9 @@ def whole_det_int_poly_matrix(entries: list[list[list[int]]]) -> list[int]:
 def psub_bordered_rows(
     dist: list[list[int]], refs: list[int]
 ) -> tuple[list[list[list[int]]], int]:
-    """qdist.bordered_rows from [1] * d lists and psub: each cofactor entry
-    [d(u, v)]_q - [d(u, 0) + d(0, v)]_q, then each row less the original row
-    of its reference refs[u] when that is not vertex 0."""
+    """The first-differenced bordered rows from [1] * d lists and psub: each
+    cofactor entry [d(u, v)]_q - [d(u, 0) + d(0, v)]_q, then each row less
+    the original row of its reference refs[u] when that is not vertex 0."""
     psub = _fastpoly.psub
     alpha = dist[0][1:]
     rows = [
@@ -543,6 +550,4 @@ def psub_bordered_rows(
 def parent_det_and_cofactor(dist: list[list[int]]) -> tuple[list[int], list[int]]:
     """(det D, cofactor) from the bordered rows at vertex 0 differenced
     against BFS parents alone, in vertex order: the parent-only route."""
-    rows, m = psub_bordered_rows(dist, bfs_parents(dist))
-    coeffs = _moddet.det_int_poly_matrix(rows)
-    return _fastpoly.pstrip(coeffs[:m]), coeffs[m:]
+    return corner_split(*psub_bordered_rows(dist, bfs_parents(dist)))

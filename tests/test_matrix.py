@@ -530,3 +530,25 @@ def test_hadamard_bound_covers_the_determinant_and_undercuts_the_permanent_bound
     assert _moddet.hadamard_bound(int_rows(h4)) == 16
     assert det_bareiss(h4) == Polynomial((16,))
     assert det_bareiss(cases[2]) == Polynomial((16,)) * Q**8
+
+
+def test_outer_form_matches_the_schoolbook_products():
+    # u_a u_b - c w_l, one packed product per entry, against pmul and psub,
+    # including entries that reach the bound max ‖u‖₁² + max ‖w‖₁ ‖c‖₁
+    rng = random.Random(3131)
+
+    def poly(size: int) -> list[int]:
+        return _fastpoly.pstrip([rng.randint(-9, 9) for _ in range(size)])
+
+    cases = [([[7]], [[-7]], [7]), ([[7], [-7, 0, 7]], [[], [-7]], [7])]
+    cases += [([poly(rng.randint(0, 5)) for _ in range(4)], [[], *(poly(4) for _ in range(3))], poly(3))
+              for _ in range(30)]
+    for u, w, c in cases:
+        entry = _moddet.outer_form(u, w, c)
+        for a in range(len(u)):
+            for b in range(len(u)):
+                for l in range(len(w)):
+                    want = _fastpoly.psub(_fastpoly.pmul(u[a], u[b]), _fastpoly.pmul(c, w[l]))
+                    assert entry(a, b, l) == want, (u, w, c, a, b, l)
+    # the first case reaches its bound, 7 * 7 + 7 * 7
+    assert _moddet.outer_form(*cases[0])(0, 0, 0) == [98]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from helpers import (
+    corner_split,
     int_rows,
     oracle_large_graphs,
     psub_bordered_rows,
@@ -124,12 +125,17 @@ def test_bordered_rows_of_the_single_edge():
     assert rows == [[[-1, -1], [1]], [[1], [0, 0, 1]]]
 
 
-def test_bordered_rows_equal_the_psub_construction():
+def test_bordered_determinant_equals_the_first_differenced_psub_construction():
+    # the second-differenced rows keep det B(z): the same det D and cofactor
+    # as the rows less their references' alone, each read past its own q^M
     graphs = [build(specs) for _, specs in default_corpus(7)] + oracle_large_graphs()
-    assert len(graphs) == 175
+    graphs += [build(path_tree(n)) for n in range(24, 49, 8)]
+    graphs += [build([BlockSpec(s, s)]) for s in range(1, 13)]
+    assert len(graphs) == 191
     for g in graphs:
         dist = distances(g)
-        assert bordered_rows(dist) == psub_bordered_rows(dist, row_references(dist)), g.n
+        first = corner_split(*psub_bordered_rows(dist, row_references(dist)))
+        assert corner_split(*bordered_rows(dist)) == first, g.n
 
 
 def test_bordered_determinant_equals_the_whole_elimination_on_the_oracle_graphs():
@@ -141,32 +147,143 @@ def test_bordered_determinant_equals_the_whole_elimination_on_the_oracle_graphs(
         assert _moddet.det_int_poly_matrix(rows) == whole_det_int_poly_matrix(rows), g.n
 
 
+def second_differenced_ring(g) -> list[list]:
+    """ring_bordered with each row u != 0 less the rows of earlier vertices:
+    a twin's row less its reference's, a child of vertex 0 as it is, and any
+    other row less (1 + q) times its parent p's plus q times p's parent g's,
+    vertex 0's cofactor row being zero."""
+    dist = distances(g)
+    ring = ring_bordered(g)
+    refs, parents = row_references(dist), bfs_parents(dist)
+    original = [[ZERO] * g.n] + ring[:-1]
+    rows = []
+    for u, r in enumerate(refs[1:], start=1):
+        row = original[u]
+        if dist[u][r] == 2:
+            row = [a - b for a, b in zip(row, original[r])]
+        elif r:
+            grand = original[parents[r]]
+            row = [a - (1 + Q) * b + Q * c for a, b, c in zip(row, original[r], grand)]
+        rows.append(row)
+    return rows + [ring[-1]]
+
+
 def test_bordered_rows_are_the_parent_differenced_ring_construction():
-    # each row less its reference's row: the BFS parent, or the previous twin
+    # each row less its previous twin's, else less (1 + q) times its
+    # parent's plus q times its grandparent's, from Polynomial arithmetic on
+    # the row-and-column cofactor matrix
     graphs = [[BlockSpec(1, 1)], [BlockSpec(1, 4)], [BlockSpec(3, 3)], star_tree(6), path_tree(9)]
     graphs += [random_biblock(seed, 6, 3) for seed in range(8)]
-    for specs in graphs:
-        g = build(specs)
-        dist = distances(g)
-        rows, m = bordered_rows(dist)
-        ring = ring_bordered(g)
-        refs = row_references(dist)
-        expected = [
-            row if refs[u] == 0 else [a - b for a, b in zip(row, ring[refs[u] - 1])]
-            for u, row in enumerate(ring[:-1], start=1)
-        ] + [ring[-1]]
+    graphs = [build(specs) for specs in graphs] + [build(s) for _, s in default_corpus(7)]
+    graphs += oracle_large_graphs()
+    for g in graphs:
+        rows, m = bordered_rows(distances(g))
+        expected = second_differenced_ring(g)
         # the a-priori degree bound: one more than the sum of the rows' degrees
-        assert m == 1 + sum(max(e.degree for e in row) for row in expected), specs
+        assert m == 1 + sum(max(e.degree for e in row) for row in expected), g.n
         expected[-1][-1] = Q**m
-        assert rows == int_rows(RingMatrix(expected)), specs
-        for u in range(1, g.n):
-            r = refs[u]
-            if r:
-                # the differenced entries have 1-norm at most 2; last, q^d(r, 0)
-                # for a parent, 0 for a twin
-                assert all(sum(map(abs, e)) <= 2 for e in rows[u - 1]), specs
-                last = [] if dist[u][r] == 2 else [0] * dist[r][0] + [1]
-                assert rows[u - 1][-1] == last, specs
+        assert rows == int_rows(RingMatrix(expected)), g.n
+
+
+def second_difference_rows(dist: list[list[int]]) -> list[int]:
+    """The vertices whose bordered row is a second difference: no twin
+    reference and a parent other than vertex 0."""
+    refs = row_references(dist)
+    return [u for u in range(1, len(dist)) if refs[u] and dist[u][refs[u]] == 1]
+
+
+def check_second_difference_rows(dist: list[list[int]]) -> int:
+    """Assert that every second-difference row has a zero last column and
+    entries of at most two terms and 1-norm at most 2; the row count."""
+    rows, _ = bordered_rows(dist)
+    second = second_difference_rows(dist)
+    for u in second:
+        row = rows[u - 1]
+        assert row[-1] == [], u
+        assert all(sum(map(abs, e)) <= 2 and len(e) - e.count(0) <= 2 for e in row), (u, row)
+    return len(second)
+
+
+def test_second_difference_rows_are_sparse_with_a_zero_last_column():
+    # a path and the oracle_large graphs, then random graphs by hypothesis
+    # where it is installed, else by a fixed seeded sweep, each as built and
+    # renumbered in levels from a random root
+    for g in [build(path_tree(30)), *oracle_large_graphs()]:
+        assert check_second_difference_rows(distances(g)) > 0, g.n
+
+    def tables(seed: int, blocks: int, part_max: int, relabel: int):
+        dist = distances(build(random_biblock(seed, blocks, part_max)))
+        order = random.Random(relabel).sample(range(len(dist)), len(dist))
+        order.sort(key=dist[order[0]].__getitem__)
+        return dist, [[dist[u][v] for v in order] for u in order]
+
+    try:
+        import hypothesis
+    except ImportError:
+        rng = random.Random(3232)
+        for _ in range(80):
+            case = rng.randrange(10**6), rng.randint(1, 14), rng.randint(1, 4), rng.randrange(99)
+            for dist in tables(*case):
+                check_second_difference_rows(dist)
+        return
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 10**6),
+        blocks=st.integers(1, 14),
+        part_max=st.integers(1, 4),
+        relabel=st.integers(0, 98),
+    )
+    def prop(seed, blocks, part_max, relabel):
+        for dist in tables(seed, blocks, part_max, relabel):
+            check_second_difference_rows(dist)
+
+    prop()
+
+
+def bfs_table(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+    """The distance table of a connected graph on vertices 0 .. n-1."""
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    table = []
+    for source in range(n):
+        row, frontier = [-1] * n, [source]
+        row[source] = 0
+        while frontier:
+            reached = []
+            for x in frontier:
+                for y in adjacent[x]:
+                    if row[y] < 0:
+                        row[y] = row[x] + 1
+                        reached.append(y)
+            frontier = reached
+        table.append(row)
+    return table
+
+
+def test_bordered_rows_of_graphs_with_odd_cycles_give_det_and_cofactor():
+    # adjacent vertices at equal distance from a column vertex, which no
+    # bipartite graph has: the rows still give det D and the cofactor of
+    # the ring route
+    cycle = lambda n: [(i, (i + 1) % n) for i in range(n)]
+    petersen = cycle(5) + [(i, i + 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    tables = [bfs_table(3, cycle(3)), bfs_table(5, cycle(5)), bfs_table(7, cycle(7))]
+    tables += [bfs_table(4, [(a, b) for a in range(4) for b in range(a)]), bfs_table(10, petersen)]
+    tables.append(bfs_table(7, cycle(3) + [(2, 3), (3, 4), (4, 5), (5, 6), (6, 4)]))
+    level_ties = 0
+    for dist in tables:
+        qmat = RingMatrix([[q_integer(d) for d in row] for row in dist])
+        want = det_bareiss(qmat), det_bareiss(cofactor_matrix(qmat, dist))
+        assert corner_split(*bordered_rows(dist)) == tuple(list(p.coeffs) for p in want), dist
+        check_second_difference_rows(dist)
+        parents = bfs_parents(dist)
+        level_ties += sum(
+            dist[u][v] == dist[parents[u]][v] for u in second_difference_rows(dist) for v in range(len(dist))
+        )
+    assert level_ties > 0
 
 
 def twin_tables():
