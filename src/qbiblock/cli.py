@@ -5,8 +5,8 @@ Subcommands
 det / xi / lambda / vectors / inverse
     Closed forms of a graph given as a JSON file (or - for stdin), printed
     symbolically, or evaluated exactly at a rational q via --at.  All five
-    run through one driver, which takes each field as a (values, index) form
-    and renders each distinct value once.
+    run through one driver, which takes each field as a (values, index) form,
+    renders each distinct value once and writes each row as it lays it out.
     With --at, lambda, vectors and inverse refuse a point that violates C1;
     every other condition violation is printed as a warning (text) or listed
     under "violations" (JSON), and a pole of the value still exits 3.
@@ -37,7 +37,6 @@ from .closedform import (
     ClearedForms,
     _inverse_form,
     _inverse_form_at,
-    _rows,
     _shared_rfs,
     balance_constant,
     check_conditions,
@@ -68,6 +67,9 @@ SCHEMA_VERSION = 1
 # default int/str conversion limit, which main lifts for the exact output.
 MAX_DIGITS = 4300
 
+# Most bytes read from a graph file or stdin; a 5,000-vertex file is about 0.3 MB.
+MAX_GRAPH_BYTES = 16 * 2**20
+
 # Most vertices verify takes in a file.  It bounds memory, not time.  The
 # oracle differences each row against its twin's, else against its parent's
 # and grandparent's, so neither a dense block nor a path is a slow case:
@@ -88,10 +90,13 @@ class _DomainError(Exception):
 def _build_graph(path: str):
     try:
         if path == "-":
-            raw = sys.stdin.read()
+            raw = sys.stdin.buffer.read(MAX_GRAPH_BYTES + 1)
         else:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = handle.read()
+            with open(path, "rb") as handle:
+                raw = handle.read(MAX_GRAPH_BYTES + 1)
+        if len(raw) > MAX_GRAPH_BYTES:
+            raise _InputError(f"{path}: larger than the cap of {MAX_GRAPH_BYTES} bytes")
+        raw = raw.decode("utf-8")
     except OSError as exc:
         raise _InputError(f"cannot read graph file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -130,23 +135,24 @@ def _parse_at(text: str):
 _to_json = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
-def _scalar_text(fields) -> str:
-    return fields["value"][0][0]
+def _scalar_text(fields):
+    return next(fields["value"])
 
 
-def _vectors_text(fields) -> str:
-    return "\n".join(f"{k}[{i}] = {s}" for k, (row,) in fields.items() for i, s in enumerate(row))
+def _vectors_text(fields):
+    return (f"{k}[{i}] = {s}" for k, (row,) in fields.items() for i, s in enumerate(row))
 
 
-def _inverse_text(fields) -> str:
-    return "\n".join(map("\t".join, fields["value"]))
+def _inverse_text(fields):
+    return map("\t".join, fields["value"])
 
 
 def _formula_command(args, symbolic, at, *, refuse: tuple[str, ...], depth: int, text) -> int:
     """Print symbolic(g), or at(g, q0) for --at: a dict of field name to a
-    (values, index) form, index a list of rows.  Each distinct value is
-    rendered once.  With --at, a violation of a condition in refuse exits 3.
-    JSON nests each field depth deep (0 a value, 1 a row, 2 rows); text(fields) lays out text."""
+    (values, index) form, index a list of rows.  Each distinct value is rendered
+    once, and each row is written as it is laid out.  With --at, a violation of a
+    condition in refuse exits 3.  JSON writes each field depth deep (0 a value, 1 a
+    row, 2 rows) over its null in the payload; text(fields) gives the text lines."""
     g = _build_graph(args.graph)
     payload = {"schema": SCHEMA_VERSION, "command": args.command}
     violations = ()
@@ -164,22 +170,22 @@ def _formula_command(args, symbolic, at, *, refuse: tuple[str, ...], depth: int,
         to_json = lambda v: _to_json(rational_to_json(v))
         payload.update(at=rational_to_json(q0), violations=[vars(v) for v in violations])
     as_json = args.format == "json"
-    lines = {}
+    rows = {}
     for name, (values, index) in fields.items():
-        lines[name] = _rows(list(map(to_json if as_json else str, values)), index)
+        rendered = list(map(to_json if as_json else str, values))
+        rows[name] = map(functools.partial(map, rendered.__getitem__), index)
     if not as_json:
         for v in violations:
             print(f"warning: block {v.block} violates {v.condition}: {v.witness}", file=sys.stderr)
-        print(text(lines))
+        sys.stdout.writelines(f"{line}\n" for line in text(rows))
         return EXIT_OK
-    out = _to_json({**payload, **dict.fromkeys(lines)})
-    # each field spliced in over its null, nested depth deep; the JSON keys
-    # are sorted, so in reverse order each null comes before every field
-    # already spliced in and no replace scans one
-    for name in sorted(lines, reverse=True):
-        spliced = "[" * depth + "],[".join(map(",".join, lines[name])) + "]" * depth
-        out = out.replace(f'"{name}":null', f'"{name}":{spliced}', 1)
-    print(out)
+    tail = _to_json({**payload, **dict.fromkeys(rows)})
+    for name in sorted(rows):
+        head, tail = tail.split(f'"{name}":null', 1)
+        sys.stdout.write(f'{head}"{name}":' + "[" * depth)
+        sys.stdout.writelines(("],[" if i else "") + ",".join(row) for i, row in enumerate(rows[name]))
+        sys.stdout.write("]" * depth)
+    print(tail)
     return EXIT_OK
 
 

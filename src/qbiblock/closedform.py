@@ -293,11 +293,11 @@ def _inverse_rows(forms: ClearedForms, entry) -> tuple[list, list[list[int]]]:
     numbers of x_i and x_j in x's index, l the number of L_ij in local's
     index, 0 where i and j share no block.  A pair of x values has such a
     vertex pair when fewer than |a| |b| of its ordered pairs are local.
-    Each row is filled by x value, then its local cells are overwritten.
+    Each row is filled by x value, then its local cells (never listed) are overwritten.
     """
     (x, ids), local_index = forms.x, forms.local[1]
-    cells = [(i, j) for i, row in enumerate(local_index) for j in compress(range(len(row)), row)]
-    sizes, local_pairs = Counter(ids), Counter((ids[i], ids[j]) for i, j in cells)
+    cells = lambda: ((i, j) for i, row in enumerate(local_index) for j in compress(range(len(row)), row))
+    sizes, local_pairs = Counter(ids), Counter((ids[i], ids[j]) for i, j in cells())
     plain: list[list] = [[None] * len(x) for _ in x]
     values = []
     for a in range(len(x)):
@@ -308,7 +308,7 @@ def _inverse_rows(forms: ClearedForms, entry) -> tuple[list, list[list[int]]]:
     by_value = [list(map(row.__getitem__, ids)) for row in plain]
     index = [by_value[a].copy() for a in ids]
     keys: dict = {}
-    for i, j in cells:
+    for i, j in cells():
         key = (*sorted((ids[i], ids[j])), local_index[i][j])
         index[i][j] = keys.setdefault(key, len(values) + len(keys))
     values += [entry(*key) for key in keys]

@@ -56,20 +56,14 @@ class Block:
         return len(self.y)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class BiBlockGraph:
     """Immutable validated bi-block graph with global vertex ids."""
 
-    __slots__ = ("specs", "blocks", "n", "membership")
-
-    def __init__(self, specs: tuple[BlockSpec, ...], blocks: tuple[Block, ...], n: int,
-                 membership: tuple[tuple[tuple[int, str], ...], ...]):
-        object.__setattr__(self, "specs", specs)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "membership", membership)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiBlockGraph is immutable")
+    specs: tuple[BlockSpec, ...]
+    blocks: tuple[Block, ...]
+    n: int
+    membership: tuple[tuple[tuple[int, str], ...], ...]
 
     def __repr__(self):
         parts = ", ".join(f"K_{{{b.m},{b.n}}}" for b in self.blocks)

@@ -78,12 +78,12 @@ def bfs_parents(dist: list[list[int]]) -> list[int]:
     ]
 
 
-def row_references(dist: list[list[int]]) -> list[int]:
+def row_references(dist: list[list[int]], parents: list[int]) -> list[int]:
     """For each vertex u != 0, the earlier vertex whose row bordered_rows
     differences u's against: the last vertex w, 0 < w < u, with the same
-    distance-1 columns as u (a twin, d(u, w) = 2), else u's BFS parent;
-    entry 0 is -1, for no reference."""
-    refs = bfs_parents(dist)
+    distance-1 columns as u (a twin, d(u, w) = 2), else u's BFS parent,
+    parents[u] (bfs_parents); entry 0 is -1, for no reference."""
+    refs = parents.copy()
     last: dict[tuple[int, ...], int] = {}
     for u, row in enumerate(dist[1:], start=1):
         key = tuple(v for v, d in enumerate(row) if d == 1)
@@ -121,7 +121,7 @@ def bordered_rows(dist: list[list[int]]) -> tuple[list[list[list[int]]], int]:
     alpha = dist[0][1:]
     parents = bfs_parents(dist)
     rows = []
-    for u, (row, r) in enumerate(zip(dist[1:], row_references(dist)[1:]), start=1):
+    for u, (row, r) in enumerate(zip(dist[1:], row_references(dist, parents)[1:]), start=1):
         if row[r] == 2:  # a twin; a parent is at distance 1
             entries = [[]] * len(row)
             entries[u - 1], entries[r - 1] = [-1, -1], [1, 1]

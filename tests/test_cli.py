@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import shlex
 import subprocess
@@ -368,6 +369,48 @@ def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path, checkout_env):
         child.stdout.close()
         stderr = child.stderr.read()
         assert (child.wait(timeout=60), stderr) == (141, b"")
+
+
+def test_inverse_json_of_one_dense_block_is_written_row_by_row(tmp_path, checkout_env):
+    # K_{1000,1000}'s inverse at 2/7 has 4 distinct values among its 10^6
+    # entries; written row by row, the child's peak stays far below the 84 MB
+    # that it prints (460 MiB when the whole output was one string)
+    pytest.importorskip("resource")
+    graph = write_graph(tmp_path, "k1000.json", [BlockSpec(1000, 1000)])
+    child_code = (
+        "import resource, sys; from qbiblock.cli import main; code = main(sys.argv[1:]); "
+        "sys.stdout.flush(); print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    command = [sys.executable, "-c", child_code, "inverse", graph, "--at", "2/7", "--format", "json"]
+    digest, size = hashlib.sha256(), 0
+    with subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO_ROOT, env=checkout_env
+    ) as child:
+        for chunk in iter(lambda: child.stdout.read(1 << 20), b""):
+            digest.update(chunk)
+            size += len(chunk)
+        stderr = child.stderr.read()
+        assert child.wait(timeout=120) == 0, stderr
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    peak = int(stderr) * (1 if sys.platform == "darwin" else 1024)
+    assert peak < 200 * 2**20, peak
+    assert size == 84_008_074
+    assert digest.hexdigest() == "4d2e73f2b84efec764a58b9e9826c324797ecae22e99cda5ada2df3f3a06252f"
+
+
+def test_graph_input_past_the_byte_cap_exits_2(capsys, monkeypatch, tmp_path):
+    cap = cli.MAX_GRAPH_BYTES
+    k11 = json.dumps(graph_to_json([BlockSpec(1, 1)])).encode("utf-8")
+    # whitespace is valid JSON padding: at the cap the graph loads, one byte past it does not
+    for size in (cap, cap + 1):
+        padded = k11 + b" " * (size - len(k11))
+        path = tmp_path / f"padded{size}.json"
+        path.write_bytes(padded)
+        for source in (str(path), "-"):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(padded), encoding="utf-8"))
+            refused = (2, "", f"error: {source}: larger than the cap of {cap} bytes\n")
+            assert run_cli(capsys, "det", source) == ((0, "-1\n", "") if size == cap else refused)
 
 
 def test_a_closed_stdout_exits_141_in_process(capsys, monkeypatch, p3):

@@ -29,6 +29,15 @@ def test_single_edge_block():
     assert distances(g) == [[0, 1], [1, 0]]
 
 
+def test_a_graph_is_immutable_and_equal_only_to_itself():
+    g, same_specs = build(path_tree(4)), build(path_tree(4))
+    for name in ("specs", "blocks", "n", "membership"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, getattr(same_specs, name))
+    assert g == g and g != same_specs and len({g, same_specs}) == 2
+    assert repr(g) == "BiBlockGraph(4 vertices; K_{1,1}, K_{1,1}, K_{1,1})"
+
+
 def test_vertex_count_identity_example():
     g = build([BlockSpec(2, 3), BlockSpec(1, 2, Attachment(0, "X"))])
     assert g.n == (2 + 3) + (1 + 2) - 2 + 1 == 7

@@ -134,7 +134,7 @@ def test_bordered_determinant_equals_the_first_differenced_psub_construction():
     assert len(graphs) == 191
     for g in graphs:
         dist = distances(g)
-        first = corner_split(*psub_bordered_rows(dist, row_references(dist)))
+        first = corner_split(*psub_bordered_rows(dist, row_references(dist, bfs_parents(dist))))
         assert corner_split(*bordered_rows(dist)) == first, g.n
 
 
@@ -154,7 +154,8 @@ def second_differenced_ring(g) -> list[list]:
     vertex 0's cofactor row being zero."""
     dist = distances(g)
     ring = ring_bordered(g)
-    refs, parents = row_references(dist), bfs_parents(dist)
+    parents = bfs_parents(dist)
+    refs = row_references(dist, parents)
     original = [[ZERO] * g.n] + ring[:-1]
     rows = []
     for u, r in enumerate(refs[1:], start=1):
@@ -188,7 +189,7 @@ def test_bordered_rows_are_the_parent_differenced_ring_construction():
 def second_difference_rows(dist: list[list[int]]) -> list[int]:
     """The vertices whose bordered row is a second difference: no twin
     reference and a parent other than vertex 0."""
-    refs = row_references(dist)
+    refs = row_references(dist, bfs_parents(dist))
     return [u for u in range(1, len(dist)) if refs[u] and dist[u][refs[u]] == 1]
 
 
@@ -309,7 +310,7 @@ def test_each_reference_precedes_its_row_and_vertex_0_is_no_twin_reference():
     # in the order of distance from vertex 0, then vertex number, so in
     # vertex order when the vertices come in levels
     for dist in twin_tables():
-        refs = row_references(dist)
+        refs = row_references(dist, bfs_parents(dist))
         assert refs[0] == -1
         level = dist[0]
         assert all((level[r], r) < (level[u], u) for u, r in enumerate(refs[1:], start=1))
@@ -322,7 +323,7 @@ def test_each_reference_precedes_its_row_and_vertex_0_is_no_twin_reference():
 def test_each_reference_is_the_previous_twin_or_else_the_parent():
     for dist in twin_tables():
         parents = bfs_parents(dist)
-        for u, r in enumerate(row_references(dist)[1:], start=1):
+        for u, r in enumerate(row_references(dist, parents)[1:], start=1):
             twins = [w for w in range(1, u) if neighbours(dist[w]) == neighbours(dist[u])]
             assert r == (twins[-1] if twins else parents[u]), (dist, u)
 
@@ -334,7 +335,7 @@ def test_twin_rows_of_a_block_have_two_entries_and_a_zero_last_column():
     for s, t in [(2, 2), (3, 5), (5, 3), (6, 6), (1, 7), (7, 1)]:
         dist = distances(build([BlockSpec(s, t)]))
         rows, _ = bordered_rows(dist)
-        refs = row_references(dist)
+        refs = row_references(dist, bfs_parents(dist))
         twins = [*range(2, s), *range(s + 1, s + t)]
         assert [u for u in range(1, s + t) if dist[u][refs[u]] == 2] == twins, (s, t)
         assert all(refs[u] == u - 1 for u in twins), (s, t)
