@@ -70,6 +70,11 @@ MAX_DIGITS = 4300
 # Most bytes read from a graph file or stdin; a 5,000-vertex file is about 0.3 MB.
 MAX_GRAPH_BYTES = 16 * 2**20
 
+# Every ASCII digit byte as "0" and every other byte as a space: a graph file
+# has an integer literal past MAX_DIGITS only if its translation has a run of
+# more "0"s, and only then is each literal checked as it is parsed.
+_DIGITS_AS_ZEROS = bytes(48 if 48 <= c <= 57 else 32 for c in range(256))
+
 # Most vertices verify takes in a file.  It bounds memory, not time.  The
 # oracle differences each row against its twin's, else against its parent's
 # and grandparent's, so neither a dense block nor a path is a slow case:
@@ -87,15 +92,26 @@ class _DomainError(Exception):
     pass
 
 
+def _read_capped(stream) -> bytes:
+    """The stream's bytes, read in 64 KiB pieces up to end of file or until
+    more than MAX_GRAPH_BYTES have come, so a small file needs no buffer of the cap."""
+    pieces, size = [], 0
+    while size <= MAX_GRAPH_BYTES and (piece := stream.read(2**16)):
+        pieces.append(piece)
+        size += len(piece)
+    return b"".join(pieces)
+
+
 def _build_graph(path: str):
     try:
         if path == "-":
-            raw = sys.stdin.buffer.read(MAX_GRAPH_BYTES + 1)
+            raw = _read_capped(sys.stdin.buffer)
         else:
             with open(path, "rb") as handle:
-                raw = handle.read(MAX_GRAPH_BYTES + 1)
+                raw = _read_capped(handle)
         if len(raw) > MAX_GRAPH_BYTES:
             raise _InputError(f"{path}: larger than the cap of {MAX_GRAPH_BYTES} bytes")
+        long_digit_run = b"0" * (MAX_DIGITS + 1) in raw.translate(_DIGITS_AS_ZEROS)
         raw = raw.decode("utf-8")
     except OSError as exc:
         raise _InputError(f"cannot read graph file {path}: {exc}") from exc
@@ -109,7 +125,7 @@ def _build_graph(path: str):
         return int(literal)
 
     try:
-        obj = json.loads(raw, parse_int=bounded_int)
+        obj = json.loads(raw, parse_int=bounded_int if long_digit_run else int)
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError:

@@ -36,7 +36,6 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from operator import add
 
 from . import _fastpoly, _moddet
@@ -141,14 +140,14 @@ def _cleared_lambda(shapes: Counter, quotients: dict[int, list[int]]) -> list[in
     return total
 
 
-def _cleared_sums(g: BiBlockGraph, base: list[int], quotients, factor) -> tuple[list, list[int]]:
+def _cleared_sums(signatures, base: list[int], quotients, factor) -> tuple[list, list[int]]:
     """(values, index), entry v values[index[v]]: (1 - block degree of v) *
     base plus factor(opp) * R_a for each block containing v, own and opp the
     part sizes on v's side and on the other side and a = (own-1)(opp-1).  It
-    depends only on v's signature, the sorted tuple of those pairs, so it is
-    built once per signature and numbered by value: signatures with equal
-    entries (all (own, 1) terms are equal) share one number."""
-    sizes = [{"X": (b.m, b.n), "Y": (b.n, b.m)} for b in g.blocks]
+    depends only on v's signature, the sorted tuple of those pairs
+    (ClearedForms._signatures), so it is built once per signature and
+    numbered by value: signatures with equal entries (all (own, 1) terms are
+    equal) share one number."""
     numbers: dict[tuple[int, ...], int] = {}
 
     @functools.cache
@@ -159,10 +158,7 @@ def _cleared_sums(g: BiBlockGraph, base: list[int], quotients, factor) -> tuple[
             total = _fastpoly.padd(total, term)
         return numbers.setdefault(tuple(total), len(numbers))
 
-    index = [
-        entry(tuple(sorted(sizes[b][side] for b, side in members)))
-        for members in g.membership
-    ]
+    index = list(map(entry, signatures))
     return list(numbers), index
 
 
@@ -236,7 +232,7 @@ def balance_constant(g: BiBlockGraph) -> RationalFunction:
     blocks as det_core / ((q+1) * cofactor_core), so one term c_T det_core_T /
     ((q+1) core_T) per block shape T with c_T blocks."""
     forms = ClearedForms(g)
-    return RationalFunction(Polynomial(forms.lam), Polynomial(forms.delta))
+    return _shared_rfs([forms.lam], forms.delta)[0]
 
 
 def _cleared_local(g: BiBlockGraph, product: list[int], quotients, y) -> tuple[list, list]:
@@ -284,6 +280,29 @@ def clearing_poly(g: BiBlockGraph) -> Polynomial:
     return Polynomial(ClearedForms(g).delta)
 
 
+def _counts(values) -> dict[int, int]:
+    """How many times each value occurs."""
+    counts: dict[int, int] = {}
+    for a in values:
+        counts[a] = counts.get(a, 0) + 1
+    return counts
+
+
+def _side(vertices, ids) -> tuple[dict[int, int], list[tuple[int, int]]]:
+    """(_counts of the vertices' x values, (start, stop) of each run of
+    consecutive numbers among the vertices) of a block side."""
+    if len(vertices) == 1:  # as in a tree's blocks
+        (v,) = vertices
+        return {ids[v]: 1}, [(v, v + 1)]
+    runs: list[tuple[int, int]] = []
+    for v in sorted(vertices):
+        if runs and runs[-1][1] == v:
+            runs[-1] = (runs[-1][0], v + 1)
+        else:
+            runs.append((v, v + 1))
+    return _counts(map(ids.__getitem__, vertices)), runs
+
+
 def _inverse_rows(forms: ClearedForms, entry) -> tuple[list, list[list[int]]]:
     """(values, index): entry (i, j) of -local_matrix + outer(x, x) /
     balance_constant is values[index[i][j]].
@@ -291,27 +310,74 @@ def _inverse_rows(forms: ClearedForms, entry) -> tuple[list, list[list[int]]]:
     Entry (i, j) depends only on x_i, x_j and the local entry L_ij, so
     entry(a, b, l) is called once per distinct key (a, b, l): a <= b the
     numbers of x_i and x_j in x's index, l the number of L_ij in local's
-    index, 0 where i and j share no block.  A pair of x values has such a
-    vertex pair when fewer than |a| |b| of its ordered pairs are local.
-    Each row is filled by x value, then its local cells (never listed) are overwritten.
+    index, 0 where i and j share no block.  Two vertices share at most one
+    block, so the local cells off the diagonal are those of the units of
+    each block: its rows on one side against the columns of the other,
+    every cell with one l, and against the columns of their own side, with
+    one l that is 0 when the other side has one vertex.  A pair of x values
+    has a vertex pair that is not local when fewer than |a| |b| of its
+    ordered pairs are local, counted per unit by x value.  Each row is
+    filled by x value; then each unit keys its cells once per x value of its
+    rows and writes them into a row one run of consecutive columns at a
+    time, and the diagonal cells are set last.
     """
     (x, ids), local_index = forms.x, forms.local[1]
-    cells = lambda: ((i, j) for i, row in enumerate(local_index) for j in compress(range(len(row)), row))
-    sizes, local_pairs = Counter(ids), Counter((ids[i], ids[j]) for i, j in cells())
+    units = []  # (rows, their x values, the columns' x values, column runs, l)
+    for b in forms._g.blocks:
+        edge = local_index[b.x[0]][b.y[0]]
+        (x_values, x_runs), (y_values, y_runs) = _side(b.x, ids), _side(b.y, ids)
+        units += [(b.x, x_values, y_values, y_runs, edge), (b.y, y_values, x_values, x_runs, edge)]
+        for own, own_values, runs in ((b.x, x_values, x_runs), (b.y, y_values, y_runs)):
+            if len(own) > 1 and local_index[own[0]][own[1]]:
+                units.append((own, own_values, own_values, runs, local_index[own[0]][own[1]]))
+    sizes = _counts(ids)
+    local_pairs = {(a, a): count for a, count in sizes.items()}
+    for _, row_values, col_values, _, _ in units:
+        for a, count in row_values.items():
+            for c, col_count in col_values.items():
+                if row_values is col_values and c == a:
+                    col_count -= 1  # a row's own cell, the diagonal
+                local_pairs[a, c] = local_pairs.get((a, c), 0) + count * col_count
+    values: list = []
     plain: list[list] = [[None] * len(x) for _ in x]
-    values = []
     for a in range(len(x)):
         for b in range(a, len(x)):
-            if local_pairs[a, b] < sizes[a] * sizes[b]:
+            if local_pairs.get((a, b), 0) < sizes[a] * sizes[b]:
                 plain[a][b] = plain[b][a] = len(values)
                 values.append(entry(a, b, 0))
+    keys: dict[tuple[int, int, int], int] = {}
+
+    def number(a: int, c: int, l: int) -> int:
+        key = (a, c, l) if a <= c else (c, a, l)
+        if key not in keys:
+            keys[key] = len(values)
+            values.append(entry(*key))
+        return keys[key]
+
     by_value = [list(map(row.__getitem__, ids)) for row in plain]
     index = [by_value[a].copy() for a in ids]
-    keys: dict = {}
-    for i, j in cells():
-        key = (*sorted((ids[i], ids[j])), local_index[i][j])
-        index[i][j] = keys.setdefault(key, len(values) + len(keys))
-    values += [entry(*key) for key in keys]
+    for rows, row_values, col_values, runs, l in units:
+        if len(rows) == 1 and len(col_values) == 1:  # one key, as in a tree's blocks
+            (u,), (c,) = rows, col_values
+            k = number(ids[u], c, l)
+            for start, stop in runs:
+                index[u][start:stop] = [k] * (stop - start)
+            continue
+        cells = {}
+        for a, count in row_values.items():
+            # a row's own cell is left to the diagonal, and so is its key
+            # when no other row has the row's x value
+            numbers = {
+                c: number(a, c, l)
+                for c in col_values
+                if c != a or count > 1 or row_values is not col_values
+            }
+            cells[a] = [(start, stop, list(map(numbers.get, ids[start:stop]))) for start, stop in runs]
+        for u in rows:
+            for start, stop, keyed in cells[ids[u]]:
+                index[u][start:stop] = keyed
+    for v, a in enumerate(ids):
+        index[v][v] = number(a, a, local_index[v][v])
     return values, index
 
 
@@ -383,14 +449,21 @@ class ClearedForms:
         return self._value_at(self.product, self._g.n - 1, q0)
 
     @functools.cached_property
+    def _signatures(self) -> list[tuple[tuple[int, int], ...]]:
+        """Each vertex's signature: the sorted (own, opp) part sizes of its
+        blocks, own on its side; x and y are built from it."""
+        sizes = [{"X": (b.m, b.n), "Y": (b.n, b.m)} for b in self._g.blocks]
+        return [tuple(sorted(sizes[b][side] for b, side in members)) for members in self._g.membership]
+
+    @functools.cached_property
     def x(self) -> tuple[list[tuple[int, ...]], list[int]]:
         """delta x_v = (1 - deg v) delta + sum of ((opp-1) q - 1) R_a."""
-        return _cleared_sums(self._g, self.delta, self._quotients, lambda opp: [-1, opp - 1])
+        return _cleared_sums(self._signatures, self.delta, self._quotients, lambda opp: [-1, opp - 1])
 
     @functools.cached_property
     def y(self) -> tuple[list[tuple[int, ...]], list[int]]:
         """P y_v = (1 - deg v) P + sum of (opp-1) R_a."""
-        return _cleared_sums(self._g, self.product, self._quotients, lambda opp: [opp - 1])
+        return _cleared_sums(self._signatures, self.product, self._quotients, lambda opp: [opp - 1])
 
     @functools.cached_property
     def local(self) -> tuple[list[tuple[int, ...]], list[list[int]]]:
@@ -412,9 +485,9 @@ def _rows(values: list, index: list[list[int]]) -> list[list]:
 
 
 def _shared_rfs(values, den: list[int]) -> list[RationalFunction]:
-    """RationalFunction(value / den) for each integer list in values."""
-    den = Polynomial(den)
-    return [RationalFunction(Polynomial(v), den) for v in values]
+    """RationalFunction(value / den) for each integer list in values, reduced
+    over den together (_fastpoly.reduce_over)."""
+    return RationalFunction._over(values, den)
 
 
 def values_at(values, den: list[int], q0: Rational) -> list[Rational]:

@@ -4,9 +4,10 @@ Everything here is exact; no floating point is used anywhere in the package.
 Rational scalars are plain ``int`` or ``fractions.Fraction`` values (integral
 results are demoted to ``int``).  Polynomials are dense ascending coefficient
 tuples; rational functions are kept in canonical form (gcd-reduced, monic
-denominator) so that equality is structural.  Canonicalisation reduces
-integer lists to their gcd's cofactors (_fastpoly.gcd_cofactors), then
-divides each coefficient by one collected scalar.
+denominator) so that equality is structural.  That form is stored as two
+integer tuples, the reduced numerator and denominator scaled by the
+denominator's lead (_fastpoly.reduce_over), and rendered and evaluated from
+them; the num and den polynomials are built only when asked for.
 """
 
 from __future__ import annotations
@@ -49,6 +50,44 @@ def parse_rational(text: str) -> Rational:
 
 def rational_to_json(value: Rational) -> list[str]:
     return [str(value.numerator), str(value.denominator)]
+
+
+def _scaled_json(coeffs, scale: int) -> list[list[str]]:
+    """[numerator, denominator] strings of c / scale for each int c, in lowest terms."""
+    return [[str(top), str(bottom)] for top, bottom in _fastpoly.lowest_terms(coeffs, scale)]
+
+
+def _scaled_text(coeffs, scale: int) -> str:
+    """The polynomial with coefficients c / scale, ints c, as text: ascending
+    terms, a coefficient that is not an integer in parentheses before its q."""
+    parts: list[str] = []
+    for i, (top, bottom) in enumerate(_fastpoly.lowest_terms(coeffs, scale)):
+        if top == 0:
+            continue
+        mag = str(abs(top)) if bottom == 1 else f"{abs(top)}/{bottom}"
+        if i == 0:
+            term = mag
+        else:
+            var = "q" if i == 1 else f"q^{i}"
+            if bottom != 1:
+                term = f"({mag}){var}"
+            else:
+                term = var if mag == "1" else f"{mag}{var}"
+        if not parts:
+            parts.append(term if top > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if top > 0 else f"- {term}")
+    return " ".join(parts) or "0"
+
+
+def _horner(coeffs, p: int, r: int) -> tuple[Rational, int]:
+    """(acc, r^len(coeffs)), acc = r^(len(coeffs) - 1) times the value at p/r:
+    Horner in p over the coefficients scaled by powers of r."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * scale
+        scale *= r
+    return acc, scale
 
 
 class Polynomial:
@@ -151,11 +190,8 @@ class Polynomial:
     def eval_at(self, q0: Rational) -> Rational:
         """Exact Horner evaluation at q0 = p/r: Horner in p over the coefficients scaled by
         powers of r gives r^deg times the value, so int coefficients need one division."""
-        p, r = q0.numerator, q0.denominator
-        acc, scale = 0, 1
-        for c in reversed(self.coeffs):
-            acc = acc * p + c * scale
-            scale *= r
+        r = q0.denominator
+        acc, scale = _horner(self.coeffs, q0.numerator, r)
         return _demote(acc if r == 1 else Fraction(acc * r, scale))
 
     # -- comparisons and rendering ---------------------------------------
@@ -173,31 +209,10 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = -c if c < 0 else c
-            if i == 0:
-                term = str(mag)
-            else:
-                var = "q" if i == 1 else f"q^{i}"
-                if mag == 1:
-                    term = var
-                elif isinstance(mag, Fraction):
-                    term = f"({mag}){var}"
-                else:
-                    term = f"{mag}{var}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        return _scaled_text(*_fastpoly.int_pair(self.coeffs))
 
     def to_json(self) -> list[list[str]]:
-        return [rational_to_json(c) for c in self.coeffs]
+        return _scaled_json(*_fastpoly.int_pair(self.coeffs))
 
 
 ZERO = Polynomial()
@@ -218,42 +233,57 @@ def q_integer(alpha: int) -> Polynomial:
 class RationalFunction:
     """An element of the field of rational functions in q, in canonical form.
 
-    Invariants: the denominator is nonzero and monic, gcd(num, den) = 1 (the
-    parts are scaled cofactors of the integer gcd), and zero is stored as
-    0/1.  Equality and hashing are therefore structural.
+    Invariants: the denominator is nonzero and monic, gcd(num, den) = 1, and
+    zero is 0/1, so equality and hashing are structural.  The form is stored
+    as (n, d), integer tuples with no common factor, polynomial or scalar,
+    and d's lead positive: num = n / d[-1] and den = d / d[-1].
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_pair",)
 
     def __init__(self, num, den=ONE):
         num = Polynomial._coerce(num)
         den = Polynomial._coerce(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = ZERO, ONE
-        else:
-            # reduce on integer coefficient lists to the gcd's cofactors, then
-            # apply the collected scalar and make the denominator monic
-            num_int, num_den = _fastpoly.int_pair(num.coeffs)
-            den_int, den_den = _fastpoly.int_pair(den.coeffs)
-            _, num_int, den_int = _fastpoly.gcd_cofactors(num_int, den_int)
-            lead = den_int[-1]
-            num_int, down = [c * den_den for c in num_int], num_den * lead
-            num = Polynomial(num_int if down == 1 else [Fraction(c, down) for c in num_int])
-            den = Polynomial(den_int if lead == 1 else [Fraction(c, lead) for c in den_int])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        num_int, num_den = _fastpoly.int_pair(num.coeffs)
+        den_int, den_den = _fastpoly.int_pair(den.coeffs)
+        (pair,) = _fastpoly.reduce_over(
+            [_fastpoly.pscale(num_int, den_den)], _fastpoly.pscale(den_int, num_den)
+        )
+        object.__setattr__(self, "_pair", pair)
+
+    @classmethod
+    def _of(cls, pair) -> "RationalFunction":
+        """The RationalFunction stored as pair, a form of _fastpoly.reduce_over."""
+        rf = object.__new__(cls)
+        object.__setattr__(rf, "_pair", pair)
+        return rf
+
+    @classmethod
+    def _over(cls, values, den: list[int]) -> list["RationalFunction"]:
+        """value / den for each integer list in values, reduced together."""
+        return list(map(cls._of, _fastpoly.reduce_over(values, den)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     @property
+    def num(self) -> Polynomial:
+        n, d = self._pair
+        return Polynomial(n if d[-1] == 1 else [Fraction(c, d[-1]) for c in n])
+
+    @property
+    def den(self) -> Polynomial:
+        d = self._pair[1]
+        return Polynomial(d if d[-1] == 1 else [Fraction(c, d[-1]) for c in d])
+
+    @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self._pair[0]
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero
+        return bool(self._pair[0])
 
     @staticmethod
     def _coerce(other) -> "RationalFunction":
@@ -267,12 +297,15 @@ class RationalFunction:
         other = RationalFunction._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+        (n1, d1), (n2, d2) = self._pair, other._pair
+        num = _fastpoly.padd(_fastpoly.pmul(n1, d2), _fastpoly.pmul(n2, d1))
+        return RationalFunction._over([num], _fastpoly.pmul(d1, d2))[0]
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        n, d = self._pair
+        return RationalFunction._of((tuple(-c for c in n), d))
 
     def __sub__(self, other):
         other = RationalFunction._coerce(other)
@@ -287,14 +320,16 @@ class RationalFunction:
         other = RationalFunction._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        (n1, d1), (n2, d2) = self._pair, other._pair
+        return RationalFunction._over([_fastpoly.pmul(n1, n2)], _fastpoly.pmul(d1, d2))[0]
 
     __rmul__ = __mul__
 
     def inv(self) -> "RationalFunction":
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero rational function")
-        return RationalFunction(self.den, self.num)
+        n, d = self._pair
+        return RationalFunction._over([list(d)], list(n))[0]
 
     def __truediv__(self, other):
         other = RationalFunction._coerce(other)
@@ -306,31 +341,35 @@ class RationalFunction:
         return RationalFunction._coerce(other) * self.inv()
 
     def eval_at(self, q0: Rational) -> Rational:
-        den_val = self.den.eval_at(q0)
-        if den_val == 0:
+        """n(q0) / d(q0), from Horner on the integers n and d at q0 = p/r."""
+        p, r = q0.numerator, q0.denominator
+        n, d = self._pair
+        (num, num_scale), (den, den_scale) = _horner(n, p, r), _horner(d, p, r)
+        if den == 0:
             raise PoleError(f"denominator {self.den} vanishes at q = {q0}")
-        num_val = self.num.eval_at(q0)
-        return _demote(Fraction(num_val) / Fraction(den_val))
+        return _demote(Fraction(num * den_scale, den * num_scale))
 
     def __eq__(self, other):
         other = RationalFunction._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._pair == other._pair
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self._pair)
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
     def __str__(self):
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        n, d = self._pair
+        if len(d) == 1:
+            return _scaled_text(n, d[0])
+        return f"({_scaled_text(n, d[-1])})/({_scaled_text(d, d[-1])})"
 
     def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        n, d = self._pair
+        return {"num": _scaled_json(n, d[-1]), "den": _scaled_json(d, d[-1])}
 
 
 RF_ZERO = RationalFunction(ZERO)

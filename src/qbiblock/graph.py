@@ -77,39 +77,37 @@ def build(specs) -> BiBlockGraph:
         raise GraphError("a bi-block graph needs at least one block")
     blocks: list[Block] = []
     membership: list[list[tuple[int, str]]] = []
-
-    def new_vertices(count: int) -> tuple[int, ...]:
-        start = len(membership)
-        for _ in range(count):
-            membership.append([])
-        return tuple(range(start, start + count))
-
     for index, spec in enumerate(specs):
         if spec.m < 1 or spec.n < 1:
             raise GraphError(f"block {index}: part sizes must be at least 1, got {spec.m}x{spec.n}")
+        # the new vertices are numbered from start, the X side's first
+        start = len(membership)
         if index == 0:
             if spec.attach is not None:
                 raise GraphError("the first block must not carry an attachment")
-            x = new_vertices(spec.m)
-            y = new_vertices(spec.n)
+            x = tuple(range(start, start + spec.m))
+            y = tuple(range(start + spec.m, start + spec.m + spec.n))
         else:
             if spec.attach is None:
                 raise GraphError(f"block {index} needs an attachment to an existing vertex")
             if spec.attach.side not in SIDES:
                 raise GraphError(f"block {index}: side must be 'X' or 'Y', got {spec.attach.side!r}")
             cut = spec.attach.vertex
-            if not 0 <= cut < len(membership):
+            if not 0 <= cut < start:
                 raise GraphError(f"block {index} attaches to unknown vertex {cut}")
+            membership[cut].append((index, spec.attach.side))
             if spec.attach.side == "X":
-                x = (cut,) + new_vertices(spec.m - 1)
-                y = new_vertices(spec.n)
+                x = (cut,) + tuple(range(start, start + spec.m - 1))
+                y = tuple(range(start + spec.m - 1, start + spec.m - 1 + spec.n))
             else:
-                x = new_vertices(spec.m)
-                y = (cut,) + new_vertices(spec.n - 1)
+                x = tuple(range(start, start + spec.m))
+                y = (cut,) + tuple(range(start + spec.m, start + spec.m + spec.n - 1))
         for v in x:
-            membership[v].append((index, "X"))
+            if v >= start:
+                membership.append([(index, "X")])
         for v in y:
-            membership[v].append((index, "Y"))
+            if v >= start:
+                membership.append([(index, "Y")])
         blocks.append(Block(index, x, y))
 
     n = len(membership)

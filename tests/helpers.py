@@ -50,6 +50,18 @@ determinant, parent_det_and_cofactor, is the route that the oracle is
 checked against.  corner_split reads (det D, cofactor) off the packed
 determinant of either construction.
 
+reference_canonical is RationalFunction's canonical form in Fraction
+arithmetic: the integer parts reduced by subresultant_gcd, the scalars
+folded into the numerator and the denominator made monic.
+reference_rf_json, reference_rf_text and reference_rf_value render and
+evaluate that form with Fraction coefficients and the text rules of
+Polynomial, the routes that the integer-native RationalFunction is checked
+against.
+
+reference_inverse_rows is closedform._inverse_rows as it was when it keyed
+every local cell by a sorted tuple: the route that the per-block keys and
+the runs of the current one are checked against.
+
 reference_check_conditions is closedform.check_conditions in Fraction
 arithmetic, q0^2 (m-1)(n-1) = 1 and (q0+1)^2 (m-1)(n-1) = m n as written.
 
@@ -63,6 +75,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
+from fractions import Fraction
+from math import lcm
 
 from qbiblock import _fastpoly, _moddet
 from qbiblock.closedform import (
@@ -74,7 +89,7 @@ from qbiblock.closedform import (
     cofactor_core,
     det_core,
 )
-from qbiblock.exactring import ONE, Polynomial, Q, RF_ONE, RF_ZERO, RationalFunction
+from qbiblock.exactring import ONE, PoleError, Polynomial, Q, RF_ONE, RF_ZERO, RationalFunction
 from qbiblock.graph import Attachment, BlockSpec, build, distances, random_biblock, random_tree
 from qbiblock.matrix import DimensionError, RingMatrix
 from qbiblock.qdist import bfs_parents, bordered_rows, q_distance_rows
@@ -157,6 +172,125 @@ def subresultant_gcd(a: list[int], b: list[int]) -> list[int]:
         a, b = b, quotient
         g = a[-1]
         h = g**delta // h ** (delta - 1) if delta > 0 else h
+
+
+def reference_int_pair(coeffs) -> tuple[list[int], int]:
+    """(integer list, positive scalar denominator) of int and Fraction coefficients."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    return [int(Fraction(c) * den) for c in coeffs], den
+
+
+def reference_canonical(num, den) -> tuple[list[Fraction], list[Fraction]]:
+    """(numerator, monic denominator) coefficients of num / den in lowest
+    terms, num and den coefficient sequences of ints and Fractions with no
+    trailing zero, den nonzero; zero is ([], [1])."""
+    if not num:
+        return [], [Fraction(1)]
+    num_int, num_den = reference_int_pair(num)
+    den_int, den_den = reference_int_pair(den)
+    if len(num_int) > 1 and len(den_int) > 1:
+        g = subresultant_gcd(num_int, den_int)
+        if len(g) > 1:
+            num_int = exact_quotient(num_int, g)
+            den_int = exact_quotient(den_int, g)
+    scalar = Fraction(den_den, num_den) / den_int[-1]
+    return [c * scalar for c in num_int], [Fraction(c, den_int[-1]) for c in den_int]
+
+
+def reference_rf_json(top: list[Fraction], bottom: list[Fraction]) -> dict:
+    """RationalFunction.to_json of the canonical form top / bottom."""
+    pairs = lambda values: [[str(v.numerator), str(v.denominator)] for v in values]
+    return {"num": pairs(top), "den": pairs(bottom)}
+
+
+def reference_poly_text(coeffs: list[Fraction]) -> str:
+    """Polynomial text: ascending terms, a coefficient that is not an integer
+    in parentheses before its power of q."""
+    parts: list[str] = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        mag = mag.numerator if mag.denominator == 1 else mag
+        if i == 0:
+            term = str(mag)
+        else:
+            var = "q" if i == 1 else f"q^{i}"
+            term = var if mag == 1 else f"({mag}){var}" if isinstance(mag, Fraction) else f"{mag}{var}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts) or "0"
+
+
+def reference_rf_text(top: list[Fraction], bottom: list[Fraction]) -> str:
+    """str of the RationalFunction of the canonical form top / bottom."""
+    if bottom == [1]:
+        return reference_poly_text(top)
+    return f"({reference_poly_text(top)})/({reference_poly_text(bottom)})"
+
+
+def reference_rf_value(top: list[Fraction], bottom: list[Fraction], q0: Fraction) -> Fraction | None:
+    """top(q0) / bottom(q0) in Fractions, by Horner; None where bottom(q0) is 0."""
+    values = []
+    for coeffs in (top, bottom):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * q0 + c
+        values.append(acc)
+    return None if values[1] == 0 else values[0] / values[1]
+
+
+REFERENCE_POINTS = (Fraction(2, 7), Fraction(-3, 5), Fraction(0))
+
+
+def assert_rf_matches_the_reference(rf: RationalFunction, num, den):
+    """rf, a RationalFunction of num / den, against reference_canonical on
+    ==, hash, to_json, str and eval_at at REFERENCE_POINTS."""
+    top, bottom = reference_canonical(num, den)
+    assert list(rf.num.coeffs) == top and list(rf.den.coeffs) == bottom, (num, den)
+    assert rf.to_json() == reference_rf_json(top, bottom), (num, den)
+    assert str(rf) == reference_rf_text(top, bottom), (num, den)
+    # the same value from other coefficients, and another value
+    factor = Polynomial((-2, 0, 5))
+    same = RationalFunction(Polynomial(num) * factor, Polynomial(den) * factor)
+    assert same == rf and hash(same) == hash(rf), (num, den)
+    assert RationalFunction(Polynomial(num) + Polynomial(den), Polynomial(den)) != rf, (num, den)
+    for q0 in REFERENCE_POINTS:
+        want = reference_rf_value(top, bottom, q0)
+        try:
+            got = rf.eval_at(q0)
+        except PoleError:
+            assert want is None, (num, den, q0)
+            continue
+        assert got == want and type(got) is (int if want.denominator == 1 else Fraction), (num, den, q0)
+
+
+def reference_inverse_rows(forms, entry) -> tuple[list, list[list[int]]]:
+    """(values, index) of -local_matrix + outer(x, x) / balance_constant,
+    each local cell keyed by (a, b, l), a <= b sorted, in one pass over the
+    listed local cells; entry(a, b, l) once per distinct key."""
+    (x, ids), local_index = forms.x, forms.local[1]
+    cells = lambda: (
+        (i, j) for i, row in enumerate(local_index) for j in itertools.compress(range(len(row)), row)
+    )
+    sizes, local_pairs = Counter(ids), Counter((ids[i], ids[j]) for i, j in cells())
+    plain: list[list] = [[None] * len(x) for _ in x]
+    values = []
+    for a in range(len(x)):
+        for b in range(a, len(x)):
+            if local_pairs[a, b] < sizes[a] * sizes[b]:
+                plain[a][b] = plain[b][a] = len(values)
+                values.append(entry(a, b, 0))
+    by_value = [list(map(row.__getitem__, ids)) for row in plain]
+    index = [by_value[a].copy() for a in ids]
+    keys: dict = {}
+    for i, j in cells():
+        key = (*sorted((ids[i], ids[j])), local_index[i][j])
+        index[i][j] = keys.setdefault(key, len(values) + len(keys))
+    values += [entry(*key) for key in keys]
+    return values, index
 
 
 def reference_check_conditions(g, q0) -> ConditionCheck:

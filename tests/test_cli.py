@@ -279,6 +279,15 @@ def test_integer_literals_past_the_digit_cap_exit_2(capsys, tmp_path, k11):
         assert err.count("\n") == 1 and str(cli.MAX_DIGITS) in err, err
     code, out, _ = run_cli(capsys, "det", k11, "--at", "1" * cli.MAX_DIGITS)
     assert code == 0 and out == "-1\n"
+    # a long run of digits in a string is no integer literal; one of
+    # MAX_DIGITS digits is in range (and then refused as a part size)
+    noted = tmp_path / "noted.json"
+    noted.write_text('{"note": "%s", "blocks": [{"m": 1, "n": 1}]}' % huge, encoding="utf-8")
+    assert run_cli(capsys, "det", str(noted)) == (0, "-1\n", "")
+    widest = tmp_path / "widest.json"
+    widest.write_text('{"blocks": [{"m": %s, "n": 1}]}' % ("1" * cli.MAX_DIGITS), encoding="utf-8")
+    code, out, err = run_cli(capsys, "det", str(widest))
+    assert code == 2 and "exceeds" in err and str(cli.MAX_DIGITS) not in err, err
 
 
 def test_exact_values_past_the_int_str_digit_limit_are_printed(capsys, tmp_path):

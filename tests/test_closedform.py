@@ -10,7 +10,9 @@ import pytest
 from qbiblock import _fastpoly, _moddet
 from qbiblock.closedform import (
     ClearedForms,
+    _inverse_rows,
     _shapes,
+    _shared_rfs,
     balance_constant,
     balance_vector,
     block_cofactor,
@@ -54,12 +56,14 @@ from qbiblock.oracle import all_trees, default_corpus
 from qbiblock.qdist import q_distance_matrix, q_distance_rows
 from helpers import (
     ReferenceClearedForms,
+    assert_rf_matches_the_reference,
     formulas_large_graphs,
     identity,
     inverse_gauss,
     reference_check_conditions,
     reference_graph_cofactor,
     reference_graph_det,
+    reference_inverse_rows,
     rf_matrix,
 )
 from helpers import diagonal_weight_vector as reference_y
@@ -615,6 +619,40 @@ def test_cleared_forms_match_the_rational_function_route():
     assert len(graphs) == 176
     for g in graphs:
         assert_cleared_forms_match_the_reference(g)
+
+
+def test_shared_rational_functions_match_the_fraction_reference():
+    # every distinct value of x, y, local, inverse and lam, each form
+    # reduced over its shared denominator
+    graphs = [build(specs) for _, specs in default_corpus(7)] + formulas_large_graphs()
+    assert len(graphs) == 176
+    for g in graphs:
+        forms = ClearedForms(g)
+        for values, den in (
+            (forms.x[0], forms.delta),
+            (forms.y[0], forms.product),
+            (forms.local[0], forms.delta),
+            (forms.inverse[0], forms.inverse_den),
+            ([forms.lam], forms.delta),
+        ):
+            for value, rf in zip(values, _shared_rfs(values, den)):
+                assert_rf_matches_the_reference(rf, list(value), den)
+
+
+def test_inverse_rows_match_the_reference_routine():
+    # the cell values and the distinct count of the routine that keyed every
+    # local cell, on the corpus, the formulas_large graphs and K_{s,t}
+    graphs = [build(specs) for _, specs in default_corpus(7)] + formulas_large_graphs()
+    graphs += [single_block(s, t) for s in range(1, 7) for t in range(1, 7)]
+    key = lambda a, b, l: (a, b, l)
+    for g in graphs:
+        forms = ClearedForms(g)
+        values, index = _inverse_rows(forms, key)
+        want_values, want_index = reference_inverse_rows(forms, key)
+        assert len(values) == len(want_values), g
+        assert [[values[k] for k in row] for row in index] == [
+            [want_values[k] for k in row] for row in want_index
+        ], g
 
 
 def test_inverse_has_one_numerator_per_distinct_key():

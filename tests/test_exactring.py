@@ -1,14 +1,22 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
-from helpers import exact_quotient, pseudo_divmod, subresultant_gcd
+from helpers import (
+    assert_rf_matches_the_reference,
+    exact_quotient,
+    pseudo_divmod,
+    reference_canonical,
+    reference_int_pair,
+    reference_rf_json,
+    subresultant_gcd,
+)
 from qbiblock import _fastpoly
 from qbiblock.exactring import (
     ONE,
@@ -104,14 +112,29 @@ def test_integer_horner_matches_fraction_horner():
         assert type(got) is (int if expected.denominator == 1 else Fraction)
 
 
+def reduced(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """a / b reduced by _fastpoly.reduce_over, as lists."""
+    ((n, d),) = _fastpoly.reduce_over([a], b)
+    return list(n), list(d)
+
+
+def reduced_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive positive-lead gcd that reduce_over divided a and b by:
+    the primitive part of a over that of its reduced numerator."""
+    return exact_quotient(_fastpoly.primitive(a), _fastpoly.primitive(reduced(a, b)[0]))
+
+
 def test_gcd_examples():
-    gcd = lambda a, b: _fastpoly.gcd_cofactors(a, b)[0]
-    assert gcd([-1, 0, 1], [1, 1]) == [1, 1]
-    assert gcd([2, 2], [4, 4]) == [1, 1]
-    assert gcd([1, 1], [2, 1]) == [1]
+    assert reduced_gcd([-1, 0, 1], [1, 1]) == [1, 1]
+    assert reduced_gcd([2, 2], [4, 4]) == [1, 1]
+    assert reduced_gcd([1, 1], [2, 1]) == [1]
+    assert reduced([-1, 0, 1], [1, 1]) == ([-1, 1], [1])
+    assert reduced([2, 2], [4, 4]) == ([1], [2])
     # a negative content must not flip the positive leading coefficient
-    assert gcd([2, -4], [-6, 12]) == [-1, 2]
-    assert _fastpoly.gcd_cofactors([2, -4], [-6, 12]) == ([-1, 2], [-2], [6])
+    assert reduced_gcd([2, -4], [-6, 12]) == [-1, 2]
+    assert reduced([2, -4], [-6, 12]) == ([-1], [3])
+    assert reduced([], [5, 7]) == ([], [1])
+    assert reduced([6, 4], [-2]) == ([-3, -2], [1])
 
 
 def test_gcd_rejects_a_spurious_factor_at_the_first_base():
@@ -119,10 +142,19 @@ def test_gcd_rejects_a_spurious_factor_at_the_first_base():
     # quadratics share the factor 2446649 > B/2 of their values at B, whose
     # digits read as q - 1747655, and only the cofactor bound rejects it
     a, b = [-999, 1000, 1], [701, 965, 1]
-    assert _fastpoly.gcd_cofactors(a, b) == ([1], a, b)
+    assert reduced(a, b) == (a, b)
     f = [3, -2, 5]
-    h, a_h, b_h = _fastpoly.gcd_cofactors(_fastpoly.pmul(a, f), _fastpoly.pmul(b, f))
-    assert (h, a_h, b_h) == (f, a, b)
+    assert reduced(_fastpoly.pmul(a, f), _fastpoly.pmul(b, f)) == (a, b)
+    assert reduced_gcd(_fastpoly.pmul(a, f), _fastpoly.pmul(b, f)) == f
+    # over one shared denominator, each value as it reduces alone
+    den, values = _fastpoly.pmul(b, f), [a, _fastpoly.pmul(a, f), _fastpoly.pmul(f, f), [7]]
+    alone = [pair for v in values for pair in _fastpoly.reduce_over([v], den)]
+    assert _fastpoly.reduce_over(values, den) == alone == [
+        (tuple(a), tuple(den)),
+        (tuple(a), tuple(b)),
+        (tuple(f), tuple(b)),
+        ((7,), tuple(den)),
+    ]
 
 
 def test_gcd_of_random_products():
@@ -132,7 +164,7 @@ def test_gcd_of_random_products():
         a = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] + [1]
         b = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] + [1]
         fa, fb = _fastpoly.pmul(f, a), _fastpoly.pmul(f, b)
-        g, _, _ = _fastpoly.gcd_cofactors(fa, fb)
+        g = reduced_gcd(fa, fb)
         # f is monic and divides both products, so it must divide the
         # primitive gcd; the gcd must divide both products
         exact_quotient(g, f)
@@ -164,16 +196,39 @@ def random_gcd_case(rng: random.Random) -> tuple[list[int], list[int]]:
     return pair[0], pair[1]
 
 
-def test_gcd_cofactors_match_the_subresultant_reference():
+def assert_reduced(a: list[int], b: list[int], n: tuple[int, ...], d: tuple[int, ...]):
+    """(n, d) is a / b in lowest terms: n d-cross-multiplies to a b, n and d
+    share no polynomial factor (subresultant_gcd) and no content, d's lead is
+    positive."""
+    assert _fastpoly.pmul(list(n), b) == _fastpoly.pmul(list(d), a), (a, b)
+    assert d[-1] > 0 and math.gcd(*n, *d) == 1, (a, b)
+    if n:
+        assert subresultant_gcd(list(n), list(d)) == [1], (a, b)
+
+
+def test_reduce_over_matches_the_subresultant_reference():
     rng = random.Random(20261019)
     for _ in range(400):
         a, b = random_gcd_case(rng)
-        h, a_h, b_h = _fastpoly.gcd_cofactors(a, b)
-        assert h == subresultant_gcd(a, b), (a, b)
-        assert _fastpoly.pmul(h, a_h) == a and _fastpoly.pmul(h, b_h) == b, (a, b)
+        (n, d), = _fastpoly.reduce_over([a], b)
+        assert_reduced(a, b, n, d)
+        assert reduced_gcd(a, b) == subresultant_gcd(a, b), (a, b)
 
 
-def test_gcd_cofactors_match_sympy():
+def test_reduce_over_a_shared_denominator_matches_one_value_at_a_time():
+    # the denominator's packings and its cofactor per gcd are taken once
+    rng = random.Random(3141)
+    for _ in range(60):
+        a, b = random_gcd_case(rng)
+        values = [a, [], _fastpoly.pscale(a, -3), _fastpoly.pmul(a, b), [rng.randint(-9, 9) or 1]]
+        values += [random_gcd_case(rng)[0] for _ in range(3)]
+        got = _fastpoly.reduce_over(values, b)
+        assert got == [pair for v in values for pair in _fastpoly.reduce_over([v], b)], (values, b)
+        for v, (n, d) in zip(values, got):
+            assert_reduced(v, b, n, d)
+
+
+def test_reduce_over_matches_sympy():
     sympy = pytest.importorskip("sympy")
     q = sympy.symbols("q")
     rng = random.Random(4477)
@@ -184,8 +239,22 @@ def test_gcd_cofactors_match_sympy():
         _, want = sympy.gcd(as_poly(a), as_poly(b)).primitive()
         if want.LC() < 0:
             want = -want
-        h, _, _ = _fastpoly.gcd_cofactors(a, b)
-        assert as_poly(h) == want, (a, b)
+        assert as_poly(reduced_gcd(a, b)) == want, (a, b)
+
+
+def test_rational_function_matches_the_fraction_reference_on_random_pairs():
+    # constant and zero numerators, constant denominators, negative leads,
+    # contents, planted common factors; each denominator shared by a batch
+    rng = random.Random(6061)
+    spurious = ([-999, 1000, 1], [701, 965, 1])  # a k doubling, as above
+    cases = [spurious, ([], [3, 1]), ([5], [-4]), ([-6, 0, 9], [-3]), ([4, -2], [-8, 0, 4])]
+    cases += [random_gcd_case(rng) for _ in range(120)]
+    for a, b in cases:
+        values = [a, [], [rng.randint(-9, 9) or 1], _fastpoly.pscale(a, -rng.randint(1, 30))]
+        values += [_fastpoly.pmul(b, random_gcd_case(rng)[0]), random_gcd_case(rng)[1]]
+        for v, rf in zip(values, RationalFunction._over(values, b)):
+            assert_rf_matches_the_reference(rf, v, b)
+        assert_rf_matches_the_reference(RationalFunction(Polynomial(a), Polynomial(b)), a, b)
 
 
 def test_rational_function_canonical_form():
@@ -334,11 +403,6 @@ def stored_as_canonical_types(p: Polynomial) -> bool:
     )
 
 
-def reference_int_pair(coeffs) -> tuple[list[int], int]:
-    den = lcm(*(Fraction(c).denominator for c in coeffs))
-    return [int(Fraction(c) * den) for c in coeffs], den
-
-
 def reference_quotient(a: Polynomial, b: Polynomial) -> Polynomial | None:
     """a / b from the pseudo-division of the integer parts, or None when b
     does not divide a."""
@@ -450,31 +514,6 @@ def test_polynomial_ring_axioms_and_coefficient_types_property():
     prop()
 
 
-def reference_canonical_json(num: Polynomial, den: Polynomial) -> dict:
-    """RationalFunction's canonical form, computed with Fraction arithmetic
-    throughout: reduce by the subresultant gcd, fold both coefficient denominators
-    and the denominator's lead into one Fraction, divide by the lead."""
-    if num.is_zero:
-        return {"num": [], "den": [["1", "1"]]}
-    num_int, num_den = reference_int_pair(num.coeffs)
-    den_int, den_den = reference_int_pair(den.coeffs)
-    if len(num_int) > 1 or len(den_int) > 1:
-        g = subresultant_gcd(num_int, den_int)
-        if len(g) > 1:
-            num_int = exact_quotient(num_int, g)
-            den_int = exact_quotient(den_int, g)
-    scalar = Fraction(den_den, num_den) / den_int[-1]
-    lead = den_int[-1]
-
-    def rendered(values):
-        return [[str(v.numerator), str(v.denominator)] for v in values]
-
-    return {
-        "num": rendered(c * scalar for c in num_int),
-        "den": rendered(Fraction(c, lead) for c in den_int),
-    }
-
-
 def test_rational_function_canonical_form_matches_fraction_reference_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -484,7 +523,7 @@ def test_rational_function_canonical_form_matches_fraction_reference_property():
     @hypothesis.given(num=poly, den=poly.filter(bool))
     def prop(num, den):
         r = RationalFunction(num, den)
-        want = json.dumps(reference_canonical_json(num, den))
+        want = json.dumps(reference_rf_json(*reference_canonical(num.coeffs, den.coeffs)))
         assert json.dumps(r.to_json()) == want
         assert stored_as_canonical_types(r.num) and stored_as_canonical_types(r.den)
 
