@@ -32,6 +32,7 @@ import functools
 import json
 import os
 import sys
+from operator import itemgetter, methodcaller
 
 from .closedform import (
     ClearedForms,
@@ -44,7 +45,7 @@ from .closedform import (
     graph_det,
     values_at,
 )
-from .exactring import PoleError, parse_rational, rational_to_json
+from .exactring import PoleError, _rational_json_text, parse_rational
 from .graph import (
     MAX_VERTICES,
     GraphError,
@@ -148,7 +149,7 @@ def _parse_at(text: str):
     return q0
 
 
-_to_json = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+_to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _scalar_text(fields):
@@ -163,18 +164,29 @@ def _inverse_text(fields):
     return map("\t".join, fields["value"])
 
 
+def _laid_out(rendered: list, index):
+    """Each row of index with its numbers replaced by their rendered values, by
+    one itemgetter a row; an itemgetter of one item returns the item itself, so
+    a one-item row, a scalar's, is made a tuple here."""
+    for row in index:
+        yield itemgetter(*row)(rendered) if len(row) > 1 else (rendered[row[0]],)
+
+
 def _formula_command(args, symbolic, at, *, refuse: tuple[str, ...], depth: int, text) -> int:
     """Print symbolic(g), or at(g, q0) for --at: a dict of field name to a
     (values, index) form, index a list of rows.  Each distinct value is rendered
     once, and each row is written as it is laid out.  With --at, a violation of a
     condition in refuse exits 3.  JSON writes each field depth deep (0 a value, 1 a
-    row, 2 rows) over its null in the payload; text(fields) gives the text lines."""
+    row, 2 rows), and --at's rendered q0, over its null in the payload; text(fields)
+    gives the text lines."""
     g = _build_graph(args.graph)
     payload = {"schema": SCHEMA_VERSION, "command": args.command}
+    as_json = args.format == "json"
     violations = ()
     if args.at is None:
         fields = symbolic(g)
-        to_json = lambda e: _to_json(e.to_json())
+        # a value's _json_text is _to_json(value.to_json())
+        render = methodcaller("_json_text") if as_json else str
     else:
         q0 = _parse_at(args.at)
         violations = check_conditions(g, q0).violations
@@ -183,24 +195,29 @@ def _formula_command(args, symbolic, at, *, refuse: tuple[str, ...], depth: int,
             details = "; ".join(f"block {v.block} {v.condition}: {v.witness}" for v in refused)
             raise _DomainError(f"q = {q0} violates admissibility conditions ({details})")
         fields = at(g, q0)
-        to_json = lambda v: _to_json(rational_to_json(v))
-        payload.update(at=rational_to_json(q0), violations=[vars(v) for v in violations])
-    as_json = args.format == "json"
-    rows = {}
-    for name, (values, index) in fields.items():
-        rendered = list(map(to_json if as_json else str, values))
-        rows[name] = map(functools.partial(map, rendered.__getitem__), index)
+        render = _rational_json_text if as_json else str
+        payload.update(at=None, violations=[vars(v) for v in violations])
+    rows = {
+        name: _laid_out(list(map(render, values)), index) for name, (values, index) in fields.items()
+    }
     if not as_json:
         for v in violations:
             print(f"warning: block {v.block} violates {v.condition}: {v.witness}", file=sys.stderr)
         sys.stdout.writelines(f"{line}\n" for line in text(rows))
         return EXIT_OK
+    write = sys.stdout.write
     tail = _to_json({**payload, **dict.fromkeys(rows)})
+    if args.at is not None:  # "at" sorts before every field name
+        head, tail = tail.split('"at":null', 1)
+        write(f'{head}"at":{render(q0)}')
     for name in sorted(rows):
         head, tail = tail.split(f'"{name}":null', 1)
-        sys.stdout.write(f'{head}"{name}":' + "[" * depth)
-        sys.stdout.writelines(("],[" if i else "") + ",".join(row) for i, row in enumerate(rows[name]))
-        sys.stdout.write("]" * depth)
+        write(f'{head}"{name}":' + "[" * depth)
+        for i, row in enumerate(rows[name]):
+            if i:
+                write("],[")
+            write(",".join(row))
+        write("]" * depth)
     print(tail)
     return EXIT_OK
 

@@ -39,7 +39,17 @@ from fractions import Fraction
 from operator import add
 
 from . import _fastpoly, _moddet
-from .exactring import ONE, PoleError, Polynomial, Q, Rational, RationalFunction, RF_ZERO, _demote
+from .exactring import (
+    ONE,
+    PoleError,
+    Polynomial,
+    Q,
+    Rational,
+    RationalFunction,
+    RF_ZERO,
+    _demote,
+    _horner,
+)
 from .graph import BiBlockGraph
 from .matrix import RingMatrix
 
@@ -98,7 +108,9 @@ def block_inverse(s: int, t: int) -> RingMatrix:
 def _shapes(g: BiBlockGraph) -> Counter:
     """Count of blocks per shape (m, n), a mirrored K_{n,m} counted as K_{m,n}:
     every per-block form below is symmetric in the two parts."""
-    return Counter((min(b.m, b.n), max(b.m, b.n)) for b in g.blocks)
+    return Counter(
+        (m, n) if m <= n else (n, m) for m, n in ((len(b.x), len(b.y)) for b in g.blocks)
+    )
 
 
 def graph_cofactor(g: BiBlockGraph) -> Polynomial:
@@ -147,16 +159,23 @@ def _cleared_sums(signatures, base: list[int], quotients, factor) -> tuple[list,
     depends only on v's signature, the sorted tuple of those pairs
     (ClearedForms._signatures), so it is built once per signature and
     numbered by value: signatures with equal entries (all (own, 1) terms are
-    equal) share one number."""
+    equal) share one number.  Each term is built once per (own, opp), padded
+    to base's length, which no term exceeds (deg R_a <= deg P), and the sums
+    are added in that length and stripped once."""
     numbers: dict[tuple[int, ...], int] = {}
 
     @functools.cache
+    def term(pair: tuple[int, int]) -> list[int]:
+        own, opp = pair
+        coeffs = _fastpoly.pmul(factor(opp), quotients[(own - 1) * (opp - 1)])
+        return coeffs + [0] * (len(base) - len(coeffs))
+
+    @functools.cache
     def entry(sig):
-        total = _fastpoly.pscale(base, 1 - len(sig))
-        for own, opp in sig:
-            term = _fastpoly.pmul(factor(opp), quotients[(own - 1) * (opp - 1)])
-            total = _fastpoly.padd(total, term)
-        return numbers.setdefault(tuple(total), len(numbers))
+        total = [c * (1 - len(sig)) for c in base]
+        for pair in sig:
+            total = list(map(add, total, term(pair)))
+        return numbers.setdefault(tuple(_fastpoly.pstrip(total)), len(numbers))
 
     index = list(map(entry, signatures))
     return list(numbers), index
@@ -245,12 +264,13 @@ def _cleared_local(g: BiBlockGraph, product: list[int], quotients, y) -> tuple[l
     numbers = {(): 0}
     index = [[0] * g.n for _ in range(g.n)]
     for b in g.blocks:
-        r = quotients[(b.m - 1) * (b.n - 1)]
+        m, n = len(b.x), len(b.y)
+        r = quotients[(m - 1) * (n - 1)]
         k = numbers.setdefault((0, *r), len(numbers))
         for u in b.x:
             for v in b.y:
                 index[u][v] = index[v][u] = k
-        for vertices, opp in ((b.x, b.n), (b.y, b.m)):
+        for vertices, opp in ((b.x, n), (b.y, m)):
             if opp == 1 or len(vertices) == 1:
                 continue  # a zero entry, or none off the diagonal, which is set below
             k = numbers.setdefault(tuple(_fastpoly.pscale([0, 0, *r], 1 - opp)), len(numbers))
@@ -422,15 +442,22 @@ class ClearedForms:
         Pascal's rule c_i + c_(i-1)."""
         coeffs = _moddet.power_product([(last, 1), *self._factors])
         for _ in range(power if coeffs else 0):
-            coeffs = list(map(add, coeffs + [0], [0] + coeffs))
+            coeffs.append(0)
+            coeffs[1:] = map(add, coeffs[1:], coeffs)
         return coeffs
 
     def _value_at(self, last: list[int], power: int, q0: Rational) -> Rational:
-        """F(q0) last(q0) (q0+1)^power, factor by factor in exact rationals."""
-        value = Fraction(Polynomial(last).eval_at(q0)) * (q0 + 1) ** power
-        for e, p in self._factors:
-            value *= Polynomial(e).eval_at(q0) ** p
-        return _demote(value)
+        """F(q0) last(q0) (q0+1)^power, q0 = p/r: one Fraction of integers,
+        each list r^D times its value at q0 (_cleared_at, D the largest
+        degree), so the denominator is r^(D (1 + the sum of F's exponents) + power)."""
+        lists = [last] + [e for e, _ in self._factors]
+        value, *factors = _cleared_at(lists, q0)
+        num, exponent = value * (q0.numerator + q0.denominator) ** power, 1
+        for f, (_, p) in zip(factors, self._factors):
+            num *= f**p
+            exponent += p
+        top = max(map(len, lists)) - 1
+        return _demote(Fraction(num, q0.denominator ** (top * exponent + power)))
 
     @functools.cached_property
     def det(self) -> list[int]:
@@ -451,9 +478,18 @@ class ClearedForms:
     @functools.cached_property
     def _signatures(self) -> list[tuple[tuple[int, int], ...]]:
         """Each vertex's signature: the sorted (own, opp) part sizes of its
-        blocks, own on its side; x and y are built from it."""
-        sizes = [{"X": (b.m, b.n), "Y": (b.n, b.m)} for b in self._g.blocks]
-        return [tuple(sorted(sizes[b][side] for b, side in members)) for members in self._g.membership]
+        blocks, own on its side; x and y are built from it.  A vertex in one
+        block, as all but the cut vertices are, takes its block side's."""
+        sizes = ((len(b.x), len(b.y)) for b in self._g.blocks)
+        sides = [{"X": ((m, n),), "Y": ((n, m),)} for m, n in sizes]
+
+        def signature(members):
+            if len(members) == 1:
+                ((b, side),) = members
+                return sides[b][side]
+            return tuple(sorted([sides[b][side][0] for b, side in members]))
+
+        return list(map(signature, self._g.membership))
 
     @functools.cached_property
     def x(self) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -490,12 +526,21 @@ def _shared_rfs(values, den: list[int]) -> list[RationalFunction]:
     return RationalFunction._over(values, den)
 
 
+def _cleared_at(lists, q0: Rational) -> list[int]:
+    """r^D v(q0) for each integer list v, q0 = p/r and D the largest degree
+    among the lists: every value an integer over the one power r^D."""
+    p, r = q0.numerator, q0.denominator
+    top = max(map(len, lists))
+    return [_horner(v, p, r)[0] * r ** (top - len(v)) for v in lists]
+
+
 def values_at(values, den: list[int], q0: Rational) -> list[Rational]:
     """value(q0) / den(q0) for each integer list in values, the values of one
-    (values, index) form of ClearedForms.  den(q0) must be nonzero: for
-    delta and P that is condition C1."""
-    den_value = Polynomial(den).eval_at(q0)
-    return [_demote(Fraction(Polynomial(v).eval_at(q0)) / den_value) for v in values]
+    (values, index) form of ClearedForms: one Fraction of the two lists'
+    _cleared_at integers each.  den(q0) must be nonzero: for delta and P
+    that is condition C1."""
+    *scaled, den_value = _cleared_at([*values, den], q0)
+    return [_demote(Fraction(v, den_value)) for v in scaled]
 
 
 def _inverse_form(g: BiBlockGraph) -> tuple[list[RationalFunction], list[list[int]]]:
@@ -522,17 +567,17 @@ def graph_inverse(g: BiBlockGraph) -> RingMatrix:
 def _inverse_form_at(g: BiBlockGraph, q0: Rational) -> tuple[list[Rational], list[list[int]]]:
     """(values, index) of inverse_at(g, q0), one value per distinct key of _inverse_rows."""
     forms = ClearedForms(g)
-    at = lambda value: Fraction(Polynomial(value).eval_at(q0))
-    delta, lam = at(forms.delta), at(forms.lam)
+    x_values = forms.x[0]
+    delta, lam, *values = _cleared_at([forms.delta, forms.lam, *x_values, *forms.local[0]], q0)
     if delta == 0:
         raise PoleError(f"a cofactor core vanishes at q = {q0}; the inverse has a pole there")
     if lam == 0:
         raise PoleError(f"the balance constant vanishes at q = {q0}; the inverse has a pole there")
     den = delta * lam
-    x, local = list(map(at, forms.x[0])), list(map(at, forms.local[0]))
+    x, local = values[: len(x_values)], values[len(x_values):]
 
     def entry(a: int, b: int, l: int) -> Rational:
-        return _demote((x[a] * x[b] - local[l] * lam) / den)
+        return _demote(Fraction(x[a] * x[b] - local[l] * lam, den))
 
     return _inverse_rows(forms, entry)
 
@@ -541,11 +586,12 @@ def inverse_at(g: BiBlockGraph, q0: Rational) -> list[list[Rational]]:
     """graph_inverse(g) evaluated exactly at q0, without building it.
 
     Each distinct cleared list (delta, Lambda, the balance-vector values X
-    and the local entries L) is evaluated at q0 once, and entry (i, j) is
-    (X_i X_j - L_ij Lambda) / (delta Lambda) in exact rationals; equal
-    entries are one object.  Raises PoleError when delta or Lambda vanishes
-    at q0: delta where condition C1 fails, Lambda (where C1 holds) exactly
-    where the determinant vanishes.
+    and the local entries L) is evaluated at q0 once, as an integer over one
+    shared power of q0's denominator (_cleared_at), and entry (i, j) is the
+    one Fraction (X_i X_j - L_ij Lambda) / (delta Lambda) of those integers;
+    equal entries are one object.  Raises PoleError when delta or Lambda
+    vanishes at q0: delta where condition C1 fails, Lambda (where C1 holds)
+    exactly where the determinant vanishes.
     """
     return _rows(*_inverse_form_at(g, q0))
 
@@ -588,19 +634,20 @@ def check_conditions(g: BiBlockGraph, q0: Rational) -> ConditionCheck:
     p2, r2, s2 = p * p, r * r, (p + r) * (p + r)
     violations = []
     for b in g.blocks:
-        a = (b.m - 1) * (b.n - 1)
+        m, n = len(b.x), len(b.y)
+        a = (m - 1) * (n - 1)
         if q0 == -1:
             violations.append(ConditionViolation(b.index, "C1", "q = -1"))
             violations.append(ConditionViolation(b.index, "C2", "q = -1"))
             continue
         if p2 * a == r2:
             violations.append(
-                ConditionViolation(b.index, "C1", f"q^2 (m-1)(n-1) = 1 = 1 for K_{{{b.m},{b.n}}}")
+                ConditionViolation(b.index, "C1", f"q^2 (m-1)(n-1) = 1 = 1 for K_{{{m},{n}}}")
             )
-        if s2 * a == b.m * b.n * r2:
+        if s2 * a == m * n * r2:
             violations.append(
                 ConditionViolation(
-                    b.index, "C2", f"(q+1)^2 (m-1)(n-1) = {b.m * b.n} = m n for K_{{{b.m},{b.n}}}"
+                    b.index, "C2", f"(q+1)^2 (m-1)(n-1) = {m * n} = m n for K_{{{m},{n}}}"
                 )
             )
     return ConditionCheck(q0, tuple(violations))

@@ -52,9 +52,25 @@ def rational_to_json(value: Rational) -> list[str]:
     return [str(value.numerator), str(value.denominator)]
 
 
+# The _json_text renderers give the compact, key-sorted JSON text of a value's
+# to_json(), as json.dumps(value.to_json(), sort_keys=True, separators=(",", ":"))
+# does, straight from the integers: a value's strings are decimal integers,
+# which JSON prints as they are.
+
+
+def _rational_json_text(value: Rational) -> str:
+    """The JSON text of rational_to_json(value)."""
+    return '["%d","%d"]' % (value.numerator, value.denominator)
+
+
 def _scaled_json(coeffs, scale: int) -> list[list[str]]:
     """[numerator, denominator] strings of c / scale for each int c, in lowest terms."""
     return [[str(top), str(bottom)] for top, bottom in _fastpoly.lowest_terms(coeffs, scale)]
+
+
+def _scaled_json_texts(coeffs, scale: int) -> list[str]:
+    """The JSON text of each pair of _scaled_json(coeffs, scale)."""
+    return list(map('["%d","%d"]'.__mod__, _fastpoly.lowest_terms(coeffs, scale)))
 
 
 def _scaled_text(coeffs, scale: int) -> str:
@@ -214,6 +230,9 @@ class Polynomial:
     def to_json(self) -> list[list[str]]:
         return _scaled_json(*_fastpoly.int_pair(self.coeffs))
 
+    def _json_text(self) -> str:
+        return "[%s]" % ",".join(_scaled_json_texts(*_fastpoly.int_pair(self.coeffs)))
+
 
 ZERO = Polynomial()
 ONE = Polynomial((1,))
@@ -370,6 +389,12 @@ class RationalFunction:
     def to_json(self) -> dict:
         n, d = self._pair
         return {"num": _scaled_json(n, d[-1]), "den": _scaled_json(d, d[-1])}
+
+    def _json_text(self) -> str:
+        """From one _scaled_json_texts pass over d and n, which share the scale d[-1]."""
+        n, d = self._pair
+        texts = _scaled_json_texts((*d, *n), d[-1])
+        return '{"den":[%s],"num":[%s]}' % (",".join(texts[: len(d)]), ",".join(texts[len(d):]))
 
 
 RF_ZERO = RationalFunction(ZERO)

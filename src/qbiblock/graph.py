@@ -210,8 +210,9 @@ def graph_to_json(specs) -> dict:
 
 
 def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which is a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
+    # JSON true/false arrive as bool, which is a subclass of int; json reads
+    # every integer as an int itself
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
 def specs_from_json(obj) -> list[BlockSpec]:
@@ -221,7 +222,8 @@ def specs_from_json(obj) -> list[BlockSpec]:
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise GraphError("'blocks' must be a nonempty array")
     specs = []
-    vertices = 0
+    # every block after the first shares its cut vertex; build() rejects parts below 1
+    vertices = 1
     for i, raw in enumerate(raw_blocks):
         if not isinstance(raw, dict):
             raise GraphError(f"block {i} must be an object")
@@ -231,8 +233,7 @@ def specs_from_json(obj) -> list[BlockSpec]:
             raise GraphError(f"block {i} is missing field {missing}") from None
         if not _is_int(m) or not _is_int(n):
             raise GraphError(f"block {i}: 'm' and 'n' must be integers")
-        # every block after the first shares its cut vertex; build() rejects parts below 1
-        vertices += max(m, 1) + max(n, 1) - (1 if i else 0)
+        vertices += max(m, 1) + max(n, 1) - 1
         if vertices > MAX_VERTICES:
             raise GraphError(f"block {i}: the graph exceeds {MAX_VERTICES} vertices")
         attach = None

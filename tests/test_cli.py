@@ -13,6 +13,7 @@ import pytest
 
 from qbiblock import cli, oracle
 from qbiblock.closedform import check_conditions, graph_inverse, inverse_at
+from qbiblock.exactring import PoleError
 from qbiblock.graph import Attachment, BlockSpec, build, graph_to_json, path_tree
 from qbiblock.oracle import CheckResult, VerificationReport
 from helpers import formulas_large_graphs
@@ -203,6 +204,22 @@ def test_c2_is_a_per_block_condition(capsys, tmp_path):
     assert [v.condition for v in check_conditions(build([BlockSpec(2, 2)]), -3).violations] == ["C2"]
     code, out, err = run_cli(capsys, "inverse", k22, "--at=-3")
     assert code == 3 and out == "" and "balance constant vanishes" in err
+
+
+def test_inverse_at_a_pole_exits_3_with_its_message(capsys, tmp_path):
+    # where delta vanishes (C1, K_{2,2} at q = 1) the command refuses q0 before
+    # evaluating; where only Lambda does, the evaluation's PoleError is the message
+    k22 = write_graph(tmp_path, "k22.json", [BlockSpec(2, 2)])
+    glued = write_graph(tmp_path, "k12_k22.json", [BlockSpec(1, 2), BlockSpec(2, 2, Attachment(0, "Y"))])
+    with pytest.raises(PoleError, match=r"^a cofactor core vanishes at q = 1; the inverse has a pole there$"):
+        inverse_at(build([BlockSpec(2, 2)]), 1)
+    for path, at, message in (
+        (k22, "1", "q = 1 violates admissibility conditions (block 0 C1: q^2 (m-1)(n-1) = 1 = 1 for K_{2,2})"),
+        (k22, "-3", "the balance constant vanishes at q = -3; the inverse has a pole there"),
+        (glued, "-5/3", "the balance constant vanishes at q = -5/3; the inverse has a pole there"),
+    ):
+        for fmt in ("text", "json"):
+            assert run_cli(capsys, "inverse", path, f"--at={at}", "--format", fmt) == (3, "", f"error: {message}\n")
 
 
 def test_at_accepts_only_ascii_rational_literals(capsys, p3):
@@ -679,17 +696,24 @@ def test_formula_outputs_are_pinned(capsys, formula_graphs, key):
 def test_formula_commands_render_each_value_once(capsys, monkeypatch, formula_graphs):
     from qbiblock.exactring import Polynomial, RationalFunction
 
+    # the driver renders a symbolic value's JSON by its _json_text method (to_json
+    # is the reference it is tested against), its text by __str__, and a
+    # rational's JSON by exactring._rational_json_text, imported into cli
     counts = {}
     for cls in (Polynomial, RationalFunction):
-        for method in ("to_json", "__str__"):
+        for method in ("_json_text", "to_json", "__str__"):
             def counted(self, _original=getattr(cls, method), _key=(cls.__name__, method)):
                 counts[_key] = counts.get(_key, 0) + 1
                 return _original(self)
 
             monkeypatch.setattr(cls, method, counted)
+    rationals = []
+    original = cli._rational_json_text
+    monkeypatch.setattr(cli, "_rational_json_text", lambda v: rationals.append(v) or original(v))
 
     def renders(*argv):
         counts.clear()
+        rationals.clear()
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         return counts.copy()
@@ -699,21 +723,19 @@ def test_formula_commands_render_each_value_once(capsys, monkeypatch, formula_gr
     # their own methods
     path = formula_graphs["big299"]
     for command, distinct in (("vectors", 74), ("lambda", 1)):
-        assert renders(command, path, "--format", "json")[("RationalFunction", "to_json")] == distinct
-        assert renders(command, path)[("RationalFunction", "__str__")] == distinct
+        assert renders(command, path, "--format", "json") == {("RationalFunction", "_json_text"): distinct}
+        assert renders(command, path) == {("RationalFunction", "__str__"): distinct}
     for command in ("det", "xi"):
-        assert renders(command, path, "--format", "json") == {("Polynomial", "to_json"): 1}
+        assert renders(command, path, "--format", "json") == {("Polynomial", "_json_text"): 1}
         assert renders(command, path) == {("Polynomial", "__str__"): 1}
+    assert not rationals
 
     # dense87's inverse shares 266 distinct entry objects among its 87^2 entries
     g, path = formulas_large_graphs()[2], formula_graphs["dense87"]
     distinct = len({id(e) for row in graph_inverse(g).rows for e in row})
     assert distinct == 266
-    assert renders("inverse", path, "--format", "json")[("RationalFunction", "to_json")] == distinct
-    assert renders("inverse", path)[("RationalFunction", "__str__")] == distinct
-    rationals = []
-    original = cli.rational_to_json
-    monkeypatch.setattr(cli, "rational_to_json", lambda v: rationals.append(v) or original(v))
+    assert renders("inverse", path, "--format", "json") == {("RationalFunction", "_json_text"): distinct}
+    assert renders("inverse", path) == {("RationalFunction", "__str__"): distinct}
     assert renders("inverse", path, "--at", "2/7", "--format", "json") == {}
     # one call renders the "at" field, the others one distinct entry each
     distinct = len({id(e) for row in inverse_at(g, Fraction(2, 7)) for e in row})

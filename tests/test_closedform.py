@@ -10,6 +10,7 @@ import pytest
 from qbiblock import _fastpoly, _moddet
 from qbiblock.closedform import (
     ClearedForms,
+    _inverse_form,
     _inverse_rows,
     _shapes,
     _shared_rfs,
@@ -30,6 +31,7 @@ from qbiblock.closedform import (
     inverse_at,
     local_matrix,
     nonedge_weight_matrix,
+    values_at,
 )
 from qbiblock.cli import _lambda_at
 from qbiblock.exactring import (
@@ -637,6 +639,58 @@ def test_shared_rational_functions_match_the_fraction_reference():
         ):
             for value, rf in zip(values, _shared_rfs(values, den)):
                 assert_rf_matches_the_reference(rf, list(value), den)
+
+
+def test_json_text_of_every_distinct_value_matches_to_json():
+    # the text the formula commands print for each distinct x, y, lambda,
+    # inverse, det and xi value is the compact, key-sorted dump of to_json
+    compact = lambda v: json.dumps(v.to_json(), sort_keys=True, separators=(",", ":"))
+    graphs = [build(specs) for _, specs in default_corpus(7)] + formulas_large_graphs()
+    assert len(graphs) == 176
+    for g in graphs:
+        forms = ClearedForms(g)
+        values = [graph_det(g), graph_cofactor(g)]
+        values += _shared_rfs(forms.x[0], forms.delta) + _shared_rfs(forms.y[0], forms.product)
+        values += _shared_rfs([forms.lam], forms.delta)
+        if forms.lam:
+            values += _inverse_form(g)[0]
+        for value in values:
+            assert value._json_text() == compact(value), g
+
+
+def test_integer_at_route_matches_the_fraction_formula():
+    # inverse_at and values_at read each cleared list as an integer over one
+    # power of q0's denominator; the reference evaluates each list in Fractions
+    # and takes (x_a x_b - L_l lambda) / (delta lambda) of the cleared values
+    graphs = [build(specs) for _, specs in default_corpus(7)] + formulas_large_graphs()
+    demoted_type = lambda value: int if value.denominator == 1 else Fraction
+    poles = 0
+    for g in graphs:
+        forms = ClearedForms(g)
+        (x, x_index), (local, local_index) = forms.x, forms.local
+        for q0 in (Fraction(2, 7), Fraction(-3, 5), 1, Fraction(-1, 2), Fraction(5, 3)):
+            at = lambda value: Fraction(Polynomial(value).eval_at(q0))
+            delta, lam = at(forms.delta), at(forms.lam)
+            for values, den in ((x, forms.delta), (forms.y[0], forms.product), ([forms.lam], forms.delta)):
+                if at(den) == 0:
+                    continue
+                got = values_at(values, den, q0)
+                want = [at(v) / at(den) for v in values]
+                assert got == want, (g, q0)
+                assert list(map(type, got)) == list(map(demoted_type, want)), (g, q0)
+            if delta == 0 or lam == 0:
+                poles += 1
+                with pytest.raises(PoleError):
+                    inverse_at(g, q0)
+                continue
+            x_at, local_at, want = list(map(at, x)), list(map(at, local)), {}
+            for i, row in enumerate(inverse_at(g, q0)):
+                for j, value in enumerate(row):
+                    a, b, l = x_index[i], x_index[j], local_index[i][j]
+                    if (a, b, l) not in want:
+                        want[a, b, l] = (x_at[a] * x_at[b] - local_at[l] * lam) / (delta * lam)
+                    assert value == want[a, b, l] and type(value) is demoted_type(want[a, b, l])
+    assert poles > 0  # q0 = 1 is a root of K_{2,2}'s cofactor core
 
 
 def test_inverse_rows_match_the_reference_routine():

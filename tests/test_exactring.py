@@ -26,8 +26,10 @@ from qbiblock.exactring import (
     PoleError,
     Polynomial,
     RationalFunction,
+    _rational_json_text,
     parse_rational,
     q_integer,
+    rational_to_json,
 )
 
 
@@ -313,6 +315,39 @@ def test_json_rendering():
     assert Polynomial((Fraction(1, 2),)).to_json() == [["1", "2"]]
     r = RationalFunction(ONE, Q + 1)
     assert r.to_json() == {"num": [["1", "1"]], "den": [["1", "1"], ["1", "1"]]}
+
+
+def compact_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def test_json_text_is_the_compact_text_of_to_json():
+    polynomials = [
+        ZERO,
+        Polynomial((7,)),
+        Polynomial((-3,)),
+        Polynomial((1, -2)),  # a negative lead
+        Polynomial((Fraction(1, 2), Fraction(-3, 4), 0, Fraction(5, 6))),
+        Polynomial((Fraction(4, 6), 2)),  # 4/6 reduces to 2/3
+        (1 + Q) ** 5,
+    ]
+    for p in polynomials:
+        assert p._json_text() == compact_json(p.to_json()), p
+    functions = [RationalFunction(p) for p in polynomials] + [
+        RationalFunction(ZERO, Q + 1),
+        RationalFunction(ONE, Q + 1),
+        RationalFunction(Polynomial((1,)), Polynomial((3, -2))),  # the denominator's lead < 0
+        RationalFunction(Polynomial((2, 4)), Polynomial((6, 3))),  # monic: (2/3 + (4/3)q)/(2 + q)
+        RationalFunction(Polynomial((Fraction(-1, 3), 5)), Polynomial((1, 0, 7))),
+        RationalFunction((Q - 1) * (Q + 2), (Q - 1) * (3 * Q + 1)),
+    ]
+    for r in functions:
+        assert r._json_text() == compact_json(r.to_json()), r
+    assert RationalFunction(Polynomial((2, 4)), Polynomial((6, 3)))._json_text() == (
+        '{"den":[["2","1"],["1","1"]],"num":[["2","3"],["4","3"]]}'
+    )
+    for value, text in ((Fraction(-3, 5), '["-3","5"]'), (0, '["0","1"]'), (7, '["7","1"]')):
+        assert _rational_json_text(value) == text == compact_json(rational_to_json(value))
 
 
 def test_parse_rational():
